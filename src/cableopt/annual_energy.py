@@ -166,28 +166,33 @@ def synth_duration_curve(
 # ---------------------------------------------------------------------------
 # duration-curve files (format shared with the CLI)
 
-def read_duration_csv(path: str | Path) -> DurationCurve:
-    """Read `power_pu,weight` rows; '#' lines are comments."""
+def _parse_duration_lines(lines, source: str) -> DurationCurve:
+    """Parse `power_pu,weight` rows after that header; '#' lines are comments."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols != ["power_pu", "weight"]:
-                    raise PowerOutOfRange(
-                        f"{path}:{lineno}: expected header 'power_pu,weight', got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise PowerOutOfRange(f"{path}:{lineno}: expected two columns, got {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+    header_seen = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            cols = [c.strip() for c in line.split(",")]
+            if cols != ["power_pu", "weight"]:
+                raise PowerOutOfRange(
+                    f"{source}:{lineno}: expected header 'power_pu,weight', got {line!r}"
+                )
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise PowerOutOfRange(f"{source}:{lineno}: expected two columns, got {line!r}")
+        rows.append((float(parts[0]), float(parts[1])))
     return load_duration_curve(rows)
+
+
+def read_duration_csv(path: str | Path) -> DurationCurve:
+    """Read a `power_pu,weight` duration-curve file; '#' lines are comments."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_duration_lines(fh, str(path))
 
 
 def write_duration_csv(curve: DurationCurve, path: str | Path, comment: str | None = None):
@@ -215,19 +220,8 @@ def reference_duration_curve(name: str) -> DurationCurve:
     """One of the committed reference curves, 'high-uf' (0.46) or 'low-uf' (0.35)."""
     if name not in _REFERENCE_FILES:
         raise KeyError(f"unknown reference curve {name!r}; choose from {sorted(_REFERENCE_FILES)}")
-    ref = resources.files("cableopt.data") / _REFERENCE_FILES[name]
-    rows = []
-    header_seen = False
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        a, b = line.split(",")
-        rows.append((float(a), float(b)))
-    return load_duration_curve(rows)
+    text = (resources.files("cableopt.data") / _REFERENCE_FILES[name]).read_text(encoding="utf-8")
+    return _parse_duration_lines(text.splitlines(), _REFERENCE_FILES[name])
 
 
 # ---------------------------------------------------------------------------

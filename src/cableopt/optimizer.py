@@ -6,15 +6,17 @@ The key structural facts exploited here:
 * for fixed xi, farm power is c(xi)*v2^2 and currents scale linearly in
   v2, so "transmit exactly p" pins v2 = sqrt(p/c(xi)) and feasibility of
   a scaling is a closed-form check;
-* c is monotone in beta below arg(b), so the voltage box [v2_min, v2_max]
-  maps to an exactly computable beta interval per alpha.
+* at fixed alpha, farm and grid power and both squared end currents are
+  sinusoids k0 + kc*cos(beta) + ks*sin(beta), and c rises with beta
+  below arg(b).
 
-Searches are deterministic: coarse grids (0.005 in alpha, 0.25 deg in
-beta) followed by a shrinking local pattern search, with ties broken
-toward lower v2, then lower alpha.  For production-level optimization the
-pattern search runs in (alpha, t) with t parametrizing the feasible beta
-interval of each alpha, which keeps every probe on the power-equality
-manifold even when the voltage range collapses to a fixed value.
+So at fixed alpha the v2-box interval, the current-rating boundaries and
+the stationary points of eta = g/c are each one acos, and the optimum is
+the best feasible one of them.  Only alpha is searched: a 0.005 grid with
+both bounds, then a golden-section refinement.  The unconstrained optimum
+is the same search without limits.  Ties go to lower v2, then lower
+alpha.  The delivery search (max_feasible_power) is a coarse grid (0.005
+in alpha, 0.25 deg in beta) plus a shrinking local pattern search.
 """
 
 from __future__ import annotations
@@ -30,10 +32,15 @@ from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow
 
 ALPHA_GRID_STEP = 0.005
 BETA_GRID_STEP = math.radians(0.25)
-REFINE_TOL = 1e-7
+ALPHA_TOL = 1e-10
 TIE_TOL = 1e-9
 _BETA_SAMPLES = 41
 _REFINE_ROUNDS = 48
+_BISECT_ROUNDS = 40
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# current-boundary roots are solved at a rating shrunk by this fraction, so
+# rounding leaves them on the feasible side of the exact rating check
+_RATING_SHRINK = 1e-12
 
 
 class BindingConstraint(enum.Enum):
@@ -66,8 +73,12 @@ class Constraints:
     def __post_init__(self):
         if not (0.0 < self.v2_min <= self.v2_max):
             raise ValueError(f"need 0 < v2_min <= v2_max, got [{self.v2_min}, {self.v2_max}]")
-        if not (self.alpha_min <= self.alpha_max):
-            raise ValueError(f"need alpha_min <= alpha_max, got [{self.alpha_min}, {self.alpha_max}]")
+        # the searches divide by both squares: no infinity, overflow or underflow
+        if not (self.v2_min * self.v2_min > 0.0 and math.isfinite(self.v2_max * self.v2_max)):
+            raise ValueError(f"v2 bounds [{self.v2_min}, {self.v2_max}] must square to finite, > 0")
+        if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):
+            raise ValueError(f"need 0 < alpha_min <= alpha_max < inf, "
+                             f"got [{self.alpha_min}, {self.alpha_max}]")
         if self.i_rated is not None and not self.i_rated > 0.0:
             raise ValueError(f"i_rated must be > 0, got {self.i_rated}")
         if self.n_profile_segments < 1:
@@ -134,10 +145,12 @@ class _Cable:
         self.a, self.b = tp.a, tp.b
         self.vph = spec.phase_voltage
         self.i_rated = constraints.rated_current(spec)
-        # c(beta) = alpha^2*Re(a) + alpha*|b|*cos(beta - arg(b)) rises up to
-        # arg(b); cap the search window there to keep bisection monotone.
+        # c(beta) = alpha^2*Re(a) + alpha*|b|*cos(beta - arg(b)) rises from
+        # arg(b) - pi to arg(b); the searches stay on that branch, within
+        # +-90 deg, so c is monotone.  The production window takes all of
+        # it: negative beta is what the lowest injections need.
         self.beta_cap = min(math.pi / 2, cmath.phase(self.b) - 1e-9)
-        self.beta_floor_wide = max(-math.pi / 2, cmath.phase(self.b) - math.pi + 1e-9)
+        self.beta_floor = max(-math.pi / 2, cmath.phase(self.b) - math.pi + 1e-9)
 
     def farm_coeff(self, alpha: float, beta: float) -> float:
         """c with p_farm = c*v2^2 [W/(p.u.)^2]."""
@@ -177,27 +190,46 @@ class _Cable:
                 return False
         return True
 
-    def solve_beta_for_coeff(self, alpha: float, target: float,
-                             beta_lo: float, beta_hi: float) -> float | None:
-        """beta in [beta_lo, beta_hi] with farm_coeff == target, or None.
+    def sinusoids(self, alpha: float):
+        """(k0, kc, ks) with value k0 + kc*cos(beta) + ks*sin(beta) at this alpha.
 
-        farm_coeff is monotone increasing on the window, so plain bisection.
-        None means the target lies strictly outside the window's range.
+        In order: farm power and grid power per 3*V_ph^2 (so c is
+        3*V_ph^2 times the first), |a*xi + b|^2 and |b*xi + a|^2.
         """
-        c_lo = self.farm_coeff(alpha, beta_lo)
-        c_hi = self.farm_coeff(alpha, beta_hi)
-        if target <= c_lo:
-            return beta_lo if target == c_lo else None
-        if target >= c_hi:
-            return beta_hi if target == c_hi else None
-        lo, hi = beta_lo, beta_hi
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self.farm_coeff(alpha, mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        a, b = self.a, self.b
+        z = 2.0 * alpha * a * b.conjugate()
+        return (
+            (alpha * alpha * a.real, alpha * b.real, alpha * b.imag),
+            (-a.real, -alpha * b.real, alpha * b.imag),
+            (alpha * alpha * abs(a) ** 2 + abs(b) ** 2, z.real, -z.imag),
+            (alpha * alpha * abs(b) ** 2 + abs(a) ** 2, z.real, z.imag),
+        )
+
+    def beta_for_coeff(self, alpha: float, target: float) -> float:
+        """beta <= arg(b) with farm_coeff == target, in closed form.
+
+        Targets beyond the range of c map to arg(b) - pi or arg(b).
+        """
+        x = (target / (3.0 * self.vph**2) - alpha * alpha * self.a.real) / (alpha * abs(self.b))
+        return cmath.phase(self.b) - math.acos(min(max(x, -1.0), 1.0))
+
+
+def _sinusoid_roots(k0: float, kc: float, ks: float, lo: float, hi: float) -> list[float]:
+    """Zeros of k0 + kc*cos(beta) + ks*sin(beta) = k0 + r*cos(beta - theta) in [lo, hi].
+
+    Tangent zeros, where the sinusoid touches zero without a sign change, are left out.
+    """
+    r = math.hypot(kc, ks)
+    if r <= abs(k0):
+        return []
+    theta, half = math.atan2(ks, kc), math.acos(-k0 / r)
+    return [x for x in (lo + (t - lo) % math.tau for t in (theta - half, theta + half)) if x <= hi]
+
+
+def _ratio_stationary(num, den, lo: float, hi: float) -> list[float]:
+    """Betas in [lo, hi] where num/den is stationary: num'*den - num*den' is a sinusoid."""
+    (f0, fc, fs), (g0, gc, gs) = den, num
+    return _sinusoid_roots(gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0, lo, hi)
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -213,7 +245,6 @@ class _Candidate:
     alpha: float
     beta: float
     v2: float
-    t: float = 0.0   # interval coordinate, used by the production search
 
 
 def _better(cand: _Candidate, best: _Candidate | None) -> bool:
@@ -247,6 +278,61 @@ def _probe_values(center: float, span: float, lo: float, hi: float) -> list[floa
     return sorted(vals)
 
 
+def _pick(cab: _Cable, cands: list[_Candidate]) -> _Candidate | None:
+    """Best candidate by _better that passes the opt-in internal checks.
+
+    Visiting by descending score runs the costly checks only until one passes.
+    """
+    best = None
+    for cand in sorted(cands, key=lambda c: c.score, reverse=True):
+        if _better(cand, best) and cab.internal_ok(cand.alpha, cand.beta, cand.v2):
+            best = cand
+    return best
+
+
+def _alpha_search(a_lo: float, a_hi: float, solve, shortfall) -> _Candidate | None:
+    """Best solve(alpha) over [a_lo, a_hi]; None when no alpha gives a point.
+
+    The ALPHA_GRID_STEP grid (bounds included) picks a cell; golden-section
+    search refines one grid step either side, down to ALPHA_TOL.  It ranks
+    infeasible alphas below feasible ones by -shortfall(alpha), so it also
+    climbs into a feasible sliver narrower than the grid step.  A refined
+    point must beat the grid winner's score strictly: TIE_TOL orders the
+    grid but cannot stop the refinement short of the maximum.
+    """
+    def probe(alpha: float):
+        cand = solve(alpha)
+        return ((1, cand.score) if cand is not None else (0, -shortfall(alpha))), cand
+
+    grid = _grid(a_lo, a_hi, ALPHA_GRID_STEP)
+    best = None
+    for alpha in grid:
+        cand = solve(alpha)
+        if cand is not None and _better(cand, best):
+            best = cand
+    if len(grid) == 1:
+        return best
+    center = best.alpha if best is not None else min(grid, key=shortfall)
+    step = grid[1] - grid[0]
+    lo, hi = max(a_lo, center - step), min(a_hi, center + step)
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    (k1, c1), (k2, c2) = probe(x1), probe(x2)
+    while True:
+        for cand in (c1, c2):
+            if cand is not None and (best is None or cand.score > best.score):
+                best = cand
+        if hi - lo <= ALPHA_TOL:
+            return best
+        if k1 >= k2:
+            hi, x2, k2, c2 = x2, x1, k1, c1
+            x1 = hi - _GOLDEN * (hi - lo)
+            k1, c1 = probe(x1)
+        else:
+            lo, x1, k1, c1 = x1, x2, k2, c2
+            x2 = lo + _GOLDEN * (hi - lo)
+            k2, c2 = probe(x2)
+
+
 # ---------------------------------------------------------------------------
 # unconstrained scaling optimum
 
@@ -256,38 +342,22 @@ def optimize_scaling_unconstrained(
 ) -> tuple[VoltageScaling, float]:
     """argmax of efficiency over alpha in alpha_range, beta in (0, 90 deg).
 
-    Deterministic coarse grid plus shrinking local refinement; the
-    efficiency landscape is smooth and unimodal in this window.
+    At each alpha the best beta is a window end or a stationary point of
+    eta, found in closed form; alpha is searched by _alpha_search.
     """
     a_lo, a_hi = alpha_range
-    if not (0.0 < a_lo <= a_hi):
-        raise ValueError(f"invalid alpha_range {alpha_range}")
     cab = _Cable(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))
     b_lo, b_hi = 1e-6, cab.beta_cap
 
-    best: _Candidate | None = None
-    for alpha in _grid(a_lo, a_hi, ALPHA_GRID_STEP):
-        for beta in _grid(b_lo, b_hi, BETA_GRID_STEP):
-            e = cab.eta(alpha, beta)
-            if math.isfinite(e) and _better(_Candidate(e, alpha, beta, 0.0), best):
-                best = _Candidate(e, alpha, beta, 0.0)
+    def solve(alpha: float) -> _Candidate | None:
+        farm, grid, _, _ = cab.sinusoids(alpha)
+        betas = [b_lo, b_hi] + _ratio_stationary(grid, farm, b_lo, b_hi)
+        return _pick(cab, [_Candidate(e, alpha, beta, 0.0) for beta in betas
+                           if math.isfinite(e := cab.eta(alpha, beta))])
+
+    best = _alpha_search(a_lo, a_hi, solve, lambda alpha: 0.0)
     if best is None:
         raise NoPositivePower("no scaling in range yields positive farm power")
-
-    span_a, span_b = ALPHA_GRID_STEP, BETA_GRID_STEP
-    for _ in range(_REFINE_ROUNDS):
-        improved = best
-        for alpha in _probe_values(best.alpha, span_a, a_lo, a_hi):
-            for beta in _probe_values(best.beta, span_b, b_lo, b_hi):
-                e = cab.eta(alpha, beta)
-                if math.isfinite(e) and _better(_Candidate(e, alpha, beta, 0.0), improved):
-                    improved = _Candidate(e, alpha, beta, 0.0)
-        stalled = improved.score - best.score < REFINE_TOL
-        best = improved
-        span_a *= 0.5
-        span_b *= 0.5
-        if stalled and span_b < 1e-10:
-            break
     return VoltageScaling(best.alpha, best.beta), best.score
 
 
@@ -349,141 +419,83 @@ def _binding_set(cab: _Cable, cons: Constraints, alpha: float, beta: float,
     return frozenset(out)
 
 
-def _voltage_feasible_interval(cab: _Cable, cons: Constraints, alpha: float,
-                               p_farm: float, beta_floor: float) -> tuple[float, float] | None:
-    """Beta interval where v2 = sqrt(p/c) lands inside [v2_min, v2_max]."""
-    c_lo_needed = p_farm / cons.v2_max**2
-    c_hi_needed = p_farm / cons.v2_min**2
-    beta_lo = cab.solve_beta_for_coeff(alpha, c_lo_needed, beta_floor, cab.beta_cap)
-    if beta_lo is None:
-        if cab.farm_coeff(alpha, beta_floor) < c_lo_needed:
-            return None  # even the top of the window cannot transmit p
-        beta_lo = beta_floor
-    beta_hi = cab.solve_beta_for_coeff(alpha, c_hi_needed, beta_floor, cab.beta_cap)
-    if beta_hi is None:
-        if cab.farm_coeff(alpha, beta_floor) > c_hi_needed:
-            return None  # cannot transmit so little at this alpha
-        beta_hi = cab.beta_cap
-    if beta_hi < beta_lo:
-        return None
-    return beta_lo, beta_hi
-
-
-_CURRENT_REJECT = "current"
-
-
-def _production_probe(cab: _Cable, cons: Constraints, alpha: float, t: float,
-                      p_farm: float, beta_floor: float,
-                      cache: dict[float, tuple[float, float] | None]):
-    """Point at interval coordinate t in [0, 1]: (candidate, reject_reason)."""
-    if alpha in cache:
-        interval = cache[alpha]
-    else:
-        interval = _voltage_feasible_interval(cab, cons, alpha, p_farm, beta_floor)
-        cache[alpha] = interval
-    if interval is None:
-        return None, None
-    beta = interval[0] + t * (interval[1] - interval[0])
+def _production_point(cab: _Cable, cons: Constraints, alpha: float, beta: float,
+                      p_farm: float) -> _Candidate | None:
+    """The point injecting p_farm at (alpha, beta), if it meets the box and rating."""
     c = cab.farm_coeff(alpha, beta)
     if c <= 0.0:
-        return None, None
+        return None
     v2 = math.sqrt(p_farm / c)
     if not (cons.v2_min * (1 - 1e-9) <= v2 <= cons.v2_max * (1 + 1e-9)):
-        return None, None
-    i1u, i2u = cab.unit_currents(alpha, beta)
-    if max(i1u, i2u) * v2 > cab.i_rated:
-        return None, _CURRENT_REJECT
-    if not cab.internal_ok(alpha, beta, v2):
-        return None, None
+        return None
+    if max(cab.unit_currents(alpha, beta)) * v2 > cab.i_rated:
+        return None
     e = cab.eta(alpha, beta)
-    if not math.isfinite(e):
-        return None, None
-    return _Candidate(e, alpha, beta, v2, t), None
+    return _Candidate(e, alpha, beta, v2) if math.isfinite(e) else None
 
 
-def _current_boundary_probe(cab: _Cable, cons: Constraints, alpha: float,
-                            t_ok: float, t_bad: float, p_farm: float,
-                            beta_floor: float, cache: dict):
-    """Bisect t between a feasible and a current-rejected probe.
+def _production_at_alpha(cab: _Cable, cons: Constraints, p_farm: float,
+                         alpha: float) -> _Candidate | None:
+    """Most efficient point injecting p_farm at this alpha, or None.
 
-    The optimum often rides the current rating exactly (and can pin both
-    end currents at once); grid and pattern probes alone stall short of
-    such curved boundaries.
+    c rises with beta on the window, so v2 = sqrt(p/c) lies in the box on
+    the beta interval [lo, hi] between the inverses of its two c targets.
+    Minus the stretches where an end current exceeds the rating,
+    p*|i|^2 > 3*I^2*farm, that leaves the feasible set; eta peaks on it at
+    an interval end, a current-boundary root or a stationary point.
     """
-    interval = cache.get(alpha)
-    if interval is None:
+    c_lo, c_hi = p_farm / cons.v2_max**2, p_farm / cons.v2_min**2
+    if c_lo > cab.farm_coeff(alpha, cab.beta_cap) or c_hi < cab.farm_coeff(alpha, cab.beta_floor):
         return None
-    b_lo, b_span = interval[0], interval[1] - interval[0]
-
-    def margin(t: float) -> float:
-        beta = b_lo + t * b_span
-        c = cab.farm_coeff(alpha, beta)
-        if c <= 0.0:
-            return math.inf
-        v2 = math.sqrt(p_farm / c)
-        i1u, i2u = cab.unit_currents(alpha, beta)
-        return max(i1u, i2u) * v2 - cab.i_rated
-
-    lo, hi = t_ok, t_bad
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    cand, _ = _production_probe(cab, cons, alpha, lo, p_farm, beta_floor, cache)
-    return cand
-
-
-def _scan_alpha_line(cab: _Cable, cons: Constraints, alpha: float, ts: list[float],
-                     p_farm: float, beta_floor: float, cache: dict,
-                     best: _Candidate | None) -> _Candidate | None:
-    """Probe sorted t values at one alpha, completing current-rating crossings."""
-    outcomes = []
-    for t in ts:
-        cand, reason = _production_probe(cab, cons, alpha, t, p_farm, beta_floor, cache)
-        outcomes.append((t, cand, reason))
-        if cand is not None and _better(cand, best):
-            best = cand
-    for (t1, c1, r1), (t2, c2, r2) in zip(outcomes, outcomes[1:]):
-        crossing = None
-        if c1 is not None and r2 == _CURRENT_REJECT:
-            crossing = _current_boundary_probe(cab, cons, alpha, t1, t2,
-                                               p_farm, beta_floor, cache)
-        elif c2 is not None and r1 == _CURRENT_REJECT:
-            crossing = _current_boundary_probe(cab, cons, alpha, t2, t1,
-                                               p_farm, beta_floor, cache)
-        if crossing is not None and _better(crossing, best):
-            best = crossing
+    lo = max(cab.beta_floor, cab.beta_for_coeff(alpha, c_lo))
+    hi = min(cab.beta_cap, cab.beta_for_coeff(alpha, c_hi))
+    farm, grid, cur1, cur2 = cab.sinusoids(alpha)
+    k = 3.0 * (cab.i_rated * (1.0 - _RATING_SHRINK)) ** 2 / p_farm
+    betas = [lo, hi] + _ratio_stationary(grid, farm, lo, hi)
+    for cur in (cur1, cur2):
+        betas += _sinusoid_roots(*(q - k * f for q, f in zip(cur, farm)), lo, hi)
+    internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
+    if internal:
+        # a binding internal limit has no closed form: add an even sample
+        betas += [lo + (hi - lo) * j / (_BETA_SAMPLES - 1) for j in range(1, _BETA_SAMPLES - 1)]
+    cands = [cand for beta in betas if (cand := _production_point(cab, cons, alpha, beta, p_farm))]
+    best = _pick(cab, cands)
+    failed = [c.beta for c in cands if c.score > best.score] if internal and best else []
+    if failed:
+        # the internal limit binds between the best passing point and the
+        # nearest better one that failed it: bisect beta for the crossing
+        ok, bad = best.beta, min(failed, key=lambda b: abs(b - best.beta))
+        for _ in range(_BISECT_ROUNDS):
+            mid = 0.5 * (ok + bad)
+            cand = _production_point(cab, cons, alpha, mid, p_farm)
+            if cand is not None and cab.internal_ok(alpha, mid, cand.v2):
+                ok, best = mid, (cand if cand.score > best.score else best)
+            else:
+                bad = mid
     return best
 
 
-def _production_search(cab: _Cable, cons: Constraints, p_farm: float,
-                       beta_floor: float) -> _Candidate | None:
-    cache: dict[float, tuple[float, float] | None] = {}
-    coarse_ts = [k / (_BETA_SAMPLES - 1) for k in range(_BETA_SAMPLES)]
-    best: _Candidate | None = None
-    for alpha in _grid(cons.alpha_min, cons.alpha_max, ALPHA_GRID_STEP):
-        best = _scan_alpha_line(cab, cons, alpha, coarse_ts, p_farm, beta_floor,
-                                cache, best)
-    if best is None:
-        return None
+def _shortfall(cab: _Cable, cons: Constraints, p_farm: float, alpha: float) -> float:
+    """How far p_farm lies outside the injectable range at this alpha [W].
 
-    span_a = ALPHA_GRID_STEP
-    span_t = 1.0 / (_BETA_SAMPLES - 1)
-    for _ in range(_REFINE_ROUNDS):
-        improved = best
-        for alpha in _probe_values(best.alpha, span_a, cons.alpha_min, cons.alpha_max):
-            improved = _scan_alpha_line(cab, cons, alpha,
-                                        _probe_values(best.t, span_t, 0.0, 1.0),
-                                        p_farm, beta_floor, cache, improved)
-        stalled = improved.score - best.score < REFINE_TOL
-        best = improved
-        span_a *= 0.5
-        span_t *= 0.5
-        if stalled and span_a < 1e-10 and span_t < 1e-10:
-            break
-    return best
+    The least injection is c(beta_floor)*v2_min^2.  For the most, v2 rises
+    to the lower of v2_max and the rating, and p = c*v2^2 peaks at a window
+    end, where the binding limit switches (|i1| = |i2|, or a current meets
+    the rating at v2_max) or where c/|i|^2 is stationary.
+    """
+    farm, _, cur1, cur2 = cab.sinusoids(alpha)
+    lo, hi = cab.beta_floor, cab.beta_cap
+    q_box = (cab.i_rated / (cab.vph * cons.v2_max)) ** 2
+    betas = [lo, hi] + _sinusoid_roots(*(q1 - q2 for q1, q2 in zip(cur1, cur2)), lo, hi)
+    for cur in (cur1, cur2):
+        betas += _sinusoid_roots(cur[0] - q_box, cur[1], cur[2], lo, hi)
+        betas += _ratio_stationary(farm, cur, lo, hi)
+    best = 0.0
+    for beta in betas:
+        v2 = min(cons.v2_max, cab.i_rated / max(cab.unit_currents(alpha, beta)))
+        if v2 >= cons.v2_min:
+            best = max(best, cab.farm_coeff(alpha, beta) * v2 * v2)
+    return max(p_farm - best, cab.farm_coeff(alpha, cab.beta_floor) * cons.v2_min**2 - p_farm)
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -500,11 +512,9 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
     cons = constraints if constraints is not None else Constraints()
     cab = _Cable(spec, cons)
 
-    best = _production_search(cab, cons, p_farm, beta_floor=1e-9)
-    if best is None:
-        # widen the window to negative beta: needed only when the required
-        # transmission is below the box's minimum at beta -> 0+
-        best = _production_search(cab, cons, p_farm, beta_floor=cab.beta_floor_wide)
+    best = _alpha_search(cons.alpha_min, cons.alpha_max,
+                         lambda alpha: _production_at_alpha(cab, cons, p_farm, alpha),
+                         lambda alpha: _shortfall(cab, cons, p_farm, alpha))
     if best is None:
         raise Infeasible(
             f"no operating point in the box transmits {p_farm/1e6:.3f} MW "
@@ -600,26 +610,18 @@ def transfer_envelope(
         raise ValueError("lengths and v2_values must be non-empty")
     cons = constraints if constraints is not None else Constraints()
 
-    points = []
-    envelope = []
+    def capability(spec: CableSpec, box: Constraints) -> EnvelopePoint:
+        try:
+            pf, pg, point = max_feasible_power(spec, box)
+        except Infeasible:
+            return EnvelopePoint(spec.length_km, box.v2_min, 0.0, 0.0, feasible=False)
+        if not pg > 0.0:
+            pf = pg = 0.0
+        return EnvelopePoint(spec.length_km, point.operating_point.v2, pg, pf)
+
+    points, envelope = [], []
     for length in lengths:
         spec = spec_template.with_length(length)
-        for v2 in v2_values:
-            try:
-                pf, pg, _ = max_feasible_power(spec, cons.fixed_v2(v2))
-                if pg > 0.0:
-                    points.append(EnvelopePoint(length, v2, pg, pf, feasible=True))
-                else:
-                    points.append(EnvelopePoint(length, v2, 0.0, 0.0, feasible=True))
-            except Infeasible:
-                points.append(EnvelopePoint(length, v2, 0.0, 0.0, feasible=False))
-        try:
-            pf, pg, point = max_feasible_power(spec, cons)
-            v2_at = point.operating_point.v2
-            if pg > 0.0:
-                envelope.append(EnvelopePoint(length, v2_at, pg, pf, feasible=True))
-            else:
-                envelope.append(EnvelopePoint(length, v2_at, 0.0, 0.0, feasible=True))
-        except Infeasible:
-            envelope.append(EnvelopePoint(length, cons.v2_min, 0.0, 0.0, feasible=False))
+        points += [capability(spec, cons.fixed_v2(v2)) for v2 in v2_values]
+        envelope.append(capability(spec, cons))
     return TransferEnvelope(tuple(points), tuple(envelope))

@@ -11,7 +11,6 @@ with a `# section: <name>` marker.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -126,8 +125,3 @@ def read_tables(fh) -> dict[str, ResultTable]:
             raise ValueError(f"section {t.name}: units/columns mismatch")
     return tables
 
-
-def render_to_string(tables, provenance, json_mode=False, config_echo=None) -> str:
-    buf = io.StringIO()
-    write_tables(buf, tables, provenance, json_mode, config_echo)
-    return buf.getvalue()

@@ -145,6 +145,20 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("constraints", [
+    {"v2_max": 1e308},      # squaring the bound overflows
+    {"v2_min": 1e-200},     # squaring the bound underflows to zero
+    {"alpha_min": 0.0},
+    {"alpha_min": -1.0},
+])
+def test_extreme_constraint_bounds_exit_2(tmp_path, capsys, constraints):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"constraints": constraints}), encoding="utf-8")
+    code, _, err = run(capsys, "optimize", "--config", str(cfg), "--p-farm-mw", "100")
+    assert code == 2
+    assert err.startswith("config error:")
+
+
 # ---------------------------------------------------------------------------
 # optimize and sweep
 

@@ -173,6 +173,37 @@ def test_tiny_production_at_full_voltage_uses_widened_window(cable200):
     assert point.eta is not None and point.eta < 0
 
 
+@pytest.mark.parametrize("p_mw", [50.0, 100.0])
+def test_unbound_production_optimum_is_the_scaling_optimum(cable200, p_mw):
+    point = optimize_at_production(cable200, p_mw * 1e6, Constraints())
+    _, eta_star = optimize_scaling_unconstrained(cable200)
+    assert point.binding_constraints == frozenset()
+    assert abs(point.eta - eta_star) <= 1e-12
+
+
+def test_capability_edge_production_is_feasible(cable200):
+    # max_feasible_power's optimum injects 319.6 MW; 319 MW is still feasible
+    point = optimize_at_production(cable200, 319e6)
+    assert point.flow.p_farm == pytest.approx(319e6, rel=1e-9)
+    assert 0.4 * (1 - 1e-9) <= point.operating_point.v2 <= 1.0 * (1 + 1e-9)
+    assert max(abs(point.flow.i1), abs(point.flow.i2)) <= 1055.0 * (1 + 1e-9)
+
+
+def test_closed_form_beta_reproduces_farm_coeff():
+    from cableopt.optimizer import _Cable
+    rng = random.Random(5)
+    checked = 0
+    while checked < 200:
+        cab = _Cable(ref_cable(rng.uniform(60.0, 340.0)), Constraints())
+        alpha = rng.uniform(1.0, 1.1)
+        target = rng.uniform(5e6, 350e6) / rng.uniform(0.3, 1.0) ** 2
+        if not cab.farm_coeff(alpha, 1e-9) < target < cab.farm_coeff(alpha, cab.beta_cap):
+            continue
+        beta = cab.beta_for_coeff(alpha, target)
+        assert abs(cab.farm_coeff(alpha, beta) - target) <= 1e-12 * target
+        checked += 1
+
+
 def test_production_determinism(cable200):
     a = optimize_at_production(cable200, 137e6, Constraints())
     b = optimize_at_production(cable200, 137e6, Constraints())
@@ -254,6 +285,10 @@ def test_constraints_validation():
         Constraints(alpha_min=1.2, alpha_max=1.1)
     with pytest.raises(ValueError):
         Constraints(i_rated=-1.0)
+    for bad in (dict(v2_max=math.inf), dict(alpha_max=math.nan), dict(alpha_min=0.0),
+                dict(v2_max=1e200), dict(v2_min=1e-200)):
+        with pytest.raises(ValueError):
+            Constraints(**bad)
 
 
 def test_randomized_oracle_equivalence():
