@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .cable_model import CableSpec
 from .errors import (
+    ConfigError,
     EmptyCurve,
     Infeasible,
     NegativeWeight,
@@ -191,8 +192,11 @@ def _parse_duration_lines(lines, source: str) -> DurationCurve:
 
 def read_duration_csv(path: str | Path) -> DurationCurve:
     """Read a `power_pu,weight` duration-curve file; '#' lines are comments."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_duration_lines(fh, str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_duration_lines(fh, str(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot read curve {path}: {exc}") from exc
 
 
 def write_duration_csv(curve: DurationCurve, path: str | Path, comment: str | None = None):

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .config import StudyConfig, load_config, normalized_si, parse_strategy
 from .optimizer import (
-    max_feasible_power,
     optimize_at_production,
     optimize_scaling_unconstrained,
     transfer_envelope,
@@ -47,6 +46,8 @@ from .results import ResultTable, provenance_digest, write_tables
 
 _INFEASIBLE_ERRORS = (Infeasible, DegenerateCable, NoPositivePower, ZeroFarmPower,
                       UnreachableTarget)
+#: most values a range argument or a sweep may ask for
+MAX_POINTS = 10_000
 
 
 def _binding_label(point) -> str:
@@ -55,21 +56,18 @@ def _binding_label(point) -> str:
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
-    """Comma list `a,b,c` or range `start:stop:step` (inclusive stop)."""
+    """Comma list `a,b,c` or range `start:stop:step` (inclusive stop, MAX_POINTS at most)."""
     try:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0:
+            if not step > 0:
                 raise ValueError("step must be > 0")
             out = []
-            k = 0
-            while True:
-                v = start + k * step
-                if v > stop * (1 + 1e-12):
-                    break
+            while (v := start + len(out) * step) <= stop * (1 + 1e-12):
+                if len(out) == MAX_POINTS:
+                    raise ValueError(f"more than {MAX_POINTS} points")
                 out.append(v)
-                k += 1
             if not out:
                 raise ValueError("empty range")
             return out
@@ -222,6 +220,8 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
     p_step = args.p_step_mw if args.p_step_mw is not None else block.get("p_step_mw", 10.0)
     if not (p_min > 0 and p_max >= p_min and p_step > 0):
         raise ConfigError(f"bad sweep range {p_min}:{p_max}:{p_step}")
+    if not (p_max - p_min) / p_step <= MAX_POINTS - 1:
+        raise ConfigError(f"sweep range {p_min}:{p_max}:{p_step} has more than {MAX_POINTS} points")
 
     policies: list[tuple[str, float, float]] = []
     voltages = (_parse_float_list(args.voltages, "--voltages")

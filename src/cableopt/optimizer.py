@@ -14,9 +14,11 @@ So at fixed alpha the v2-box interval, the current-rating boundaries and
 the stationary points of eta = g/c are each one acos, and the optimum is
 the best feasible one of them.  Only alpha is searched: a 0.005 grid with
 both bounds, then a golden-section refinement.  The unconstrained optimum
-is the same search without limits.  Ties go to lower v2, then lower
-alpha.  The delivery search (max_feasible_power) is a coarse grid (0.005
-in alpha, 0.25 deg in beta) plus a shrinking local pattern search.
+is the same search without limits.  The delivery search
+(max_feasible_power) solves each alpha the same way: delivered power
+g*v2^2 is, piece by piece, g, g/|i|^2 or g/c times a constant, so its
+maximum is at a switch between pieces or a stationary point of one.  Ties
+go to lower v2, then lower alpha.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from .errors import Infeasible, NoPositivePower
 from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow
 
 ALPHA_GRID_STEP = 0.005
-BETA_GRID_STEP = math.radians(0.25)
 ALPHA_TOL = 1e-10
+# the delivery maximum mostly sits at a kink in alpha, where two limits bind at
+# once, so an alpha error costs delivery in proportion: 1e-10 cost up to 2e-11
+DELIVERY_ALPHA_TOL = 1e-13
 TIE_TOL = 1e-9
 _BETA_SAMPLES = 41
-_REFINE_ROUNDS = 48
 _BISECT_ROUNDS = 40
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # current-boundary roots are solved at a rating shrunk by this fraction, so
@@ -145,12 +148,16 @@ class _Cable:
         self.a, self.b = tp.a, tp.b
         self.vph = spec.phase_voltage
         self.i_rated = constraints.rated_current(spec)
+        self.internal = (constraints.check_internal_current
+                         or constraints.check_internal_voltage_max is not None)
         # c(beta) = alpha^2*Re(a) + alpha*|b|*cos(beta - arg(b)) rises from
         # arg(b) - pi to arg(b); the searches stay on that branch, within
         # +-90 deg, so c is monotone.  The production window takes all of
-        # it: negative beta is what the lowest injections need.
+        # it: negative beta is what the lowest injections need.  The delivery
+        # search keeps to beta >= 1e-9.
         self.beta_cap = min(math.pi / 2, cmath.phase(self.b) - 1e-9)
         self.beta_floor = max(-math.pi / 2, cmath.phase(self.b) - math.pi + 1e-9)
+        self.delivery_window = (1e-9, max(1e-9, self.beta_cap))
 
     def farm_coeff(self, alpha: float, beta: float) -> float:
         """c with p_farm = c*v2^2 [W/(p.u.)^2]."""
@@ -177,9 +184,9 @@ class _Cable:
         )
 
     def internal_ok(self, alpha: float, beta: float, v2: float) -> bool:
-        cons = self.cons
-        if not cons.check_internal_current and cons.check_internal_voltage_max is None:
+        if not self.internal:
             return True
+        cons = self.cons
         v2_volts = v2 * self.vph
         v1_volts = alpha * cmath.exp(1j * beta) * v2_volts
         prof = segment_profile(self.spec, v1_volts, v2_volts, cons.n_profile_segments)
@@ -204,6 +211,11 @@ class _Cable:
             (alpha * alpha * abs(a) ** 2 + abs(b) ** 2, z.real, -z.imag),
             (alpha * alpha * abs(b) ** 2 + abs(a) ** 2, z.real, z.imag),
         )
+
+    def rating_level(self, v2: float) -> float:
+        """|a*xi + b|^2 or |b*xi + a|^2 where that end current meets the rating at v2."""
+        r = self.i_rated / (self.vph * v2)
+        return r * r   # r**2 would raise, not give inf, when a tiny v2 overflows it
 
     def beta_for_coeff(self, alpha: float, target: float) -> float:
         """beta <= arg(b) with farm_coeff == target, in closed form.
@@ -232,11 +244,12 @@ def _ratio_stationary(num, den, lo: float, hi: float) -> list[float]:
     return _sinusoid_roots(gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0, lo, hi)
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    n = max(2, int(round((hi - lo) / step)) + 1)
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+_ONE = (1.0, 0.0, 0.0)
+
+
+def _sub(k, m, f: float = 1.0):
+    """The sinusoid k - f*m; _ONE as m subtracts the constant f, even an infinite one."""
+    return tuple(x - f * y if y else x for x, y in zip(k, m))
 
 
 @dataclass
@@ -262,22 +275,6 @@ def _better(cand: _Candidate, best: _Candidate | None) -> bool:
     return cand.alpha < best.alpha - TIE_TOL
 
 
-_PATTERN = (-1.0, -0.5, 0.0, 0.5, 1.0)
-
-
-def _probe_values(center: float, span: float, lo: float, hi: float) -> list[float]:
-    """Pattern offsets around the incumbent plus the exact interval edges.
-
-    Probing the edges every round keeps a shrinking search from stalling a
-    hair short of an active bound (steps can shrink below the remaining
-    distance before ever landing on it).
-    """
-    vals = {min(max(center + d * span, lo), hi) for d in _PATTERN}
-    vals.add(lo)
-    vals.add(hi)
-    return sorted(vals)
-
-
 def _pick(cab: _Cable, cands: list[_Candidate]) -> _Candidate | None:
     """Best candidate by _better that passes the opt-in internal checks.
 
@@ -290,11 +287,35 @@ def _pick(cab: _Cable, cands: list[_Candidate]) -> _Candidate | None:
     return best
 
 
-def _alpha_search(a_lo: float, a_hi: float, solve, shortfall) -> _Candidate | None:
+def _best_at_alpha(cab: _Cable, betas: list[float], lo: float, hi: float, point) -> _Candidate | None:
+    """Best point(beta) by _pick over closed-form betas in [lo, hi].
+
+    A binding internal limit has no closed form: with the internal checks on,
+    an even sample joins the betas, and the limit is bisected between the best
+    passing point and the nearest better one that failed it.
+    """
+    if cab.internal:
+        betas += [lo + (hi - lo) * j / (_BETA_SAMPLES - 1) for j in range(1, _BETA_SAMPLES - 1)]
+    cands = [cand for beta in betas if (cand := point(beta))]
+    best = _pick(cab, cands)
+    failed = [c.beta for c in cands if c.score > best.score] if cab.internal and best else []
+    if failed:
+        ok, bad = best.beta, min(failed, key=lambda b: abs(b - best.beta))
+        for _ in range(_BISECT_ROUNDS):
+            mid = 0.5 * (ok + bad)
+            cand = point(mid)
+            if cand is not None and cab.internal_ok(cand.alpha, mid, cand.v2):
+                ok, best = mid, (cand if cand.score > best.score else best)
+            else:
+                bad = mid
+    return best
+
+
+def _alpha_search(a_lo: float, a_hi: float, solve, shortfall, tol=ALPHA_TOL) -> _Candidate | None:
     """Best solve(alpha) over [a_lo, a_hi]; None when no alpha gives a point.
 
     The ALPHA_GRID_STEP grid (bounds included) picks a cell; golden-section
-    search refines one grid step either side, down to ALPHA_TOL.  It ranks
+    search refines one grid step either side, down to tol.  It ranks
     infeasible alphas below feasible ones by -shortfall(alpha), so it also
     climbs into a feasible sliver narrower than the grid step.  A refined
     point must beat the grid winner's score strictly: TIE_TOL orders the
@@ -304,13 +325,14 @@ def _alpha_search(a_lo: float, a_hi: float, solve, shortfall) -> _Candidate | No
         cand = solve(alpha)
         return ((1, cand.score) if cand is not None else (0, -shortfall(alpha))), cand
 
-    grid = _grid(a_lo, a_hi, ALPHA_GRID_STEP)
+    n = max(2, int(round((a_hi - a_lo) / ALPHA_GRID_STEP)) + 1) if a_hi > a_lo else 1
+    grid = [a_lo + (a_hi - a_lo) * k / max(n - 1, 1) for k in range(n)]
     best = None
     for alpha in grid:
         cand = solve(alpha)
         if cand is not None and _better(cand, best):
             best = cand
-    if len(grid) == 1:
+    if n == 1:
         return best
     center = best.alpha if best is not None else min(grid, key=shortfall)
     step = grid[1] - grid[0]
@@ -321,7 +343,7 @@ def _alpha_search(a_lo: float, a_hi: float, solve, shortfall) -> _Candidate | No
         for cand in (c1, c2):
             if cand is not None and (best is None or cand.score > best.score):
                 best = cand
-        if hi - lo <= ALPHA_TOL:
+        if hi - lo <= tol:
             return best
         if k1 >= k2:
             hi, x2, k2, c2 = x2, x1, k1, c1
@@ -453,26 +475,9 @@ def _production_at_alpha(cab: _Cable, cons: Constraints, p_farm: float,
     k = 3.0 * (cab.i_rated * (1.0 - _RATING_SHRINK)) ** 2 / p_farm
     betas = [lo, hi] + _ratio_stationary(grid, farm, lo, hi)
     for cur in (cur1, cur2):
-        betas += _sinusoid_roots(*(q - k * f for q, f in zip(cur, farm)), lo, hi)
-    internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
-    if internal:
-        # a binding internal limit has no closed form: add an even sample
-        betas += [lo + (hi - lo) * j / (_BETA_SAMPLES - 1) for j in range(1, _BETA_SAMPLES - 1)]
-    cands = [cand for beta in betas if (cand := _production_point(cab, cons, alpha, beta, p_farm))]
-    best = _pick(cab, cands)
-    failed = [c.beta for c in cands if c.score > best.score] if internal and best else []
-    if failed:
-        # the internal limit binds between the best passing point and the
-        # nearest better one that failed it: bisect beta for the crossing
-        ok, bad = best.beta, min(failed, key=lambda b: abs(b - best.beta))
-        for _ in range(_BISECT_ROUNDS):
-            mid = 0.5 * (ok + bad)
-            cand = _production_point(cab, cons, alpha, mid, p_farm)
-            if cand is not None and cab.internal_ok(alpha, mid, cand.v2):
-                ok, best = mid, (cand if cand.score > best.score else best)
-            else:
-                bad = mid
-    return best
+        betas += _sinusoid_roots(*_sub(cur, farm, k), lo, hi)
+    return _best_at_alpha(cab, betas, lo, hi,
+                          lambda beta: _production_point(cab, cons, alpha, beta, p_farm))
 
 
 def _shortfall(cab: _Cable, cons: Constraints, p_farm: float, alpha: float) -> float:
@@ -485,10 +490,10 @@ def _shortfall(cab: _Cable, cons: Constraints, p_farm: float, alpha: float) -> f
     """
     farm, _, cur1, cur2 = cab.sinusoids(alpha)
     lo, hi = cab.beta_floor, cab.beta_cap
-    q_box = (cab.i_rated / (cab.vph * cons.v2_max)) ** 2
-    betas = [lo, hi] + _sinusoid_roots(*(q1 - q2 for q1, q2 in zip(cur1, cur2)), lo, hi)
+    q_box = cab.rating_level(cons.v2_max)
+    betas = [lo, hi] + _sinusoid_roots(*_sub(cur1, cur2), lo, hi)
     for cur in (cur1, cur2):
-        betas += _sinusoid_roots(cur[0] - q_box, cur[1], cur[2], lo, hi)
+        betas += _sinusoid_roots(*_sub(cur, _ONE, q_box), lo, hi)
         betas += _ratio_stationary(farm, cur, lo, hi)
     best = 0.0
     for beta in betas:
@@ -543,9 +548,40 @@ def _delivery_probe(cab: _Cable, cons: Constraints, alpha: float, beta: float,
         return None
     # delivery grows with v2 when g > 0; otherwise park at the floor
     v2 = max(v2_cap, cons.v2_min) if g > 0.0 else cons.v2_min
-    if not cab.internal_ok(alpha, beta, v2):
-        return None
     return _Candidate(g * v2 * v2, alpha, beta, v2)
+
+
+def _delivery_at_alpha(cab: _Cable, cons: Constraints, alpha: float,
+                       p_farm_cap: float | None) -> _Candidate | None:
+    """Most delivered power at this alpha, or None.
+
+    v2 is the lowest of v2_max, the rating I/|i_k| and sqrt(cap/c) (v2_min
+    when g <= 0), so g*v2^2 is g, g/|i_k|^2 or g/c times a constant: it peaks
+    at a window end, a switch of piece or feasibility, or a stationary point.
+    """
+    farm, grid, cur1, cur2 = cab.sinusoids(alpha)
+    lo, hi = cab.delivery_window
+    qs = [cab.rating_level(v2) for v2 in (cons.v2_min, cons.v2_max)]
+    zeros = [_sub(cur1, cur2)] + [_sub(cur, _ONE, q) for cur in (cur1, cur2) for q in qs]
+    ratios = [(grid, _ONE), (grid, cur1), (grid, cur2)]
+    if p_farm_cap is not None:
+        k = 3.0 * cab.i_rated**2 / p_farm_cap   # c*v2^2 = cap where farm = q/k
+        zeros += [_sub(farm, _ONE, q / k) for q in qs] + [_sub(cur, farm, k) for cur in (cur1, cur2)]
+        ratios.append((grid, farm))
+    betas = [lo, hi] + [beta for z in zeros for beta in _sinusoid_roots(*z, lo, hi)]
+    betas += [beta for num, den in ratios for beta in _ratio_stationary(num, den, lo, hi)]
+    return _best_at_alpha(cab, betas, lo, hi,
+                          lambda beta: _delivery_probe(cab, cons, alpha, beta, p_farm_cap))
+
+
+def _charging_excess(cab: _Cable, cons: Constraints, alpha: float) -> float:
+    """How far the least end current at v2_min exceeds the rating at this alpha [A]."""
+    _, _, cur1, cur2 = cab.sinusoids(alpha)
+    lo, hi = cab.delivery_window
+    betas = [lo, hi] + _sinusoid_roots(*_sub(cur1, cur2), lo, hi)
+    for cur in (cur1, cur2):
+        betas += _ratio_stationary(cur, _ONE, lo, hi)   # where cur is stationary
+    return min(max(cab.unit_currents(alpha, beta)) for beta in betas) * cons.v2_min - cab.i_rated
 
 
 def max_feasible_power(
@@ -559,34 +595,19 @@ def max_feasible_power(
     injected power is additionally capped (used for curtailment
     accounting, where a farm cannot inject more than it produces).
     """
+    if p_farm_cap is not None and not p_farm_cap > 0.0:
+        raise ValueError(f"p_farm_cap must be > 0 W, got {p_farm_cap}")
     cons = constraints if constraints is not None else Constraints()
     cab = _Cable(spec, cons)
 
-    best: _Candidate | None = None
-    for alpha in _grid(cons.alpha_min, cons.alpha_max, ALPHA_GRID_STEP):
-        for beta in _grid(1e-9, cab.beta_cap, BETA_GRID_STEP):
-            cand = _delivery_probe(cab, cons, alpha, beta, p_farm_cap)
-            if cand is not None and _better(cand, best):
-                best = cand
+    best = _alpha_search(cons.alpha_min, cons.alpha_max,
+                         lambda alpha: _delivery_at_alpha(cab, cons, alpha, p_farm_cap),
+                         lambda alpha: _charging_excess(cab, cons, alpha), DELIVERY_ALPHA_TOL)
     if best is None:
         raise Infeasible(
             f"charging current alone exceeds {cab.i_rated:.0f} A at "
             f"v2 = {cons.v2_min} p.u.; even zero-power operation violates limits"
         )
-
-    span_a, span_b = ALPHA_GRID_STEP, BETA_GRID_STEP
-    for _ in range(_REFINE_ROUNDS):
-        improved = best
-        for alpha in _probe_values(best.alpha, span_a, cons.alpha_min, cons.alpha_max):
-            for beta in _probe_values(best.beta, span_b, 1e-9, cab.beta_cap):
-                cand = _delivery_probe(cab, cons, alpha, beta, p_farm_cap)
-                if cand is not None and _better(cand, improved):
-                    improved = cand
-        best = improved
-        span_a *= 0.5
-        span_b *= 0.5
-        if span_b < 1e-10 and span_a < 1e-10:
-            break
 
     op = OperatingPoint(best.v2, VoltageScaling(best.alpha, best.beta))
     flow = solve_flow(spec, op)

@@ -65,12 +65,15 @@ def best_eta_at_production(spec, p_farm, v2_min, v2_max, i_rated,
     v2 follows from the power equality per (alpha, beta); grid points are
     filtered by the voltage box and the current rating, and the exact
     constraint crossings bracketed by the beta grid are added per alpha.
+    beta is scanned from arg(b) - pi, where farm power is least: the lowest
+    injections need small or negative beta.
     """
     a, b = oracle_two_port(spec)
     vph = spec.nominal_voltage / math.sqrt(3.0)
     n_alpha = int(round(0.1 / d_alpha)) + 1
     alphas = np.linspace(1.0, 1.1, n_alpha)
-    betas = np.radians(np.arange(d_beta_deg, beta_max_deg, d_beta_deg))
+    k_floor = math.floor(math.degrees(cmath.phase(b) - math.pi) / d_beta_deg) + 1
+    betas = np.radians(d_beta_deg * np.arange(k_floor, round(beta_max_deg / d_beta_deg)))
 
     best = -math.inf
 
@@ -99,7 +102,7 @@ def best_eta_at_production(spec, p_farm, v2_min, v2_max, i_rated,
     for alpha in alphas:
         xi = alpha * np.exp(1j * betas)
         cc = 3.0 * (xi * np.conj(a * xi + b)).real * vph**2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             v2 = np.where(cc > 0, np.sqrt(p_farm / np.maximum(cc, 1e-300)), np.nan)
         imax = np.maximum(np.abs(a * xi + b), np.abs(b * xi + a)) * vph
         farm = (xi * np.conj(a * xi + b)).real
@@ -168,71 +171,88 @@ def best_eta_at_production(spec, p_farm, v2_min, v2_max, i_rated,
     return best if math.isfinite(best) else None
 
 
-def best_pgrid_at_voltage(spec, v2, i_rated, d_alpha=0.002, d_beta_deg=0.05,
-                          beta_max_deg=90.0):
+def best_pgrid_at_voltage(spec, v2, i_rated, p_farm_cap=None, d_alpha=0.002,
+                          d_beta_deg=0.05, beta_max_deg=90.0):
     """Dense-grid maximum deliverable power at a fixed operating voltage.
 
-    The maximizer always rides the current rating, so the grid scan is
-    completed with the exact rating crossings along beta per alpha.
+    The maximizer rides the current rating or, with p_farm_cap, the cap on
+    injected power, so the grid scan is completed with the exact crossings
+    of both along beta per alpha.
     """
     a, b = oracle_two_port(spec)
     vph = spec.nominal_voltage / math.sqrt(3.0)
     alphas = np.linspace(1.0, 1.1, int(round(0.1 / d_alpha)) + 1)
     betas = np.radians(np.arange(d_beta_deg, beta_max_deg, d_beta_deg))
+    cap = math.inf if p_farm_cap is None else p_farm_cap
 
     def current_margin(alpha, beta):
         xi = alpha * cmath.exp(1j * beta)
         return max(abs(a * xi + b), abs(b * xi + a)) * vph * v2 - i_rated
 
+    def cap_margin(alpha, beta):
+        xi = alpha * cmath.exp(1j * beta)
+        return 3.0 * (xi * (a * xi + b).conjugate()).real * (vph * v2) ** 2 - cap
+
     def pg_of(alpha, beta):
         xi = alpha * cmath.exp(1j * beta)
         return -3.0 * (b * xi + a).real * (vph * v2) ** 2
+
+    def feasible(alpha, beta):
+        return (current_margin(alpha, beta) <= i_rated * 1e-9
+                and cap_margin(alpha, beta) <= cap * 1e-9)
 
     def current_split(alpha, beta):
         xi = alpha * cmath.exp(1j * beta)
         return (abs(a * xi + b) - abs(b * xi + a)) * vph * v2
 
-    def beta_equal_currents(alpha):
-        """beta where |i1| = |i2| (bisect the first gridded sign change)."""
-        xi = alpha * np.exp(1j * betas)
-        split = (np.abs(a * xi + b) - np.abs(b * xi + a)) * vph * v2
-        flips = np.nonzero(split[:-1] * split[1:] < 0)[0]
+    def first_root(fun, values, alpha):
+        """beta of the first gridded sign change of fun(alpha, .), bisected."""
+        flips = np.nonzero(values[:-1] * values[1:] < 0)[0]
         if len(flips) == 0:
             return None
         k = flips[0]
-        return _bisect(lambda bb, _a=alpha: current_split(_a, bb),
-                       float(betas[k]), float(betas[k + 1]))
+        return _bisect(lambda bb: fun(alpha, bb), float(betas[k]), float(betas[k + 1]))
 
     best = -math.inf
     for alpha in alphas:
         xi = alpha * np.exp(1j * betas)
         imax = np.maximum(np.abs(a * xi + b), np.abs(b * xi + a)) * vph * v2
+        pf = 3.0 * (xi * np.conj(a * xi + b)).real * (vph * v2) ** 2
         pg = -3.0 * (b * xi + a).real * (vph * v2) ** 2
-        ok = imax <= i_rated
+        ok = (imax <= i_rated) & (pf <= cap)
         if ok.any():
             best = max(best, float(np.max(np.where(ok, pg, -np.inf))))
-        margin = imax - i_rated
-        flips = np.nonzero(margin[:-1] * margin[1:] < 0)[0]
-        for k in flips:
-            crossing = _bisect(lambda bb, _a=alpha: current_margin(_a, bb),
-                               float(betas[k]), float(betas[k + 1]))
-            if current_margin(alpha, crossing) <= i_rated * 1e-9:
-                best = max(best, pg_of(alpha, crossing))
+        for fun, margin in ((current_margin, imax - i_rated), (cap_margin, pf - cap)):
+            flips = np.nonzero(margin[:-1] * margin[1:] < 0)[0]
+            for k in flips:
+                crossing = _bisect(lambda bb, _a=alpha: fun(_a, bb),
+                                   float(betas[k]), float(betas[k + 1]))
+                if feasible(alpha, crossing):
+                    best = max(best, pg_of(alpha, crossing))
 
-    # vertex completion: the maximizer can pin both end currents to the
-    # rating at once; walk the |i1| = |i2| curve and bisect alpha for the
-    # point where the common current meets the rating
-    def vertex_margin(alpha):
-        beta = beta_equal_currents(alpha)
-        if beta is None:
-            return math.nan
-        return current_margin(alpha, beta)
+    # vertex completion: the maximizer can pin two limits at once (both end
+    # currents at the rating, or one of them at the rating with the cap);
+    # follow the curve of the first and bisect alpha for where it meets the
+    # second
+    def beta_equal_currents(alpha):
+        xi = alpha * np.exp(1j * betas)
+        return first_root(current_split, np.abs(a * xi + b) - np.abs(b * xi + a), alpha)
 
-    margins = [vertex_margin(al) for al in alphas]
-    for (a1, m1), (a2, m2) in zip(zip(alphas, margins), zip(alphas[1:], margins[1:])):
-        if math.isfinite(m1) and math.isfinite(m2) and m1 * m2 < 0:
-            alpha_v = _bisect(vertex_margin, float(a1), float(a2))
-            beta_v = beta_equal_currents(alpha_v)
-            if beta_v is not None and current_margin(alpha_v, beta_v) <= i_rated * 1e-9:
-                best = max(best, pg_of(alpha_v, beta_v))
+    def beta_at_cap(alpha):
+        xi = alpha * np.exp(1j * betas)
+        pf = 3.0 * (xi * np.conj(a * xi + b)).real * (vph * v2) ** 2
+        return first_root(cap_margin, pf - cap, alpha)
+
+    for curve in (beta_equal_currents, beta_at_cap):
+        def vertex_margin(alpha):
+            beta = curve(alpha)
+            return math.nan if beta is None else current_margin(alpha, beta)
+
+        margins = [vertex_margin(al) for al in alphas]
+        for (a1, m1), (a2, m2) in zip(zip(alphas, margins), zip(alphas[1:], margins[1:])):
+            if math.isfinite(m1) and math.isfinite(m2) and m1 * m2 < 0:
+                alpha_v = _bisect(vertex_margin, float(a1), float(a2))
+                beta_v = curve(alpha_v)
+                if beta_v is not None and feasible(alpha_v, beta_v):
+                    best = max(best, pg_of(alpha_v, beta_v))
     return best if math.isfinite(best) else None

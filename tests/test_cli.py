@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from cableopt.cli import main
+from cableopt.cli import MAX_POINTS, _parse_float_list, main
+from cableopt.errors import ConfigError
 from cableopt.results import read_tables
 
 
@@ -159,6 +160,19 @@ def test_extreme_constraint_bounds_exit_2(tmp_path, capsys, constraints):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["envelope", "--lengths-km", "200", "--voltages", "0.5"], 0),
+    (["optimize", "--p-farm-mw", "100"], 3),
+])
+def test_tiny_v2_bounds_do_not_overflow(tmp_path, capsys, argv, expected):
+    # (rating / v2)^2 overflows a float here; the searches must carry on with inf
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"constraints": {"v2_min": 1e-160, "v2_max": 1e-160}}),
+                   encoding="utf-8")
+    code, _, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == expected
+
+
 # ---------------------------------------------------------------------------
 # optimize and sweep
 
@@ -206,6 +220,13 @@ def test_sweep_requires_policy(capsys):
     assert code == 2
 
 
+def test_sweep_point_count_is_capped(capsys):
+    code, _, err = run(capsys, "sweep", "--p-min-mw", "1", "--p-max-mw", "1e9",
+                       "--p-step-mw", "1e-3", "--voltages", "1.0")
+    assert code == 2
+    assert err.startswith("config error:") and "more than" in err
+
+
 # ---------------------------------------------------------------------------
 # annual and envelope
 
@@ -234,6 +255,13 @@ def test_annual_with_builtin_curve_and_tap(capsys):
 def test_annual_needs_curve_and_strategy(capsys):
     code, _, err = run(capsys, "annual", "--rated-mw", "320")
     assert code == 2
+
+
+def test_annual_missing_curve_file_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "annual", "--rated-mw", "320",
+                       "--curve", str(tmp_path / "missing.csv"))
+    assert code == 2
+    assert err.startswith("config error: cannot read curve")
 
 
 def test_annual_curve_from_file(tmp_path, capsys):
@@ -266,6 +294,15 @@ def test_envelope_range_syntax(capsys):
     table = parse(out)["envelope"]
     lengths = sorted({r[0] for r in table.rows})
     assert lengths == [100.0, 150.0, 200.0]
+
+
+def test_range_point_count_is_capped(capsys):
+    assert len(_parse_float_list(f"1:{MAX_POINTS}:1", "x")) == MAX_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        _parse_float_list(f"1:{MAX_POINTS + 1}:1", "x")
+    code, _, err = run(capsys, "envelope", "--lengths-km", "0:1e9:1e-3", "--voltages", "1")
+    assert code == 2
+    assert err.startswith("config error:") and "more than" in err
 
 
 def test_strategy_parse_errors(capsys):

@@ -241,10 +241,48 @@ def test_max_power_matches_brute_grid(cable200):
     assert BindingConstraint.CURRENT_LIMIT in point.binding_constraints
 
 
+@pytest.mark.parametrize("length", [100.0, 200.0, 260.0])
+def test_max_power_matches_capped_brute_grid(length):
+    spec = ref_cable(length)
+    for v2 in (1.0, 0.62):
+        for cap in (None, 50e6, 150e6):
+            ref = best_pgrid_at_voltage(spec, v2, 1055.0, p_farm_cap=cap)
+            try:
+                pf, pg, _ = max_feasible_power(spec, Constraints().fixed_v2(v2), p_farm_cap=cap)
+            except Infeasible:
+                assert ref is None, f"{length} km, {v2} pu, cap {cap}: oracle delivers {ref}"
+                continue
+            assert ref is not None
+            assert pg >= ref - 1.0, f"{length} km, {v2} pu, cap {cap}: {pg} < {ref}"
+            assert cap is None or pf <= cap * (1 + 1e-9)
+
+
+# a 0.25 deg beta grid plus pattern search stops 0.7 % and 0.35 % short here
+@pytest.mark.parametrize("length,cap,floor", [(80.0, 150e6, 146.19e6), (97.0, None, 268.12e6)])
+def test_max_power_reaches_optimum_at_reduced_voltage(length, cap, floor):
+    _, pg, _ = max_feasible_power(ref_cable(length), Constraints().fixed_v2(0.62), p_farm_cap=cap)
+    assert pg >= floor
+
+
 def test_max_power_with_farm_cap(cable200):
     pf, pg, _ = max_feasible_power(cable200, Constraints().fixed_v2(1.0), p_farm_cap=100e6)
     assert pf <= 100e6 * (1 + 1e-9)
     assert pg < pf
+
+
+def test_max_power_respects_binding_internal_voltage_cap():
+    spec = ref_cable(150.0)
+    cons = Constraints(check_internal_current=True, check_internal_voltage_max=0.98,
+                       n_profile_segments=40)
+    _, pg, point = max_feasible_power(spec, cons)
+    _, free, _ = max_feasible_power(spec, Constraints())
+    op = point.operating_point
+    vph = spec.phase_voltage
+    prof = segment_profile(spec, op.scaling.xi * op.v2 * vph, op.v2 * vph, 40)
+    assert BindingConstraint.INTERNAL_VOLTAGE in point.binding_constraints
+    assert prof.max_voltage <= 0.98 * vph * (1 + 1e-12)
+    assert prof.max_current <= 1055.0 * (1 + 1e-12)
+    assert 0.9 * free < pg < free
 
 
 def test_max_power_infeasible_for_overlong_cable_at_full_voltage():
@@ -265,7 +303,7 @@ def test_envelope_structure():
     # the free-voltage envelope dominates every fixed-voltage curve
     for k, length in enumerate(lengths):
         for v in voltages:
-            assert env.envelope[k].p_grid_max >= by_voltage[v][k].p_grid_max - 1.0
+            assert env.envelope[k].p_grid_max >= by_voltage[v][k].p_grid_max * (1 - 1e-9)
     # crossing structure: high voltage wins short, low voltage extends far
     assert by_voltage[1.0][0].p_grid_max > by_voltage[0.6][0].p_grid_max
     assert by_voltage[0.6][-1].p_grid_max > by_voltage[1.0][-1].p_grid_max
@@ -289,6 +327,15 @@ def test_constraints_validation():
                 dict(v2_max=1e200), dict(v2_min=1e-200)):
         with pytest.raises(ValueError):
             Constraints(**bad)
+
+
+def test_oracle_sees_small_beta_optimum():
+    # the optimum sits at beta = 0.011 deg, below an oracle scan from 0.05 deg
+    spec = ref_cable(281.34)
+    point = optimize_at_production(spec, 3.40e6, Constraints(v2_min=0.6, v2_max=0.85))
+    ref = best_eta_at_production(spec, 3.40e6, 0.6, 0.85, 1055.0)
+    assert point.eta == pytest.approx(-0.932, abs=1e-3)
+    assert ref is not None and abs(point.eta - ref) <= 1e-5
 
 
 def test_randomized_oracle_equivalence():
