@@ -55,19 +55,24 @@ def _binding_label(point) -> str:
     return "+".join(names) if names else "-"
 
 
+def _float_range(start: float, stop: float, step: float):
+    """Yield start + k*step for k = 0, 1, ... up to stop inclusive; at most MAX_POINTS values."""
+    if not step > 0:
+        raise ValueError("step must be > 0")
+    k = 0
+    while (v := start + k * step) <= stop * (1 + 1e-12):
+        if k == MAX_POINTS:
+            raise ValueError(f"more than {MAX_POINTS} points")
+        yield v
+        k += 1
+
+
 def _parse_float_list(text: str, what: str) -> list[float]:
-    """Comma list `a,b,c` or range `start:stop:step` (inclusive stop, MAX_POINTS at most)."""
+    """Comma list `a,b,c` or range `start:stop:step` (see _float_range)."""
     try:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if not step > 0:
-                raise ValueError("step must be > 0")
-            out = []
-            while (v := start + len(out) * step) <= stop * (1 + 1e-12):
-                if len(out) == MAX_POINTS:
-                    raise ValueError(f"more than {MAX_POINTS} points")
-                out.append(v)
+            out = list(_float_range(float(start_s), float(stop_s), float(step_s)))
             if not out:
                 raise ValueError("empty range")
             return out
@@ -220,19 +225,17 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
     p_step = args.p_step_mw if args.p_step_mw is not None else block.get("p_step_mw", 10.0)
     if not (p_min > 0 and p_max >= p_min and p_step > 0):
         raise ConfigError(f"bad sweep range {p_min}:{p_max}:{p_step}")
-    if not (p_max - p_min) / p_step <= MAX_POINTS - 1:
-        raise ConfigError(f"sweep range {p_min}:{p_max}:{p_step} has more than {MAX_POINTS} points")
+    try:
+        levels = list(_float_range(p_min, p_max, p_step))
+    except ValueError as exc:
+        raise ConfigError(f"sweep range {p_min}:{p_max}:{p_step}: {exc}") from exc
 
-    policies: list[tuple[str, float, float]] = []
     voltages = (_parse_float_list(args.voltages, "--voltages")
                 if args.voltages else block.get("voltages", []))
-    for v in voltages:
-        policies.append((f"fixed-{v:g}", v, v))
-    if args.optimal_range:
-        lo, hi = args.optimal_range
-        policies.append((f"optimal-{lo:g}-{hi:g}", lo, hi))
-    elif "optimal_range" in block:
-        lo, hi = block["optimal_range"]
+    policies = [(f"fixed-{v:g}", v, v) for v in voltages]
+    optimal_range = args.optimal_range or block.get("optimal_range")
+    if optimal_range:
+        lo, hi = optimal_range
         policies.append((f"optimal-{lo:g}-{hi:g}", lo, hi))
     if not policies:
         raise ConfigError("sweep needs --voltages and/or --optimal-range")
@@ -242,11 +245,10 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
         ["policy", "p_farm", "feasible", "eta", "v2", "alpha", "beta"],
         ["-", "MW", "flag", "-", "pu", "-", "deg"],
     )
-    n_steps = int(round((p_max - p_min) / p_step)) + 1
     for label, lo, hi in policies:
         cons = cfg.constraints.with_v2_range(lo, hi)
-        for k in range(n_steps):
-            p = (p_min + k * p_step) * 1e6
+        for level in levels:
+            p = level * 1e6
             try:
                 point = optimize_at_production(spec, p, cons)
                 op = point.operating_point

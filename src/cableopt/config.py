@@ -47,6 +47,14 @@ _CONSTRAINT_KEYS = {
     "check_internal_current", "check_internal_voltage_max", "n_profile_segments",
 }
 _TOP_KEYS = {"cable", "constraints", "sweep", "annual", "envelope"}
+#: kind of each study-block value the subcommands read: "number", "numbers"
+#: (a list), "pair" (two numbers), "text" (a string) or "texts" (strings)
+_STUDY_KINDS = {
+    "sweep": {"p_min_mw": "number", "p_max_mw": "number", "p_step_mw": "number",
+              "voltages": "numbers", "optimal_range": "pair"},
+    "annual": {"rated_mw": "number", "curve": "text", "strategies": "texts"},
+    "envelope": {"lengths_km": "numbers", "voltages": "numbers"},
+}
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,29 @@ def _require_number(block: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{block}.{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _study_block(name: str, d) -> dict:
+    """A copy of the sweep, annual or envelope block with its values type-checked."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name}: expected an object")
+    out = dict(d)
+    for key, kind in _STUDY_KINDS[name].items():
+        if key not in d:
+            continue
+        value = d[key]
+        if kind == "number":
+            out[key] = _require_number(name, key, value)
+        elif kind in ("numbers", "pair"):
+            if not isinstance(value, list) or (kind == "pair" and len(value) != 2):
+                raise ConfigError(f"{name}.{key}: expected a list of "
+                                  f"{'two ' if kind == 'pair' else ''}numbers, got {value!r}")
+            out[key] = [_require_number(name, key, v) for v in value]
+        elif kind == "text" and not isinstance(value, str):
+            raise ConfigError(f"{name}.{key}: expected a string, got {value!r}")
+        elif kind == "texts" and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise ConfigError(f"{name}.{key}: expected a list of strings, got {value!r}")
+    return out
 
 
 def cable_from_dict(d: dict) -> CableSpec:
@@ -130,15 +161,10 @@ def config_from_dict(d: dict) -> StudyConfig:
     unknown = set(d) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown top-level keys {sorted(unknown)}; accepted: {sorted(_TOP_KEYS)}")
-    for key in ("sweep", "annual", "envelope"):
-        if key in d and not isinstance(d[key], dict):
-            raise ConfigError(f"{key}: expected an object")
     return StudyConfig(
         cable=cable_from_dict(d.get("cable", {})),
         constraints=constraints_from_dict(d.get("constraints", {})),
-        sweep=dict(d.get("sweep", {})),
-        annual=dict(d.get("annual", {})),
-        envelope=dict(d.get("envelope", {})),
+        **{name: _study_block(name, d.get(name, {})) for name in _STUDY_KINDS},
     )
 
 

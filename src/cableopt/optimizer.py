@@ -28,9 +28,9 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
-from .cable_model import CableSpec, TwoPort, exact_pi_two_port, segment_profile
+from .cable_model import CableSpec, SegmentProfile, TwoPort, exact_pi_two_port, segment_profile
 from .errors import Infeasible, NoPositivePower
-from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow
+from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow, unit_flow
 
 ALPHA_GRID_STEP = 0.005
 ALPHA_TOL = 1e-10
@@ -144,9 +144,10 @@ class _Cable:
     def __init__(self, spec: CableSpec, constraints: Constraints):
         self.spec = spec
         self.cons = constraints
-        tp: TwoPort = exact_pi_two_port(spec)
-        self.a, self.b = tp.a, tp.b
+        self.tp: TwoPort = exact_pi_two_port(spec)
+        self.a, self.b = self.tp.a, self.tp.b
         self.vph = spec.phase_voltage
+        self.vph2 = self.vph**2
         self.i_rated = constraints.rated_current(spec)
         self.internal = (constraints.check_internal_current
                          or constraints.check_internal_voltage_max is not None)
@@ -159,37 +160,26 @@ class _Cable:
         self.beta_floor = max(-math.pi / 2, cmath.phase(self.b) - math.pi + 1e-9)
         self.delivery_window = (1e-9, max(1e-9, self.beta_cap))
 
-    def farm_coeff(self, alpha: float, beta: float) -> float:
-        """c with p_farm = c*v2^2 [W/(p.u.)^2]."""
-        xi = alpha * cmath.exp(1j * beta)
-        return 3.0 * (xi * (self.a * xi + self.b).conjugate()).real * self.vph**2
+    def at(self, alpha: float, beta: float) -> tuple[float, float, float, float]:
+        """(c, g, eta, i) at xi = alpha*e^{j*beta}, from power_flow.unit_flow.
 
-    def grid_coeff(self, alpha: float, beta: float) -> float:
-        xi = alpha * cmath.exp(1j * beta)
-        return -3.0 * (self.b * xi + self.a).real * self.vph**2
+        p_farm = c*v2^2 and p_grid = g*v2^2 [W/(p.u.)^2], eta = g/c (-inf
+        when c <= 0) and i is the larger end current per p.u. of v2 [A].
+        """
+        farm, grid, i1, i2 = unit_flow(self.tp, alpha * cmath.exp(1j * beta))
+        eta = grid / farm if farm > 0.0 else -math.inf
+        return 3.0 * farm * self.vph2, 3.0 * grid * self.vph2, eta, max(abs(i1), abs(i2)) * self.vph
 
-    def eta(self, alpha: float, beta: float) -> float:
-        xi = alpha * cmath.exp(1j * beta)
-        farm = (xi * (self.a * xi + self.b).conjugate()).real
-        if farm <= 0.0:
-            return -math.inf
-        return -(self.b * xi + self.a).real / farm
-
-    def unit_currents(self, alpha: float, beta: float) -> tuple[float, float]:
-        """|i1|, |i2| per p.u. of v2."""
-        xi = alpha * cmath.exp(1j * beta)
-        return (
-            abs(self.a * xi + self.b) * self.vph,
-            abs(self.b * xi + self.a) * self.vph,
-        )
+    def profile(self, alpha: float, beta: float, v2: float) -> SegmentProfile:
+        v2_volts = v2 * self.vph
+        return segment_profile(self.spec, alpha * cmath.exp(1j * beta) * v2_volts, v2_volts,
+                               self.cons.n_profile_segments)
 
     def internal_ok(self, alpha: float, beta: float, v2: float) -> bool:
         if not self.internal:
             return True
         cons = self.cons
-        v2_volts = v2 * self.vph
-        v1_volts = alpha * cmath.exp(1j * beta) * v2_volts
-        prof = segment_profile(self.spec, v1_volts, v2_volts, cons.n_profile_segments)
+        prof = self.profile(alpha, beta, v2)
         if cons.check_internal_current and prof.max_current > self.i_rated * (1 + 1e-12):
             return False
         if cons.check_internal_voltage_max is not None:
@@ -218,7 +208,7 @@ class _Cable:
         return r * r   # r**2 would raise, not give inf, when a tiny v2 overflows it
 
     def beta_for_coeff(self, alpha: float, target: float) -> float:
-        """beta <= arg(b) with farm_coeff == target, in closed form.
+        """beta <= arg(b) where c == target, in closed form.
 
         Targets beyond the range of c map to arg(b) - pi or arg(b).
         """
@@ -375,7 +365,7 @@ def optimize_scaling_unconstrained(
         farm, grid, _, _ = cab.sinusoids(alpha)
         betas = [b_lo, b_hi] + _ratio_stationary(grid, farm, b_lo, b_hi)
         return _pick(cab, [_Candidate(e, alpha, beta, 0.0) for beta in betas
-                           if math.isfinite(e := cab.eta(alpha, beta))])
+                           if math.isfinite(e := cab.at(alpha, beta)[2])])
 
     best = _alpha_search(a_lo, a_hi, solve, lambda alpha: 0.0)
     if best is None:
@@ -395,10 +385,9 @@ def optimal_voltage_curve(
 ) -> list[CurvePoint]:
     """v2 = sqrt(p_farm/c) per target, flagged against voltage/current limits."""
     cab = _Cable(spec, Constraints(i_rated=i_rated))
-    c = cab.farm_coeff(scaling.alpha, scaling.beta)
+    c, _, _, i_unit = cab.at(scaling.alpha, scaling.beta)
     if c <= 0.0:
         raise NoPositivePower(f"farm power coefficient is {c:.3g} W/pu^2 at this scaling")
-    i1u, i2u = cab.unit_currents(scaling.alpha, scaling.beta)
     out = []
     for p in p_farm_targets:
         if p < 0.0 or not math.isfinite(p):
@@ -408,7 +397,7 @@ def optimal_voltage_curve(
             p_farm=p,
             v2_opt=v2,
             exceeds_v2_max=v2 > v2_max,
-            exceeds_current=max(i1u, i2u) * v2 > cab.i_rated,
+            exceeds_current=i_unit * v2 > cab.i_rated,
         ))
     return out
 
@@ -416,44 +405,34 @@ def optimal_voltage_curve(
 # ---------------------------------------------------------------------------
 # constrained optimum at a required production level
 
-def _binding_set(cab: _Cable, cons: Constraints, alpha: float, beta: float,
-                 v2: float) -> frozenset[BindingConstraint]:
-    out = set()
-    rel = 1e-6
-    if v2 >= cons.v2_max * (1 - rel):
-        out.add(BindingConstraint.V2_MAX)
-    if v2 <= cons.v2_min * (1 + rel):
-        out.add(BindingConstraint.V2_MIN)
-    i1u, i2u = cab.unit_currents(alpha, beta)
-    if max(i1u, i2u) * v2 >= cab.i_rated * (1 - rel):
-        out.add(BindingConstraint.CURRENT_LIMIT)
+def _optimum(cab: _Cable, best: _Candidate) -> OptimumPoint:
+    """The search winner as an OptimumPoint: the reference flow plus the limits it meets."""
+    cons, alpha, beta, v2, rel = cab.cons, best.alpha, best.beta, best.v2, 1e-6
     a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
-    if cons.alpha_max - alpha <= rel * a_span:
-        out.add(BindingConstraint.ALPHA_MAX)
-    if alpha - cons.alpha_min <= rel * a_span:
-        out.add(BindingConstraint.ALPHA_MIN)
-    if cons.check_internal_voltage_max is not None:
-        v2_volts = v2 * cab.vph
-        prof = segment_profile(cab.spec, alpha * cmath.exp(1j * beta) * v2_volts,
-                               v2_volts, cons.n_profile_segments)
-        if prof.max_voltage >= cons.check_internal_voltage_max * cab.vph * (1 - rel):
-            out.add(BindingConstraint.INTERNAL_VOLTAGE)
-    return frozenset(out)
+    v_cap = cons.check_internal_voltage_max
+    meets = {
+        BindingConstraint.V2_MAX: v2 >= cons.v2_max * (1 - rel),
+        BindingConstraint.V2_MIN: v2 <= cons.v2_min * (1 + rel),
+        BindingConstraint.CURRENT_LIMIT: cab.at(alpha, beta)[3] * v2 >= cab.i_rated * (1 - rel),
+        BindingConstraint.ALPHA_MAX: cons.alpha_max - alpha <= rel * a_span,
+        BindingConstraint.ALPHA_MIN: alpha - cons.alpha_min <= rel * a_span,
+        BindingConstraint.INTERNAL_VOLTAGE: v_cap is not None and (
+            cab.profile(alpha, beta, v2).max_voltage >= v_cap * cab.vph * (1 - rel)),
+    }
+    op = OperatingPoint(v2, VoltageScaling(alpha, beta))
+    return OptimumPoint(op, solve_flow(cab.spec, op), frozenset(c for c, m in meets.items() if m))
 
 
 def _production_point(cab: _Cable, cons: Constraints, alpha: float, beta: float,
                       p_farm: float) -> _Candidate | None:
     """The point injecting p_farm at (alpha, beta), if it meets the box and rating."""
-    c = cab.farm_coeff(alpha, beta)
+    c, _, e, i = cab.at(alpha, beta)
     if c <= 0.0:
         return None
     v2 = math.sqrt(p_farm / c)
     if not (cons.v2_min * (1 - 1e-9) <= v2 <= cons.v2_max * (1 + 1e-9)):
         return None
-    if max(cab.unit_currents(alpha, beta)) * v2 > cab.i_rated:
-        return None
-    e = cab.eta(alpha, beta)
-    return _Candidate(e, alpha, beta, v2) if math.isfinite(e) else None
+    return None if i * v2 > cab.i_rated else _Candidate(e, alpha, beta, v2)
 
 
 def _production_at_alpha(cab: _Cable, cons: Constraints, p_farm: float,
@@ -467,7 +446,7 @@ def _production_at_alpha(cab: _Cable, cons: Constraints, p_farm: float,
     an interval end, a current-boundary root or a stationary point.
     """
     c_lo, c_hi = p_farm / cons.v2_max**2, p_farm / cons.v2_min**2
-    if c_lo > cab.farm_coeff(alpha, cab.beta_cap) or c_hi < cab.farm_coeff(alpha, cab.beta_floor):
+    if c_lo > cab.at(alpha, cab.beta_cap)[0] or c_hi < cab.at(alpha, cab.beta_floor)[0]:
         return None
     lo = max(cab.beta_floor, cab.beta_for_coeff(alpha, c_lo))
     hi = min(cab.beta_cap, cab.beta_for_coeff(alpha, c_hi))
@@ -497,10 +476,11 @@ def _shortfall(cab: _Cable, cons: Constraints, p_farm: float, alpha: float) -> f
         betas += _ratio_stationary(farm, cur, lo, hi)
     best = 0.0
     for beta in betas:
-        v2 = min(cons.v2_max, cab.i_rated / max(cab.unit_currents(alpha, beta)))
+        c, _, _, i = cab.at(alpha, beta)
+        v2 = min(cons.v2_max, cab.i_rated / i)
         if v2 >= cons.v2_min:
-            best = max(best, cab.farm_coeff(alpha, beta) * v2 * v2)
-    return max(p_farm - best, cab.farm_coeff(alpha, cab.beta_floor) * cons.v2_min**2 - p_farm)
+            best = max(best, c * v2 * v2)
+    return max(p_farm - best, cab.at(alpha, cab.beta_floor)[0] * cons.v2_min**2 - p_farm)
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -526,11 +506,7 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
             f"within v2 in [{cons.v2_min}, {cons.v2_max}] p.u. and "
             f"{cab.i_rated:.0f} A"
         )
-
-    op = OperatingPoint(best.v2, VoltageScaling(best.alpha, best.beta))
-    flow = solve_flow(spec, op)
-    binding = _binding_set(cab, cons, best.alpha, best.beta, best.v2)
-    return OptimumPoint(op, flow, binding)
+    return _optimum(cab, best)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +514,8 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
 
 def _delivery_probe(cab: _Cable, cons: Constraints, alpha: float, beta: float,
                     p_farm_cap: float | None) -> _Candidate | None:
-    c = cab.farm_coeff(alpha, beta)
-    g = cab.grid_coeff(alpha, beta)
-    i1u, i2u = cab.unit_currents(alpha, beta)
-    v2_cap = min(cons.v2_max, cab.i_rated / max(i1u, i2u))
+    c, g, _, i = cab.at(alpha, beta)
+    v2_cap = min(cons.v2_max, cab.i_rated / i)
     if p_farm_cap is not None and c > 0.0:
         v2_cap = min(v2_cap, math.sqrt(p_farm_cap / c))
     if v2_cap < cons.v2_min * (1 - 1e-12):
@@ -581,7 +555,7 @@ def _charging_excess(cab: _Cable, cons: Constraints, alpha: float) -> float:
     betas = [lo, hi] + _sinusoid_roots(*_sub(cur1, cur2), lo, hi)
     for cur in (cur1, cur2):
         betas += _ratio_stationary(cur, _ONE, lo, hi)   # where cur is stationary
-    return min(max(cab.unit_currents(alpha, beta)) for beta in betas) * cons.v2_min - cab.i_rated
+    return min(cab.at(alpha, beta)[3] for beta in betas) * cons.v2_min - cab.i_rated
 
 
 def max_feasible_power(
@@ -608,11 +582,8 @@ def max_feasible_power(
             f"charging current alone exceeds {cab.i_rated:.0f} A at "
             f"v2 = {cons.v2_min} p.u.; even zero-power operation violates limits"
         )
-
-    op = OperatingPoint(best.v2, VoltageScaling(best.alpha, best.beta))
-    flow = solve_flow(spec, op)
-    binding = _binding_set(cab, cons, best.alpha, best.beta, best.v2)
-    return flow.p_farm, flow.p_grid, OptimumPoint(op, flow, binding)
+    point = _optimum(cab, best)
+    return point.flow.p_farm, point.flow.p_grid, point
 
 
 def transfer_envelope(

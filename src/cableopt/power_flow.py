@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cable_model import CableSpec, exact_pi_two_port
+from .cable_model import CableSpec, TwoPort, exact_pi_two_port
 from .errors import ZeroFarmPower
 
 
@@ -106,15 +106,15 @@ def solve_flow(spec: CableSpec, op: OperatingPoint) -> FlowSolution:
     )
 
 
-def _power_coefficients(a: complex, b: complex, xi: complex) -> tuple[float, float]:
-    """(farm, grid) active power per squared phase-volt, times 1/3.
+def unit_flow(tp: TwoPort, xi: complex) -> tuple[float, float, complex, complex]:
+    """(farm, grid, i1, i2) per phase at v1 = xi V and v2 = 1 V.
 
-    farm: Re{xi*conj(a*xi + b)}, grid: -Re{b*xi + a}.  Multiply by
-    3*V_ph^2 to get watts at a given phase voltage.
+    farm and grid are active powers [W], i1 and i2 the end currents [A].
+    At a grid-side phase voltage V_ph the powers scale by V_ph^2 and the
+    currents by V_ph, so grid/farm is the efficiency of the scaling xi.
     """
-    farm = (xi * (a * xi + b).conjugate()).real
-    grid = -(b * xi + a).real
-    return farm, grid
+    i1, i2 = tp.currents(xi, 1.0)
+    return (xi * i1.conjugate()).real, -i2.real, i1, i2
 
 
 def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:
@@ -122,10 +122,9 @@ def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:
 
     Closed form from the nodal relation with v1 = xi*v2: the v2^2 factor
     cancels between delivered and injected power, so the result holds for
-    every operating voltage and equals solve_flow(...).eta exactly.
+    every operating voltage and equals solve_flow(...).eta up to rounding.
     """
-    tp = exact_pi_two_port(spec)
-    farm, grid = _power_coefficients(tp.a, tp.b, scaling.xi)
+    farm, grid, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
     if farm <= 0.0:
         raise ZeroFarmPower(
             f"wind side injects no active power at alpha={scaling.alpha}, "
@@ -136,13 +135,11 @@ def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:
 
 def farm_power_coefficient(spec: CableSpec, scaling: VoltageScaling) -> float:
     """c such that p_farm = c*v2^2 [W per (p.u.)^2] for this scaling."""
-    tp = exact_pi_two_port(spec)
-    farm, _ = _power_coefficients(tp.a, tp.b, scaling.xi)
+    farm, _, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
     return 3.0 * farm * spec.phase_voltage**2
 
 
 def grid_power_coefficient(spec: CableSpec, scaling: VoltageScaling) -> float:
     """g such that p_grid = g*v2^2 [W per (p.u.)^2] for this scaling."""
-    tp = exact_pi_two_port(spec)
-    _, grid = _power_coefficients(tp.a, tp.b, scaling.xi)
+    _, grid, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
     return 3.0 * grid * spec.phase_voltage**2

@@ -1,5 +1,6 @@
 """CLI behaviour: output format, determinism, exit codes, round-trips."""
 
+import hashlib
 import io
 import json
 import math
@@ -227,6 +228,14 @@ def test_sweep_point_count_is_capped(capsys):
     assert err.startswith("config error:") and "more than" in err
 
 
+def test_sweep_stops_at_p_max(capsys):
+    # a span that is not a multiple of the step must not run past p_max
+    code, out, _ = run(capsys, "sweep", "--p-min-mw", "10", "--p-max-mw", "25",
+                       "--p-step-mw", "10", "--voltages", "0.8")
+    assert code == 0
+    assert [row[1] for row in parse(out)["sweep"].rows] == [10.0, 20.0]
+
+
 # ---------------------------------------------------------------------------
 # annual and envelope
 
@@ -336,3 +345,40 @@ def test_study_blocks_drive_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "envelope", "--config", str(cfg))
     assert code == 0
     assert len(parse(out)["envelope"].rows) == 2  # fixed-0.8 plus the envelope row
+
+
+@pytest.mark.parametrize("study", [
+    {"sweep": {"p_min_mw": "x", "voltages": [1.0]}},
+    {"envelope": {"lengths_km": ["a"], "voltages": [1.0]}},
+    {"annual": {"rated_mw": "320", "curve": "high-uf", "strategies": ["fixed:1.0"]}},
+    {"sweep": {"optimal_range": 5}},
+    {"annual": {"rated_mw": 320, "curve": "high-uf", "strategies": [1]}},
+    # a number is no curve path: open(0) would read standard input
+    {"annual": {"rated_mw": 320, "curve": 0, "strategies": ["fixed:1.0"]}},
+])
+def test_wrong_typed_study_block_exits_2(tmp_path, capsys, study):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(study), encoding="utf-8")
+    code, _, err = run(capsys, *study, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error:")
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: a change to these digests changes published numbers and
+# must be explained in CHANGES.md
+
+@pytest.mark.parametrize("argv,digest", [
+    (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
+      "--voltages", "0.6", "--optimal-range", "0.4", "1.0"],
+     "3c2ef5ff1c337e1917ae671c53e03aec6bc43ced632213fe6f92e072f668c07c"),
+    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"],
+     "14e2fedf24e763973fe83611bea71053f38b67eb45321372d208363c0f79820e"),
+    (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
+      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
+     "22858bcec188389faaa7c2a4e82caff8d1c1f1d56a84dce6e6ae5b827161ad9c"),
+])
+def test_golden_output_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Optimizer tests against frozen optima and independent brute-force grids."""
 
+import cmath
 import math
 import random
 
@@ -20,7 +21,9 @@ from cableopt import (
     transfer_envelope,
 )
 
-from conftest import ref_cable
+from cableopt.optimizer import _Cable
+from cableopt.power_flow import unit_flow
+from conftest import random_cable, ref_cable
 from oracle import best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage
 
 # 2-D optimum for the 200 km reference cable (arbitrary-precision golden search)
@@ -189,19 +192,42 @@ def test_capability_edge_production_is_feasible(cable200):
     assert max(abs(point.flow.i1), abs(point.flow.i2)) <= 1055.0 * (1 + 1e-9)
 
 
+def _kernel(cab, alpha, beta):
+    """power_flow.unit_flow at xi = alpha*e^{j*beta} for this cable."""
+    return unit_flow(cab.tp, alpha * cmath.exp(1j * beta))
+
+
+def _farm_coeff(cab, alpha, beta):
+    """c = p_farm/v2^2 [W/(p.u.)^2] from the kernel."""
+    return 3.0 * _kernel(cab, alpha, beta)[0] * cab.vph**2
+
+
 def test_closed_form_beta_reproduces_farm_coeff():
-    from cableopt.optimizer import _Cable
     rng = random.Random(5)
     checked = 0
     while checked < 200:
         cab = _Cable(ref_cable(rng.uniform(60.0, 340.0)), Constraints())
         alpha = rng.uniform(1.0, 1.1)
         target = rng.uniform(5e6, 350e6) / rng.uniform(0.3, 1.0) ** 2
-        if not cab.farm_coeff(alpha, 1e-9) < target < cab.farm_coeff(alpha, cab.beta_cap):
+        if not _farm_coeff(cab, alpha, 1e-9) < target < _farm_coeff(cab, alpha, cab.beta_cap):
             continue
         beta = cab.beta_for_coeff(alpha, target)
-        assert abs(cab.farm_coeff(alpha, beta) - target) <= 1e-12 * target
+        assert abs(_farm_coeff(cab, alpha, beta) - target) <= 1e-12 * target
         checked += 1
+
+
+def test_sinusoids_match_kernel():
+    # farm power, grid power, |i1|^2 and |i2|^2 per phase at v2 = 1 V, in that order
+    rng = random.Random(17)
+    for _ in range(300):
+        spec = random_cable(rng).with_length(rng.uniform(20.0, 450.0))
+        cab = _Cable(spec, Constraints())
+        alpha, beta = rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi)
+        farm, grid, i1, i2 = _kernel(cab, alpha, beta)
+        for (k0, kc, ks), want in zip(cab.sinusoids(alpha), (farm, grid, abs(i1)**2, abs(i2)**2)):
+            got = k0 + kc * math.cos(beta) + ks * math.sin(beta)
+            # relative to the sinusoid's amplitude: farm and grid pass through zero
+            assert abs(got - want) <= 1e-12 * (abs(k0) + math.hypot(kc, ks))
 
 
 def test_production_determinism(cable200):
