@@ -45,7 +45,6 @@ from .errors import (
     NegativeWeight,
     NoPositivePower,
     PowerOutOfRange,
-    SingularSystem,
     UnreachableTarget,
     ZeroFarmPower,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "EmptyCurve", "EnvelopePoint", "FixedVoltage", "FlowSolution",
     "Infeasible", "NegativeWeight", "NoPositivePower", "OperatingPoint",
     "OptimumPoint", "PowerOutOfRange", "PulParameters", "SegmentProfile",
-    "SingularSystem", "StrategyOutcome", "TransferEnvelope", "TwoPort",
+    "StrategyOutcome", "TransferEnvelope", "TwoPort",
     "UnreachableTarget", "VoltageRange", "VoltageScaling", "VoltageStrategy",
     "ZeroFarmPower", "annual_efficiency", "characteristic_impedance",
     "compare_strategies", "efficiency_of_scaling", "exact_pi_two_port",

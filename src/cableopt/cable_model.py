@@ -23,9 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCable, SingularSystem
+from .errors import DegenerateCable
 
 DEFAULT_PROFILE_SEGMENTS = 100
+#: most values a range argument, a sweep or a segment profile may ask for
+MAX_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ def propagation_constant(spec: CableSpec) -> complex:
 
 def _coth(z: complex) -> complex:
     # Laurent series below |z| = 0.1: the exponential form loses ~2 digits
-    # to the 1 - e^-2z cancellation, which segmented profiles then amplify.
+    # to the 1 - e^-2z cancellation, which the profile's current
+    # reconstruction a*V_k + b*V_{k+1} then amplifies for short segments.
     if abs(z) < 0.1:
         z2 = z * z
         return 1.0 / z + z * (1.0 / 3 + z2 * (-1.0 / 45 + z2 * (2.0 / 945 - z2 / 4725)))
@@ -200,70 +203,36 @@ def exact_pi_two_port(spec: CableSpec) -> TwoPort:
     return _two_port_for_length(spec, spec.length_km)
 
 
-def _solve_interior_nodes(a: complex, b: complex, v1: complex, v2: complex,
-                          n_int: int) -> np.ndarray:
-    """Thomas solve of the interior nodal system in extended precision.
-
-    Each interior node joins two identical segments: self admittance 2a,
-    coupling b to both neighbours, boundary injections -b*v1 and -b*v2.
-    For many short segments |2a| exceeds 2|b| only marginally and the
-    downstream current/loss reconstruction cancels heavily, so the sweep
-    runs in clongdouble to keep the voltages near machine-exact.
-    """
-    diag = np.clongdouble(2.0) * np.clongdouble(a)
-    off = np.clongdouble(b)
-    rhs = np.zeros(n_int, dtype=np.clongdouble)
-    rhs[0] = -off * np.clongdouble(v1)
-    rhs[-1] += -off * np.clongdouble(v2)
-
-    upper = np.empty(n_int, dtype=np.clongdouble)
-    work = np.empty(n_int, dtype=np.clongdouble)
-    piv = diag
-    if piv == 0:
-        raise SingularSystem("zero pivot in nodal elimination")
-    upper[0] = off / piv
-    work[0] = rhs[0] / piv
-    for k in range(1, n_int):
-        piv = diag - off * upper[k - 1]
-        if piv == 0:
-            raise SingularSystem("zero pivot in nodal elimination")
-        upper[k] = off / piv
-        work[k] = (rhs[k] - off * work[k - 1]) / piv
-    for k in range(n_int - 2, -1, -1):
-        work[k] -= upper[k] * work[k + 1]
-
-    interior = work.astype(complex)
-    if not np.all(np.isfinite(interior.view(float))):
-        raise SingularSystem("nodal solve produced non-finite voltages")
-    return interior
-
-
 def segment_profile(
     spec: CableSpec,
     v1: complex,
     v2: complex,
     n_segments: int = DEFAULT_PROFILE_SEGMENTS,
 ) -> SegmentProfile:
-    """Voltage/current/loss profile from nodal analysis of N equal segments.
+    """Voltage/current/loss profile of N equal segments.
 
-    v1 and v2 are the imposed phase-to-ground terminal voltages [V]; each
-    segment is represented by its own exact PI two-port of length l/N, so
+    v1 and v2 are the imposed phase-to-ground terminal voltages [V].  The
+    node voltages are the line solution at x = k*l/N; the currents and
+    losses come from each segment's own exact PI two-port of length l/N, so
     the terminal behaviour is identical to the unsegmented cable for any N.
     """
-    if n_segments < 1:
-        raise ValueError(f"n_segments must be >= 1, got {n_segments}")
+    if not 1 <= n_segments <= MAX_POINTS:
+        raise ValueError(f"n_segments must be in [1, {MAX_POINTS}], got {n_segments}")
     if not (cmath.isfinite(v1) and cmath.isfinite(v2)):
         raise ValueError("terminal voltages must be finite")
 
     seg = _two_port_for_length(spec, spec.length_km / n_segments)
     a, b = seg.a, seg.b
 
-    n_int = n_segments - 1
-    if n_int == 0:
-        voltages = np.array([v1, v2], dtype=complex)
-    else:
-        interior = _solve_interior_nodes(a, b, v1, v2, n_int)
-        voltages = np.concatenate([[v1], interior, [v2]])
+    # V(x) = (v1*sinh(gamma*(l-x)) + v2*sinh(gamma*x)) / sinh(gamma*l) at the
+    # interior nodes x = k*l/N, with every exponent's real part <= 0 so long
+    # cables cannot overflow
+    gl = propagation_constant(spec) * spec.length_km
+    t = np.arange(1, n_segments) / n_segments
+    gx, gr = gl * t, gl * (1.0 - t)
+    interior = (v1 * np.exp(-gx) * np.expm1(-2.0 * gr)
+                + v2 * np.exp(-gr) * np.expm1(-2.0 * gx)) / np.expm1(-2.0 * gl)
+    voltages = np.concatenate([[v1], interior, [v2]])
 
     sending = a * voltages[:-1] + b * voltages[1:]
     receiving = b * voltages[:-1] + a * voltages[1:]

@@ -25,7 +25,7 @@ from .annual_energy import (
     synth_duration_curve,
     utilization_factor,
 )
-from .cable_model import segment_profile
+from .cable_model import MAX_POINTS, segment_profile
 from .errors import (
     CableOptError,
     ConfigError,
@@ -46,8 +46,6 @@ from .results import ResultTable, provenance_digest, write_tables
 
 _INFEASIBLE_ERRORS = (Infeasible, DegenerateCable, NoPositivePower, ZeroFarmPower,
                       UnreachableTarget)
-#: most values a range argument or a sweep may ask for
-MAX_POINTS = 10_000
 
 
 def _binding_label(point) -> str:

@@ -9,10 +9,6 @@ class DegenerateCable(CableOptError):
     """Cable parameters admit no two-port (zero length or zero shunt admittance)."""
 
 
-class SingularSystem(CableOptError):
-    """The nodal system of a segmented cable is numerically singular."""
-
-
 class ZeroFarmPower(CableOptError):
     """The wind side injects no active power; efficiency is undefined."""
 

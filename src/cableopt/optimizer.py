@@ -28,7 +28,8 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
-from .cable_model import CableSpec, SegmentProfile, TwoPort, exact_pi_two_port, segment_profile
+from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
+                          segment_profile)
 from .errors import Infeasible, NoPositivePower
 from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow, unit_flow
 
@@ -84,8 +85,8 @@ class Constraints:
                              f"got [{self.alpha_min}, {self.alpha_max}]")
         if self.i_rated is not None and not self.i_rated > 0.0:
             raise ValueError(f"i_rated must be > 0, got {self.i_rated}")
-        if self.n_profile_segments < 1:
-            raise ValueError("n_profile_segments must be >= 1")
+        if not 1 <= self.n_profile_segments <= MAX_POINTS:
+            raise ValueError(f"n_profile_segments must be in [1, {MAX_POINTS}]")
 
     def rated_current(self, spec: CableSpec) -> float:
         return self.i_rated if self.i_rated is not None else spec.rated_current
@@ -445,11 +446,10 @@ def _production_at_alpha(cab: _Cable, cons: Constraints, p_farm: float,
     p*|i|^2 > 3*I^2*farm, that leaves the feasible set; eta peaks on it at
     an interval end, a current-boundary root or a stationary point.
     """
-    c_lo, c_hi = p_farm / cons.v2_max**2, p_farm / cons.v2_min**2
-    if c_lo > cab.at(alpha, cab.beta_cap)[0] or c_hi < cab.at(alpha, cab.beta_floor)[0]:
+    lo = max(cab.beta_floor, cab.beta_for_coeff(alpha, p_farm / cons.v2_max**2))
+    hi = min(cab.beta_cap, cab.beta_for_coeff(alpha, p_farm / cons.v2_min**2))
+    if lo > hi:
         return None
-    lo = max(cab.beta_floor, cab.beta_for_coeff(alpha, c_lo))
-    hi = min(cab.beta_cap, cab.beta_for_coeff(alpha, c_hi))
     farm, grid, cur1, cur2 = cab.sinusoids(alpha)
     k = 3.0 * (cab.i_rated * (1.0 - _RATING_SHRINK)) ** 2 / p_farm
     betas = [lo, hi] + _ratio_stationary(grid, farm, lo, hi)

@@ -1,11 +1,12 @@
-"""Independent brute-force references for cross-checking the optimizer.
+"""Independent references for cross-checking the cable model and the optimizer.
 
-Everything here reimplements the physics directly with plain cmath
+The optimizer references reimplement the physics directly with plain cmath
 hyperbolic functions and dense numpy grids; no search logic is shared
 with the package.  Boundary candidates (voltage box and current rating
 crossings along the power-equality manifold) are added by bisection of
 the gridded sign changes, since a finite grid cannot land exactly on an
-active constraint.
+active constraint.  The line profile reference integrates the telegrapher
+equations and uses no hyperbolic function at all.
 """
 
 import cmath
@@ -21,6 +22,36 @@ def oracle_two_port(spec):
     zc = cmath.sqrt(z / y)
     gl = cmath.sqrt(z * y) * spec.length_km
     return cmath.cosh(gl) / (cmath.sinh(gl) * zc), -1.0 / (zc * cmath.sinh(gl))
+
+
+def rk4_line_profile(spec, v1, v2, n_segments, h_max=0.1):
+    """Voltages at x = k*l/N and the currents I(0), I(l) of the line solution.
+
+    Integrates dV/dx = -z*I, dI/dx = -y*V with classical RK4.  For this
+    linear system one step of length h is the matrix
+    M = sum_{k<=4} (h*A)^k/k!, A = [[0, -z], [-y, 0]], taken with
+    h <= h_max [km] and a whole number of steps per segment.  The
+    propagator is carried from x = 0 to every node, and I(0) is shot so
+    that V(l) = v2: the system is linear, so one shot is exact.  I(x) flows
+    in +x, so the current into the cable at the far end is -I(l).
+    """
+    w = 2.0 * math.pi * spec.frequency
+    z = complex(spec.pul.r, w * spec.pul.l)
+    y = complex(spec.pul.g, w * spec.pul.c)
+    seg = spec.length_km / n_segments
+    m = math.ceil(seg / h_max)
+    ha = seg / m * np.array([[0.0, -z], [-y, 0.0]])
+    step = term = np.eye(2, dtype=complex)
+    for k in range(1, 5):
+        term = term @ ha / k
+        step = step + term
+    seg_map = np.linalg.matrix_power(step, m)
+    phi = [np.eye(2, dtype=complex)]
+    for _ in range(n_segments):
+        phi.append(seg_map @ phi[-1])
+    phi = np.array(phi)
+    i0 = (v2 - phi[-1, 0, 0] * v1) / phi[-1, 0, 1]
+    return phi[:, 0, 0] * v1 + phi[:, 0, 1] * i0, i0, phi[-1, 1, 0] * v1 + phi[-1, 1, 1] * i0
 
 
 def oracle_eta(a, b, xi):

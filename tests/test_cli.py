@@ -314,6 +314,20 @@ def test_range_point_count_is_capped(capsys):
     assert err.startswith("config error:") and "more than" in err
 
 
+@pytest.mark.parametrize("argv,constraints", [
+    (["analyze", "--alpha", "1.03", "--beta-deg", "5", "--profile", str(MAX_POINTS + 1)], {}),
+    (["optimize", "--p-farm-mw", "100"],
+     {"check_internal_current": True, "n_profile_segments": MAX_POINTS + 1}),
+])
+def test_profile_size_is_capped(tmp_path, capsys, argv, constraints):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"constraints": constraints}), encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("config error:") and str(MAX_POINTS) in err
+    assert out == ""
+
+
 def test_strategy_parse_errors(capsys):
     code, _, err = run(capsys, "annual", "--rated-mw", "100", "--synth-uf", "0.4",
                        "--strategy", "sawtooth:0.5")
@@ -377,6 +391,8 @@ def test_wrong_typed_study_block_exits_2(tmp_path, capsys, study):
     (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
       "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
      "22858bcec188389faaa7c2a4e82caff8d1c1f1d56a84dce6e6ae5b827161ad9c"),
+    (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "50"],
+     "ba2c51b4c064d28a86c3d2bf271ac1d177d9c7cddbbcf5b6d1687c8f515561f5"),
 ])
 def test_golden_output_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
