@@ -188,6 +188,24 @@ def _csch(z: complex) -> complex:
     return 2.0 * e / (1.0 - e * e)
 
 
+def _shunt_conductance(spec: CableSpec, length_km: float) -> float:
+    """Re(a + b) of the exact PI of this length: its end-shunt conductance [S].
+
+    a + b = tanh(gamma*d/2)/Z_c cancels for short lengths, so it is taken as
+    Re((Y*d/2)*T(u)) with u = Z*Y*d^2/4 and T(u) = tanh(sqrt(u))/sqrt(u),
+    from the series of T below |u| = 1e-3, where the closed form loses the
+    small imaginary part of T that sets the result.
+    """
+    yd2 = pul_shunt_admittance(spec.pul, spec.omega) * length_km / 2
+    u = pul_series_impedance(spec.pul, spec.omega) * yd2 * length_km / 2
+    if abs(u) < 1e-3:
+        t = 1.0 + u * (-1.0 / 3 + u * (2.0 / 15 + u * (-17.0 / 315 + u * 62.0 / 2835)))
+    else:
+        s = cmath.sqrt(u)
+        t = cmath.tanh(s) / s
+    return (yd2 * t).real
+
+
 def _two_port_for_length(spec: CableSpec, length_km: float) -> TwoPort:
     if length_km <= 0.0:
         raise DegenerateCable(f"cable length must be > 0 km, got {length_km}")
@@ -241,13 +259,15 @@ def segment_profile(
     # cancellation between through-power terms (series conductance is -Re b,
     # end-shunt conductance Re(a+b), both non-negative for a passive cable).
     g_series = -b.real
-    g_shunt = (a + b).real
+    g_shunt = _shunt_conductance(spec, spec.length_km / n_segments)
     dv = voltages[:-1] - voltages[1:]
-    losses = 3.0 * (
-        g_series * (dv * np.conj(dv)).real
-        + g_shunt * ((voltages[:-1] * np.conj(voltages[:-1])).real
-                     + (voltages[1:] * np.conj(voltages[1:])).real)
-    )
+    # huge terminal voltages overflow to inf losses, which the callers report
+    with np.errstate(over="ignore"):
+        losses = 3.0 * (
+            g_series * (dv * np.conj(dv)).real
+            + g_shunt * ((voltages[:-1] * np.conj(voltages[:-1])).real
+                         + (voltages[1:] * np.conj(voltages[1:])).real)
+        )
 
     return SegmentProfile(
         node_voltages=tuple(complex(v) for v in voltages),

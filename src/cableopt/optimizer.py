@@ -1,24 +1,19 @@
 """Efficiency-optimal operating points under voltage and current limits.
 
-The key structural facts exploited here:
-
-* efficiency depends on the scaling xi only, never on v2;
-* for fixed xi, farm power is c(xi)*v2^2 and currents scale linearly in
-  v2, so "transmit exactly p" pins v2 = sqrt(p/c(xi)) and feasibility of
-  a scaling is a closed-form check;
-* at fixed alpha, farm and grid power and both squared end currents are
-  sinusoids k0 + kc*cos(beta) + ks*sin(beta), and c rises with beta
-  below arg(b).
-
-So at fixed alpha the v2-box interval, the current-rating boundaries and
-the stationary points of eta = g/c are each one acos, and the optimum is
-the best feasible one of them.  Only alpha is searched: a 0.005 grid with
-both bounds, then a golden-section refinement.  The unconstrained optimum
-is the same search without limits.  The delivery search
-(max_feasible_power) solves each alpha the same way: delivered power
-g*v2^2 is, piece by piece, g, g/|i|^2 or g/c times a constant, so its
-maximum is at a switch between pieces or a stationary point of one.  Ties
-go to lower v2, then lower alpha.
+Farm power, grid power, both squared end currents and every squared node
+voltage or current of a segment profile are Hermitian forms
+q2*|xi|^2 + Re(w*xi) + q0 of (xi, 1) that scale with v2^2.  So efficiency
+depends on the scaling xi only, "transmit exactly p" pins v2 = sqrt(p/c),
+and every limit is a circle in the xi plane (|xi| = alpha, c = p/v2^2,
+p*|i|^2 = 3*I^2*farm, ...), along which every form is a sinusoid in the
+circle's angle.  Each objective is, piece by piece, a ratio of two forms:
+eta = g/c at a given production, delivered power g*v2^2 with v2 at its
+lowest limit in max_feasible_power.  Its maximum lies at a stationary
+point of one ratio (a 2x2 pencil eigenvector), at a stationary point along
+one circle or window ray, or where two meet; _solve checks every such
+candidate and keeps the best feasible one.  An opt-in internal check that
+fails adds the worst node's limit as one more circle per v2 piece, and the
+solve repeats.  Ties go to lower v2, then lower alpha.
 """
 
 from __future__ import annotations
@@ -27,24 +22,18 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
                           segment_profile)
 from .errors import Infeasible, NoPositivePower
 from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow, unit_flow
 
-ALPHA_GRID_STEP = 0.005
-ALPHA_TOL = 1e-10
-# the delivery maximum mostly sits at a kink in alpha, where two limits bind at
-# once, so an alpha error costs delivery in proportion: 1e-10 cost up to 2e-11
-DELIVERY_ALPHA_TOL = 1e-13
 TIE_TOL = 1e-9
-_BETA_SAMPLES = 41
-_BISECT_ROUNDS = 40
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# current-boundary roots are solved at a rating shrunk by this fraction, so
-# rounding leaves them on the feasible side of the exact rating check
-_RATING_SHRINK = 1e-12
+# limits checked exactly are drawn this fraction inside, so rounding leaves
+# the points on their circles on the feasible side; the internal checks pass
+# up to this fraction above, and an alpha this close to a bound snaps onto it
+_EDGE = 1e-12
 
 
 class BindingConstraint(enum.Enum):
@@ -137,28 +126,147 @@ class CurvePoint:
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation helpers
+# Hermitian forms of x = (x1, x2), xi = x1/x2: (q2, w, q0) is the matrix
+# [[q2, conj(w)/2], [w/2, q0]], valued q2*|x1|^2 + Re(w*x1*conj(x2)) + q0*|x2|^2
+
+_ONE = (0.0, 0j, 1.0)
+_ID = (1.0, 0j, 1.0)
+
+
+def _abs2(p: complex, q: complex):
+    """The form |p*xi + q|^2."""
+    return abs(p) ** 2, 2.0 * p * q.conjugate(), abs(q) ** 2
+
+
+def _sub(f, g, k: float = 1.0):
+    """The form f - k*g; _ONE as g subtracts the constant k, even an infinite one."""
+    return tuple(x - k * y if y else x for x, y in zip(f, g))
+
+
+def _herm(f, x, y) -> complex:
+    """x^H F y for the matrix F of form f."""
+    q2, w, q0 = f
+    return (x[0].conjugate() * (q2 * y[0] + 0.5 * w.conjugate() * y[1])
+            + x[1].conjugate() * (0.5 * w * y[0] + q0 * y[1]))
+
+
+def _quad_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a*t^2 + b*t + c."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
+def _eig(num, den) -> list[tuple[float, tuple[complex, complex]]]:
+    """(lam, x) per real eigenpair of the pencil num - lam*den: num/den is stationary at x1/x2."""
+    (n2, nw, n0), (d2, dw, d0) = num, den
+    out = []
+    for lam in _quad_roots(d2 * d0 - 0.25 * abs(dw) ** 2,
+                           0.5 * (nw.conjugate() * dw).real - n2 * d0 - n0 * d2,
+                           n2 * n0 - 0.25 * abs(nw) ** 2):
+        m2, mw, m0 = n2 - lam * d2, nw - lam * dw, n0 - lam * d0
+        # null vector of the heavier row of [[m2, conj(mw)/2], [mw/2, m0]]
+        out.append((lam, (-0.5 * mw.conjugate(), m2) if abs(m2) >= abs(m0) else (m0, -0.5 * mw)))
+    return out
+
+
+def _circle(f):
+    """(u, v) such that x = e^{j*phi}*u + v traces the zero set of f; None when it has none.
+
+    u and v are the eigenvectors of F scaled to u^H F u = 1 = -v^H F v; a
+    line is a circle through x2 = 0.
+    """
+    pairs = sorted(_eig(f, _ID), key=lambda pair: -pair[0])
+    if len(pairs) != 2 or not pairs[1][0] < 0.0 < pairs[0][0]:
+        return None             # definite or singular: one point or nothing
+    return tuple(tuple(x / math.sqrt(abs(lam) * (abs(e[0]) ** 2 + abs(e[1]) ** 2)) for x in e)
+                 for lam, e in pairs)
+
+
+def _along(uv, f):
+    """Form f along circle uv as the sinusoid (k0, kc, ks) in phi."""
+    u, v = uv
+    m = _herm(f, u, v)
+    return (_herm(f, u, u) + _herm(f, v, v)).real, 2.0 * m.real, 2.0 * m.imag
+
+
+def _sinusoid_roots(k0: float, kc: float, ks: float) -> list[float]:
+    """Zeros of k0 + kc*cos(phi) + ks*sin(phi) = k0 + r*cos(phi - theta).
+
+    Tangent zeros, where the sinusoid touches zero without a sign change, are left out.
+    """
+    r = math.hypot(kc, ks)
+    if r <= abs(k0):
+        return []
+    theta, half = math.atan2(ks, kc), math.acos(-k0 / r)
+    return [theta - half, theta + half]
+
+
+def _ratio_stationary(num, den) -> list[float]:
+    """Angles where num/den is stationary: num'*den - num*den' is a sinusoid."""
+    (f0, fc, fs), (g0, gc, gs) = den, num
+    return _sinusoid_roots(gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0)
+
+
+def _points(circles, ratios, lo: float, hi: float) -> list[tuple[float, float]]:
+    """(alpha, beta) in the beta window of every candidate maximum of a ratio.
+
+    The pencil eigenvectors of each ratio; along each circle its meetings
+    with the later circles and each ratio's stationary points; the same
+    along each window ray, traced as xi = e^{j*beta}*tan(phi/2), which
+    meets every circle.
+    """
+    xis = [x1 / x2 for num, den in ratios for _, (x1, x2) in _eig(num, den) if x2 != 0.0]
+    curves = [(_circle(f), circles[i + 1:], None) for i, f in enumerate(circles)]
+    curves += [(((-1j * e, 1.0), (1j * e, 1.0)), circles, ray)
+               for ray in (lo, hi) for e in (cmath.exp(1j * ray),)]
+    out = []
+    for uv, others, ray in curves:
+        if uv is None:
+            continue
+        phis = [p for g in others for p in _sinusoid_roots(*_along(uv, g))]
+        phis += [p for num, den in ratios for p in _ratio_stationary(_along(uv, num), _along(uv, den))]
+        if ray is not None:
+            out += [(t, ray) for p in phis if (t := math.tan(0.5 * p)) > 0.0]
+            continue
+        (u1, u2), (v1, v2) = uv
+        xis += [(e * u1 + v1) / x2 for p in phis
+                if (x2 := (e := cmath.exp(1j * p)) * u2 + v2) != 0.0]
+    return out + [(abs(xi), beta) for xi in xis
+                  if cmath.isfinite(xi) and lo <= (beta := cmath.phase(xi)) <= hi]
+
+
+# ---------------------------------------------------------------------------
+# the cable and the candidate solve
 
 class _Cable:
-    """Precomputed per-cable quantities for the search loops."""
+    """Precomputed per-cable quantities for the solves."""
 
     def __init__(self, spec: CableSpec, constraints: Constraints):
         self.spec = spec
         self.cons = constraints
         self.tp: TwoPort = exact_pi_two_port(spec)
-        self.a, self.b = self.tp.a, self.tp.b
+        a, b = self.tp.a, self.tp.b
         self.vph = spec.phase_voltage
         self.vph2 = self.vph**2
         self.i_rated = constraints.rated_current(spec)
         self.internal = (constraints.check_internal_current
                          or constraints.check_internal_voltage_max is not None)
-        # c(beta) = alpha^2*Re(a) + alpha*|b|*cos(beta - arg(b)) rises from
-        # arg(b) - pi to arg(b); the searches stay on that branch, within
-        # +-90 deg, so c is monotone.  The production window takes all of
-        # it: negative beta is what the lowest injections need.  The delivery
-        # search keeps to beta >= 1e-9.
-        self.beta_cap = min(math.pi / 2, cmath.phase(self.b) - 1e-9)
-        self.beta_floor = max(-math.pi / 2, cmath.phase(self.b) - math.pi + 1e-9)
+        # farm and grid power and |i1|^2, |i2|^2 per phase at v1 = xi V and
+        # v2 = 1 V, as in power_flow.unit_flow: i1 = a*xi + b, i2 = b*xi + a
+        self.farm = (a.real, b.conjugate(), 0.0)
+        self.grid = (0.0, -b, -a.real)
+        self.cur1, self.cur2 = _abs2(a, b), _abs2(b, a)
+        # c = 3*V_ph^2*farm rises with beta from arg(b) - pi to arg(b); the
+        # windows stay on that branch, within +-90 deg.  The production
+        # window takes all of it: negative beta is what the lowest
+        # injections need.  The delivery search keeps to beta >= 1e-9.
+        self.beta_cap = min(math.pi / 2, cmath.phase(b) - 1e-9)
+        self.beta_floor = max(-math.pi / 2, cmath.phase(b) - math.pi + 1e-9)
         self.delivery_window = (1e-9, max(1e-9, self.beta_cap))
 
     def at(self, alpha: float, beta: float) -> tuple[float, float, float, float]:
@@ -176,71 +284,36 @@ class _Cable:
         return segment_profile(self.spec, alpha * cmath.exp(1j * beta) * v2_volts, v2_volts,
                                self.cons.n_profile_segments)
 
-    def internal_ok(self, alpha: float, beta: float, v2: float) -> bool:
+    @cached_property
+    def node_forms(self):
+        """(|V_k|^2, |I_k|^2) forms of the profile nodes at v2 = 1 p.u., grid-end current last.
+
+        The profile is linear in the terminal voltages: node k is xi*P_k + Q_k
+        with P and Q the profiles at (V_ph, 0) and (0, V_ph).
+        """
+        p, q = (segment_profile(self.spec, v1, v2, self.cons.n_profile_segments)
+                for v1, v2 in ((self.vph, 0.0), (0.0, self.vph)))
+        return ([_abs2(x, y) for x, y in zip(p.node_voltages, q.node_voltages)],
+                [_abs2(x, y) for x, y in zip(p.node_currents + (p.grid_end_current,),
+                                             q.node_currents + (q.grid_end_current,))])
+
+    def violations(self, cand: "_Candidate") -> list[tuple[tuple, float]]:
+        """(node form, limit) of the worst node of each opt-in internal check cand fails."""
         if not self.internal:
-            return True
-        cons = self.cons
-        prof = self.profile(alpha, beta, v2)
-        if cons.check_internal_current and prof.max_current > self.i_rated * (1 + 1e-12):
-            return False
+            return []
+        cons, prof = self.cons, self.profile(cand.alpha, cand.beta, cand.v2)
+        v_forms, i_forms = self.node_forms
+        checks = []
+        if cons.check_internal_current:
+            checks.append((prof.node_currents + (prof.grid_end_current,), i_forms, self.i_rated))
         if cons.check_internal_voltage_max is not None:
-            if prof.max_voltage > cons.check_internal_voltage_max * self.vph * (1 + 1e-12):
-                return False
-        return True
-
-    def sinusoids(self, alpha: float):
-        """(k0, kc, ks) with value k0 + kc*cos(beta) + ks*sin(beta) at this alpha.
-
-        In order: farm power and grid power per 3*V_ph^2 (so c is
-        3*V_ph^2 times the first), |a*xi + b|^2 and |b*xi + a|^2.
-        """
-        a, b = self.a, self.b
-        z = 2.0 * alpha * a * b.conjugate()
-        return (
-            (alpha * alpha * a.real, alpha * b.real, alpha * b.imag),
-            (-a.real, -alpha * b.real, alpha * b.imag),
-            (alpha * alpha * abs(a) ** 2 + abs(b) ** 2, z.real, -z.imag),
-            (alpha * alpha * abs(b) ** 2 + abs(a) ** 2, z.real, z.imag),
-        )
-
-    def rating_level(self, v2: float) -> float:
-        """|a*xi + b|^2 or |b*xi + a|^2 where that end current meets the rating at v2."""
-        r = self.i_rated / (self.vph * v2)
-        return r * r   # r**2 would raise, not give inf, when a tiny v2 overflows it
-
-    def beta_for_coeff(self, alpha: float, target: float) -> float:
-        """beta <= arg(b) where c == target, in closed form.
-
-        Targets beyond the range of c map to arg(b) - pi or arg(b).
-        """
-        x = (target / (3.0 * self.vph**2) - alpha * alpha * self.a.real) / (alpha * abs(self.b))
-        return cmath.phase(self.b) - math.acos(min(max(x, -1.0), 1.0))
-
-
-def _sinusoid_roots(k0: float, kc: float, ks: float, lo: float, hi: float) -> list[float]:
-    """Zeros of k0 + kc*cos(beta) + ks*sin(beta) = k0 + r*cos(beta - theta) in [lo, hi].
-
-    Tangent zeros, where the sinusoid touches zero without a sign change, are left out.
-    """
-    r = math.hypot(kc, ks)
-    if r <= abs(k0):
-        return []
-    theta, half = math.atan2(ks, kc), math.acos(-k0 / r)
-    return [x for x in (lo + (t - lo) % math.tau for t in (theta - half, theta + half)) if x <= hi]
-
-
-def _ratio_stationary(num, den, lo: float, hi: float) -> list[float]:
-    """Betas in [lo, hi] where num/den is stationary: num'*den - num*den' is a sinusoid."""
-    (f0, fc, fs), (g0, gc, gs) = den, num
-    return _sinusoid_roots(gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0, lo, hi)
-
-
-_ONE = (1.0, 0.0, 0.0)
-
-
-def _sub(k, m, f: float = 1.0):
-    """The sinusoid k - f*m; _ONE as m subtracts the constant f, even an infinite one."""
-    return tuple(x - f * y if y else x for x, y in zip(k, m))
+            checks.append((prof.node_voltages, v_forms, cons.check_internal_voltage_max * self.vph))
+        out = []
+        for values, forms, limit in checks:
+            k = max(range(len(values)), key=lambda j: abs(values[j]))
+            if abs(values[k]) > limit * (1 + _EDGE):
+                out.append((forms[k], limit))
+        return out
 
 
 @dataclass
@@ -266,84 +339,38 @@ def _better(cand: _Candidate, best: _Candidate | None) -> bool:
     return cand.alpha < best.alpha - TIE_TOL
 
 
-def _pick(cab: _Cable, cands: list[_Candidate]) -> _Candidate | None:
-    """Best candidate by _better that passes the opt-in internal checks.
+def _solve(cab: _Cable, window: tuple[float, float], bounds, ratios, point,
+           pieces=()) -> _Candidate | None:
+    """Best point(alpha, beta) by _better over the alpha annulus and the beta window.
 
-    Visiting by descending score runs the costly checks only until one passes.
+    bounds are the forms whose zero circles limit the region or switch the
+    objective between pieces, ratios the (num, den) forms it is made of,
+    and point checks and scores one candidate.  The internal checks run by
+    descending score until one passes; pieces lists (k, den) with v2^2 =
+    k/den on each piece of v2, and a candidate above every passing one that
+    fails at a new node n, limit L, adds the circle k*n - L^2*den per piece.
     """
-    best = None
-    for cand in sorted(cands, key=lambda c: c.score, reverse=True):
-        if _better(cand, best) and cab.internal_ok(cand.alpha, cand.beta, cand.v2):
-            best = cand
-    return best
-
-
-def _best_at_alpha(cab: _Cable, betas: list[float], lo: float, hi: float, point) -> _Candidate | None:
-    """Best point(beta) by _pick over closed-form betas in [lo, hi].
-
-    A binding internal limit has no closed form: with the internal checks on,
-    an even sample joins the betas, and the limit is bisected between the best
-    passing point and the nearest better one that failed it.
-    """
-    if cab.internal:
-        betas += [lo + (hi - lo) * j / (_BETA_SAMPLES - 1) for j in range(1, _BETA_SAMPLES - 1)]
-    cands = [cand for beta in betas if (cand := point(beta))]
-    best = _pick(cab, cands)
-    failed = [c.beta for c in cands if c.score > best.score] if cab.internal and best else []
-    if failed:
-        ok, bad = best.beta, min(failed, key=lambda b: abs(b - best.beta))
-        for _ in range(_BISECT_ROUNDS):
-            mid = 0.5 * (ok + bad)
-            cand = point(mid)
-            if cand is not None and cab.internal_ok(cand.alpha, mid, cand.v2):
-                ok, best = mid, (cand if cand.score > best.score else best)
-            else:
-                bad = mid
-    return best
-
-
-def _alpha_search(a_lo: float, a_hi: float, solve, shortfall, tol=ALPHA_TOL) -> _Candidate | None:
-    """Best solve(alpha) over [a_lo, a_hi]; None when no alpha gives a point.
-
-    The ALPHA_GRID_STEP grid (bounds included) picks a cell; golden-section
-    search refines one grid step either side, down to tol.  It ranks
-    infeasible alphas below feasible ones by -shortfall(alpha), so it also
-    climbs into a feasible sliver narrower than the grid step.  A refined
-    point must beat the grid winner's score strictly: TIE_TOL orders the
-    grid but cannot stop the refinement short of the maximum.
-    """
-    def probe(alpha: float):
-        cand = solve(alpha)
-        return ((1, cand.score) if cand is not None else (0, -shortfall(alpha))), cand
-
-    n = max(2, int(round((a_hi - a_lo) / ALPHA_GRID_STEP)) + 1) if a_hi > a_lo else 1
-    grid = [a_lo + (a_hi - a_lo) * k / max(n - 1, 1) for k in range(n)]
-    best = None
-    for alpha in grid:
-        cand = solve(alpha)
-        if cand is not None and _better(cand, best):
-            best = cand
-    if n == 1:
-        return best
-    center = best.alpha if best is not None else min(grid, key=shortfall)
-    step = grid[1] - grid[0]
-    lo, hi = max(a_lo, center - step), min(a_hi, center + step)
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    (k1, c1), (k2, c2) = probe(x1), probe(x2)
+    a_lo, a_hi = cab.cons.alpha_min, cab.cons.alpha_max
+    circles = [(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)]
+    circles += [f for f in bounds if all(map(cmath.isfinite, f))]
+    cuts = []
     while True:
-        for cand in (c1, c2):
-            if cand is not None and (best is None or cand.score > best.score):
-                best = cand
-        if hi - lo <= tol:
-            return best
-        if k1 >= k2:
-            hi, x2, k2, c2 = x2, x1, k1, c1
-            x1 = hi - _GOLDEN * (hi - lo)
-            k1, c1 = probe(x1)
+        cands = [cand for alpha, beta in _points(circles, ratios, *window)
+                 if a_lo * (1 - _EDGE) <= alpha <= a_hi * (1 + _EDGE)
+                 and (cand := point(min(max(alpha, a_lo), a_hi), beta)) is not None]
+        best = None
+        for cand in sorted(cands, key=lambda c: c.score, reverse=True):
+            if _better(cand, best):
+                fails = cab.violations(cand)
+                if not fails:
+                    best = cand
+                elif best is None and (new := [cut for cut in fails if cut not in cuts]):
+                    break
         else:
-            lo, x1, k1, c1 = x1, x2, k2, c2
-            x2 = lo + _GOLDEN * (hi - lo)
-            k2, c2 = probe(x2)
+            return best
+        cuts += new
+        circles += [_sub(tuple(k * x for x in form), den, (limit * (1 - _EDGE)) ** 2)
+                    for form, limit in new for k, den in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +382,18 @@ def optimize_scaling_unconstrained(
 ) -> tuple[VoltageScaling, float]:
     """argmax of efficiency over alpha in alpha_range, beta in (0, 90 deg).
 
-    At each alpha the best beta is a window end or a stationary point of
-    eta, found in closed form; alpha is searched by _alpha_search.
+    The interior optimum is the top eigenvector of the pencil of grid and
+    farm power; on the alpha bounds and the window ends, eta = g/c peaks
+    at a stationary point along the circle or ray, all in closed form.
     """
     a_lo, a_hi = alpha_range
     cab = _Cable(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))
-    b_lo, b_hi = 1e-6, cab.beta_cap
 
-    def solve(alpha: float) -> _Candidate | None:
-        farm, grid, _, _ = cab.sinusoids(alpha)
-        betas = [b_lo, b_hi] + _ratio_stationary(grid, farm, b_lo, b_hi)
-        return _pick(cab, [_Candidate(e, alpha, beta, 0.0) for beta in betas
-                           if math.isfinite(e := cab.at(alpha, beta)[2])])
+    def point(alpha: float, beta: float) -> _Candidate | None:
+        eta = cab.at(alpha, beta)[2]
+        return _Candidate(eta, alpha, beta, 0.0) if math.isfinite(eta) else None
 
-    best = _alpha_search(a_lo, a_hi, solve, lambda alpha: 0.0)
+    best = _solve(cab, (1e-6, cab.beta_cap), [], [(cab.grid, cab.farm)], point)
     if best is None:
         raise NoPositivePower("no scaling in range yields positive farm power")
     return VoltageScaling(best.alpha, best.beta), best.score
@@ -436,70 +461,27 @@ def _production_point(cab: _Cable, cons: Constraints, alpha: float, beta: float,
     return None if i * v2 > cab.i_rated else _Candidate(e, alpha, beta, v2)
 
 
-def _production_at_alpha(cab: _Cable, cons: Constraints, p_farm: float,
-                         alpha: float) -> _Candidate | None:
-    """Most efficient point injecting p_farm at this alpha, or None.
-
-    c rises with beta on the window, so v2 = sqrt(p/c) lies in the box on
-    the beta interval [lo, hi] between the inverses of its two c targets.
-    Minus the stretches where an end current exceeds the rating,
-    p*|i|^2 > 3*I^2*farm, that leaves the feasible set; eta peaks on it at
-    an interval end, a current-boundary root or a stationary point.
-    """
-    lo = max(cab.beta_floor, cab.beta_for_coeff(alpha, p_farm / cons.v2_max**2))
-    hi = min(cab.beta_cap, cab.beta_for_coeff(alpha, p_farm / cons.v2_min**2))
-    if lo > hi:
-        return None
-    farm, grid, cur1, cur2 = cab.sinusoids(alpha)
-    k = 3.0 * (cab.i_rated * (1.0 - _RATING_SHRINK)) ** 2 / p_farm
-    betas = [lo, hi] + _ratio_stationary(grid, farm, lo, hi)
-    for cur in (cur1, cur2):
-        betas += _sinusoid_roots(*_sub(cur, farm, k), lo, hi)
-    return _best_at_alpha(cab, betas, lo, hi,
-                          lambda beta: _production_point(cab, cons, alpha, beta, p_farm))
-
-
-def _shortfall(cab: _Cable, cons: Constraints, p_farm: float, alpha: float) -> float:
-    """How far p_farm lies outside the injectable range at this alpha [W].
-
-    The least injection is c(beta_floor)*v2_min^2.  For the most, v2 rises
-    to the lower of v2_max and the rating, and p = c*v2^2 peaks at a window
-    end, where the binding limit switches (|i1| = |i2|, or a current meets
-    the rating at v2_max) or where c/|i|^2 is stationary.
-    """
-    farm, _, cur1, cur2 = cab.sinusoids(alpha)
-    lo, hi = cab.beta_floor, cab.beta_cap
-    q_box = cab.rating_level(cons.v2_max)
-    betas = [lo, hi] + _sinusoid_roots(*_sub(cur1, cur2), lo, hi)
-    for cur in (cur1, cur2):
-        betas += _sinusoid_roots(*_sub(cur, _ONE, q_box), lo, hi)
-        betas += _ratio_stationary(farm, cur, lo, hi)
-    best = 0.0
-    for beta in betas:
-        c, _, _, i = cab.at(alpha, beta)
-        v2 = min(cons.v2_max, cab.i_rated / i)
-        if v2 >= cons.v2_min:
-            best = max(best, c * v2 * v2)
-    return max(p_farm - best, cab.at(alpha, cab.beta_floor)[0] * cons.v2_min**2 - p_farm)
-
-
 def optimize_at_production(spec: CableSpec, p_farm: float,
                            constraints: Constraints | None = None) -> OptimumPoint:
     """Most efficient feasible way to inject exactly p_farm watts.
 
-    The scaling is searched over the constraint box; v2 follows from the
-    power equality and is checked against the voltage box and the current
-    rating.  Raises Infeasible when no (v2, xi) in the box transmits
-    p_farm within ratings; the caller decides how to treat the shortfall.
+    The v2 box is the pair of circles c = p_farm/v2^2 and each rating the
+    circle p_farm*|i|^2 = 3*I^2*farm.  Raises Infeasible when no (v2, xi)
+    in the box transmits p_farm within ratings; the caller decides how to
+    treat the shortfall.
     """
     if not (p_farm > 0.0 and math.isfinite(p_farm)):
         raise ValueError(f"p_farm must be > 0 W, got {p_farm}")
     cons = constraints if constraints is not None else Constraints()
     cab = _Cable(spec, cons)
 
-    best = _alpha_search(cons.alpha_min, cons.alpha_max,
-                         lambda alpha: _production_at_alpha(cab, cons, p_farm, alpha),
-                         lambda alpha: _shortfall(cab, cons, p_farm, alpha))
+    k = p_farm / (3.0 * cab.vph2)      # v2^2 = k/farm
+    shrunk = 3.0 * (cab.i_rated * (1.0 - _EDGE)) ** 2 / p_farm
+    bounds = [_sub(cab.farm, _ONE, k / (v2 * v2)) for v2 in (cons.v2_min, cons.v2_max)]
+    bounds += [_sub(cur, cab.farm, shrunk) for cur in (cab.cur1, cab.cur2)]
+    best = _solve(cab, (cab.beta_floor, cab.beta_cap), bounds, [(cab.grid, cab.farm)],
+                  lambda alpha, beta: _production_point(cab, cons, alpha, beta, p_farm),
+                  [(k, cab.farm)])
     if best is None:
         raise Infeasible(
             f"no operating point in the box transmits {p_farm/1e6:.3f} MW "
@@ -525,39 +507,6 @@ def _delivery_probe(cab: _Cable, cons: Constraints, alpha: float, beta: float,
     return _Candidate(g * v2 * v2, alpha, beta, v2)
 
 
-def _delivery_at_alpha(cab: _Cable, cons: Constraints, alpha: float,
-                       p_farm_cap: float | None) -> _Candidate | None:
-    """Most delivered power at this alpha, or None.
-
-    v2 is the lowest of v2_max, the rating I/|i_k| and sqrt(cap/c) (v2_min
-    when g <= 0), so g*v2^2 is g, g/|i_k|^2 or g/c times a constant: it peaks
-    at a window end, a switch of piece or feasibility, or a stationary point.
-    """
-    farm, grid, cur1, cur2 = cab.sinusoids(alpha)
-    lo, hi = cab.delivery_window
-    qs = [cab.rating_level(v2) for v2 in (cons.v2_min, cons.v2_max)]
-    zeros = [_sub(cur1, cur2)] + [_sub(cur, _ONE, q) for cur in (cur1, cur2) for q in qs]
-    ratios = [(grid, _ONE), (grid, cur1), (grid, cur2)]
-    if p_farm_cap is not None:
-        k = 3.0 * cab.i_rated**2 / p_farm_cap   # c*v2^2 = cap where farm = q/k
-        zeros += [_sub(farm, _ONE, q / k) for q in qs] + [_sub(cur, farm, k) for cur in (cur1, cur2)]
-        ratios.append((grid, farm))
-    betas = [lo, hi] + [beta for z in zeros for beta in _sinusoid_roots(*z, lo, hi)]
-    betas += [beta for num, den in ratios for beta in _ratio_stationary(num, den, lo, hi)]
-    return _best_at_alpha(cab, betas, lo, hi,
-                          lambda beta: _delivery_probe(cab, cons, alpha, beta, p_farm_cap))
-
-
-def _charging_excess(cab: _Cable, cons: Constraints, alpha: float) -> float:
-    """How far the least end current at v2_min exceeds the rating at this alpha [A]."""
-    _, _, cur1, cur2 = cab.sinusoids(alpha)
-    lo, hi = cab.delivery_window
-    betas = [lo, hi] + _sinusoid_roots(*_sub(cur1, cur2), lo, hi)
-    for cur in (cur1, cur2):
-        betas += _ratio_stationary(cur, _ONE, lo, hi)   # where cur is stationary
-    return min(cab.at(alpha, beta)[3] for beta in betas) * cons.v2_min - cab.i_rated
-
-
 def max_feasible_power(
     spec: CableSpec,
     constraints: Constraints | None = None,
@@ -568,15 +517,33 @@ def max_feasible_power(
     Returns (p_farm_at_max, p_grid_max, point).  With p_farm_cap set, the
     injected power is additionally capped (used for curtailment
     accounting, where a farm cannot inject more than it produces).
+
+    v2 is the lowest of v2_max, the rating I/|i_k| and sqrt(cap/c) (v2_min
+    when g <= 0), so g*v2^2 is g, g/|i_k|^2 or g/c times a constant.  The
+    pieces switch and feasibility ends on circles; the extremes of |i_k|^2
+    are candidates too, so a box with a feasible point is never Infeasible.
     """
     if p_farm_cap is not None and not p_farm_cap > 0.0:
         raise ValueError(f"p_farm_cap must be > 0 W, got {p_farm_cap}")
     cons = constraints if constraints is not None else Constraints()
     cab = _Cable(spec, cons)
 
-    best = _alpha_search(cons.alpha_min, cons.alpha_max,
-                         lambda alpha: _delivery_at_alpha(cab, cons, alpha, p_farm_cap),
-                         lambda alpha: _charging_excess(cab, cons, alpha), DELIVERY_ALPHA_TOL)
+    curs = (cab.cur1, cab.cur2)
+    # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
+    # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
+    levels = [r * r for v2 in (cons.v2_min, cons.v2_max) for r in (cab.i_rated / (cab.vph * v2),)]
+    bounds = [_sub(cab.cur1, cab.cur2)] + [_sub(cur, _ONE, q) for cur in curs for q in levels]
+    ratios = [(cab.grid, _ONE)] + [(num, den) for cur in curs for num, den in
+                                   ((cab.grid, cur), (cur, _ONE))]
+    pieces = [(v2 * v2, _ONE) for v2 in (cons.v2_min, cons.v2_max)]
+    pieces += [(cab.i_rated**2 / cab.vph2, cur) for cur in curs]
+    if p_farm_cap is not None:
+        k = 3.0 * cab.i_rated**2 / p_farm_cap   # c*v2^2 = cap where farm = q/k
+        bounds += [_sub(cab.farm, _ONE, q / k) for q in levels] + [_sub(cur, cab.farm, k) for cur in curs]
+        ratios.append((cab.grid, cab.farm))
+        pieces.append((p_farm_cap / (3.0 * cab.vph2), cab.farm))
+    best = _solve(cab, cab.delivery_window, bounds, ratios,
+                  lambda alpha, beta: _delivery_probe(cab, cons, alpha, beta, p_farm_cap), pieces)
     if best is None:
         raise Infeasible(
             f"charging current alone exceeds {cab.i_rated:.0f} A at "

@@ -25,7 +25,7 @@ from cableopt import (
     OperatingPoint,
     VoltageScaling,
 )
-from cableopt.cable_model import _two_port_for_length
+from cableopt.cable_model import _shunt_conductance, _two_port_for_length
 
 from conftest import REF_PUL, random_cable, random_scaling, ref_cable
 from oracle import rk4_line_profile
@@ -239,6 +239,33 @@ def test_profile_loss_sum_matches_terminal_loss(cable200, n):
     flow, v1, v2 = _flow_at(cable200)
     prof = segment_profile(cable200, v1, v2, n)
     assert abs(prof.total_loss - flow.p_loss) / flow.p_loss < 1e-8
+
+
+# Re(a + b) of the exact PI of one segment, Re(tanh(gamma*d/2)/Z_c), in
+# 40-digit mpmath; the second cable has a shunt conductance
+G_CABLE = CableSpec(PulParameters(r=0.03, l=0.4e-3, c=0.2e-6, g=3e-8), 100.0, 220e3, 1000.0)
+
+
+@pytest.mark.parametrize("spec,d_km,g_shunt", [
+    (ref_cable(), 200.0, 5.3959021510254743e-5),
+    (ref_cable(), 60.0, 1.3879888491811395e-6),
+    (ref_cable(), 2.0, 5.1164298263598164e-11),
+    (ref_cable(), 0.1, 6.3955037359831988e-15),
+    (ref_cable(), 0.002, 5.116402921551628e-20),
+    (G_CABLE, 25.0, 4.5249106411505349e-7),
+    (G_CABLE, 0.05, 7.5000061931753796e-10),
+])
+def test_segment_shunt_conductance_matches_mpmath(spec, d_km, g_shunt):
+    assert abs(_shunt_conductance(spec, d_km) - g_shunt) <= 1e-13 * g_shunt
+
+
+@pytest.mark.parametrize("length", [20.0, 200.0, 600.0])
+def test_profile_loss_sum_is_the_terminal_loss_at_any_segment_count(length):
+    spec = ref_cable(length)
+    flow, v1, v2 = _flow_at(spec)
+    for n in (1, 2, 3, 10, 100, 1000, 2000, 10000):
+        prof = segment_profile(spec, v1, v2, n)
+        assert abs(prof.total_loss - flow.p_loss) <= 2e-13 * flow.p_loss, n
 
 
 def test_profile_symmetric_for_equal_terminal_voltages(cable200):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -45,6 +46,16 @@ def test_analyze_degenerate_point_exits_3(capsys):
     # reversed flow is equally degenerate
     code, out, err = run(capsys, "analyze", "--alpha", "1.0", "--beta-deg", "-30.0")
     assert code == 3
+
+
+def test_analyze_huge_voltage_exits_3_without_warnings(capsys):
+    # the profile's losses overflow to inf; exit 3 reports it, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "analyze", "--v2", "1e150", "--alpha", "1.03",
+                           "--beta-deg", "5", "--profile", "10")
+    assert code == 3
+    assert err.startswith("error:")
 
 
 def test_analyze_degenerate_allowed_with_flag(capsys):
@@ -385,14 +396,14 @@ def test_wrong_typed_study_block_exits_2(tmp_path, capsys, study):
 @pytest.mark.parametrize("argv,digest", [
     (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
       "--voltages", "0.6", "--optimal-range", "0.4", "1.0"],
-     "3c2ef5ff1c337e1917ae671c53e03aec6bc43ced632213fe6f92e072f668c07c"),
+     "8a40e762071da65295fb3878bac7bfb0b430c7f448bf93da65884ab7ae11880a"),
     (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"],
-     "14e2fedf24e763973fe83611bea71053f38b67eb45321372d208363c0f79820e"),
+     "19f851e00ee59555ef498fb92e178bfe2709251af60a2536df60533070c91a92"),
     (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
       "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
-     "22858bcec188389faaa7c2a4e82caff8d1c1f1d56a84dce6e6ae5b827161ad9c"),
+     "b4c4c16deed54c3abc505bc84e019d660963b38f4fe5acc88147aa0381c47d08"),
     (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "50"],
-     "ba2c51b4c064d28a86c3d2bf271ac1d177d9c7cddbbcf5b6d1687c8f515561f5"),
+     "4b6e1eb5bbbad0124fba95808947a193f7f931e67f2958729a98eedd48cf6736"),
 ])
 def test_golden_output_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

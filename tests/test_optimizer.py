@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cableopt import (
     BindingConstraint,
@@ -21,14 +23,16 @@ from cableopt import (
     transfer_envelope,
 )
 
-from cableopt.optimizer import _Cable
+from cableopt import optimizer
+from cableopt.optimizer import _Cable, _points
 from cableopt.power_flow import unit_flow
 from conftest import random_cable, ref_cable
 from oracle import best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage
 
-# 2-D optimum for the 200 km reference cable (arbitrary-precision golden search)
-OPT_ALPHA = 1.03127316172
-OPT_BETA_DEG = 4.49555124517
+# 2-D optimum for the 200 km reference cable: the stationary point of eta,
+# solved with 40-digit mpmath (beta in rad)
+OPT_ALPHA = 1.031273161717023
+OPT_BETA = 0.07846217092031672
 OPT_ETA = 0.94026997592593181
 
 
@@ -37,8 +41,8 @@ OPT_ETA = 0.94026997592593181
 
 def test_unconstrained_optimum_matches_frozen_values(cable200):
     scaling, eta = optimize_scaling_unconstrained(cable200)
-    assert scaling.alpha == pytest.approx(OPT_ALPHA, abs=1e-3)
-    assert scaling.beta_deg == pytest.approx(OPT_BETA_DEG, abs=0.01)
+    assert scaling.alpha == pytest.approx(OPT_ALPHA, abs=1e-12)
+    assert scaling.beta == pytest.approx(OPT_BETA, abs=1e-12)
     assert eta == pytest.approx(OPT_ETA, abs=1e-6)
 
 
@@ -192,42 +196,32 @@ def test_capability_edge_production_is_feasible(cable200):
     assert max(abs(point.flow.i1), abs(point.flow.i2)) <= 1055.0 * (1 + 1e-9)
 
 
-def _kernel(cab, alpha, beta):
-    """power_flow.unit_flow at xi = alpha*e^{j*beta} for this cable."""
-    return unit_flow(cab.tp, alpha * cmath.exp(1j * beta))
+def _scale(form, xi):
+    """Size of the terms of form (q2, w, q0) at xi."""
+    return abs(form[0]) * abs(xi) ** 2 + abs(form[1]) * abs(xi) + abs(form[2])
 
 
-def _farm_coeff(cab, alpha, beta):
-    """c = p_farm/v2^2 [W/(p.u.)^2] from the kernel."""
-    return 3.0 * _kernel(cab, alpha, beta)[0] * cab.vph**2
-
-
-def test_closed_form_beta_reproduces_farm_coeff():
-    rng = random.Random(5)
-    checked = 0
-    while checked < 200:
-        cab = _Cable(ref_cable(rng.uniform(60.0, 340.0)), Constraints())
-        alpha = rng.uniform(1.0, 1.1)
-        target = rng.uniform(5e6, 350e6) / rng.uniform(0.3, 1.0) ** 2
-        if not _farm_coeff(cab, alpha, 1e-9) < target < _farm_coeff(cab, alpha, cab.beta_cap):
-            continue
-        beta = cab.beta_for_coeff(alpha, target)
-        assert abs(_farm_coeff(cab, alpha, beta) - target) <= 1e-12 * target
-        checked += 1
-
-
-def test_sinusoids_match_kernel():
-    # farm power, grid power, |i1|^2 and |i2|^2 per phase at v2 = 1 V, in that order
+def test_forms_match_kernel_and_profile():
+    # the four cable forms at v2 = 1 V against power_flow.unit_flow, and the node
+    # forms at v2 = 1 p.u. against segment_profile, to 1e-12 of each form's terms
     rng = random.Random(17)
     for _ in range(300):
-        spec = random_cable(rng).with_length(rng.uniform(20.0, 450.0))
-        cab = _Cable(spec, Constraints())
-        alpha, beta = rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi)
-        farm, grid, i1, i2 = _kernel(cab, alpha, beta)
-        for (k0, kc, ks), want in zip(cab.sinusoids(alpha), (farm, grid, abs(i1)**2, abs(i2)**2)):
-            got = k0 + kc * math.cos(beta) + ks * math.sin(beta)
-            # relative to the sinusoid's amplitude: farm and grid pass through zero
-            assert abs(got - want) <= 1e-12 * (abs(k0) + math.hypot(kc, ks))
+        spec = random_cable(rng).with_length(rng.uniform(1.0, 600.0))
+        cons = Constraints(check_internal_current=True, n_profile_segments=rng.choice([1, 2, 7, 40]))
+        cab = _Cable(spec, cons)
+        xi = cmath.rect(rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi))
+        farm, grid, i1, i2 = unit_flow(cab.tp, xi)
+        forms = [cab.farm, cab.grid, cab.cur1, cab.cur2]
+        wants = [farm, grid, abs(i1) ** 2, abs(i2) ** 2]
+        prof = segment_profile(spec, xi * cab.vph, cab.vph, cons.n_profile_segments)
+        v_forms, i_forms = cab.node_forms
+        forms += v_forms + i_forms
+        wants += [abs(v) ** 2 for v in prof.node_voltages]
+        wants += [abs(i) ** 2 for i in prof.node_currents + (prof.grid_end_current,)]
+        assert len(forms) == len(wants)
+        for form, want in zip(forms, wants):
+            got = form[0] * abs(xi) ** 2 + (form[1] * xi).real + form[2]
+            assert abs(got - want) <= 1e-12 * _scale(form, xi)
 
 
 def test_production_determinism(cable200):
@@ -309,6 +303,23 @@ def test_max_power_respects_binding_internal_voltage_cap():
     assert prof.max_voltage <= 0.98 * vph * (1 + 1e-12)
     assert prof.max_current <= 1055.0 * (1 + 1e-12)
     assert 0.9 * free < pg < free
+
+
+def test_max_power_internal_limits_take_several_cuts(monkeypatch):
+    # each internal-check failure adds the worst node as a circle and solves again
+    solves = []
+    monkeypatch.setattr(optimizer, "_points", lambda *a: solves.append(1) or _points(*a))
+    spec = ref_cable(150.0)
+    cons = Constraints(check_internal_current=True, check_internal_voltage_max=0.98,
+                       n_profile_segments=40)
+    _, pg, point = max_feasible_power(spec, cons)
+    assert len(solves) > 2
+    assert pg >= 355.917174e6      # reached by the earlier alpha search with beta bisection
+    op = point.operating_point
+    vph = spec.phase_voltage
+    prof = segment_profile(spec, op.scaling.xi * op.v2 * vph, op.v2 * vph, 40)
+    assert prof.max_voltage <= 0.98 * vph * (1 + 1e-12)
+    assert prof.max_current <= 1055.0 * (1 + 1e-12)
 
 
 def test_max_power_infeasible_for_overlong_cable_at_full_voltage():
@@ -444,3 +455,50 @@ def test_extreme_length_two_port_is_stable():
     matched = 1.0 / characteristic_impedance(spec)
     assert abs(tp.a - matched) / abs(matched) < 0.02
     assert abs(tp.b) < 0.2 * abs(matched)
+
+
+# ---------------------------------------------------------------------------
+# property: the circle solve is never beaten by a feasible sampled point
+
+def _grid(lo, hi, n=41):
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.floats(20.0, 400.0), v2_lo=st.floats(0.3, 1.0),
+       v2_span=st.sampled_from([0.0, 0.15, 0.6]), a_lo=st.floats(0.9, 1.1),
+       a_span=st.sampled_from([0.0, 0.05, 0.2]), p=st.floats(2e6, 400e6),
+       cap=st.none() | st.floats(1e6, 400e6))
+def test_solves_beat_every_feasible_sample(seed, length, v2_lo, v2_span, a_lo, a_span, p, cap):
+    spec = random_cable(random.Random(seed)).with_length(length)
+    cons = Constraints(v2_min=v2_lo, v2_max=v2_lo + v2_span, alpha_min=a_lo, alpha_max=a_lo + a_span)
+    cab = _Cable(spec, cons)
+    i_max, vph = cons.rated_current(spec), spec.phase_voltage
+    etas, delivered = [], []
+    for alpha in _grid(cons.alpha_min, cons.alpha_max):
+        for beta in _grid(cab.beta_floor, cab.beta_cap):
+            farm, grid, i1, i2 = unit_flow(cab.tp, cmath.rect(alpha, beta))
+            if farm > 0.0:
+                v2 = math.sqrt(p / (3.0 * vph**2 * farm))
+                if cons.v2_min <= v2 <= cons.v2_max and max(abs(i1), abs(i2)) * vph * v2 <= i_max:
+                    etas.append(grid / farm)
+        for beta in _grid(*cab.delivery_window):
+            farm, grid, i1, i2 = unit_flow(cab.tp, cmath.rect(alpha, beta))
+            v2 = min(cons.v2_max, i_max / (vph * max(abs(i1), abs(i2))))
+            if cap is not None and farm > 0.0:
+                v2 = min(v2, math.sqrt(cap / (3.0 * vph**2 * farm)))
+            if v2 >= cons.v2_min:
+                v2 = v2 if grid > 0.0 else cons.v2_min
+                delivered.append(3.0 * vph**2 * grid * v2 * v2)
+    try:
+        eta = optimize_at_production(spec, p, cons).eta
+    except Infeasible:
+        assert not etas
+    else:
+        assert not etas or eta >= max(etas) - 1e-12
+    try:
+        _, pg, _ = max_feasible_power(spec, cons, p_farm_cap=cap)
+    except Infeasible:
+        assert not delivered
+    else:
+        assert not delivered or pg >= max(delivered) - 1e-12 * abs(max(delivered))
