@@ -56,8 +56,10 @@ from .optimizer import (
     OptimumPoint,
     TransferEnvelope,
     max_feasible_power,
+    max_feasible_power_rows,
     optimal_voltage_curve,
     optimize_at_production,
+    optimize_at_production_rows,
     optimize_scaling_unconstrained,
     transfer_envelope,
 )
@@ -85,8 +87,9 @@ __all__ = [
     "ZeroFarmPower", "annual_efficiency", "characteristic_impedance",
     "compare_strategies", "efficiency_of_scaling", "exact_pi_two_port",
     "farm_power_coefficient", "grid_power_coefficient",
-    "load_duration_curve", "max_feasible_power", "optimal_voltage_curve",
-    "optimize_at_production", "optimize_scaling_unconstrained",
+    "load_duration_curve", "max_feasible_power", "max_feasible_power_rows",
+    "optimal_voltage_curve", "optimize_at_production", "optimize_at_production_rows",
+    "optimize_scaling_unconstrained",
     "propagation_constant", "pul_series_impedance", "pul_shunt_admittance",
     "read_duration_csv", "reference_duration_curve", "segment_profile",
     "solve_flow", "synth_duration_curve", "tap_range", "transfer_envelope",

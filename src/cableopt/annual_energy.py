@@ -31,7 +31,8 @@ from .errors import (
     PowerOutOfRange,
     UnreachableTarget,
 )
-from .optimizer import Constraints, max_feasible_power, optimize_at_production
+from .optimizer import (Constraints, max_feasible_power, max_feasible_power_rows,
+                        optimize_at_production_rows)
 
 _UF_BISECT_ITERS = 80
 
@@ -343,40 +344,38 @@ def annual_efficiency(
             f"strategy {strategy.label} cannot operate this cable at all: {exc}"
         ) from exc
 
+    # every positive bin in one production solve; those it cannot serve
+    # (sensibly) in one capped delivery solve
+    levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
+    live = [k for k, p in enumerate(levels) if p > 0.0]
+    points = optimize_at_production_rows(spec, [(levels[k], cons) for k in live])
+    served = {k: best for k, best in zip(live, points)
+              if best is not None and best.eta is not None and best.eta > 0.0}
+    short = [k for k in live if k not in served]
+    capped = dict(zip(short, max_feasible_power_rows(spec, [(cons, levels[k]) for k in short])))
+
     outcomes = []
-    for power_pu, weight in curve.bins:
-        p = power_pu * rated_farm_power
+    for k, (power_pu, weight) in enumerate(curve.bins):
+        p = levels[k]
         if p <= 0.0:
             outcomes.append(BinOutcome(power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
-            continue
-
-        best = None
-        try:
-            best = optimize_at_production(spec, p, cons)
-        except Infeasible:
-            best = None
-
-        if best is not None and best.eta is not None and best.eta > 0.0:
+        elif k in served:
+            best = served[k]
             outcomes.append(BinOutcome(
                 power_pu, weight, p, p, best.flow.p_grid,
                 best.operating_point.v2, best.eta, 0.0,
             ))
-            continue
-
-        # Required level not (sensibly) transmittable: deliver what the cable
-        # can, capped by the available production; shut down if even the best
-        # delivery is non-positive or the cap admits no operating point.
-        try:
-            pf, pg, point = max_feasible_power(spec, cons, p_farm_cap=p)
-        except Infeasible:
-            outcomes.append(BinOutcome(power_pu, weight, p, 0.0, 0.0, None, None, p))
-            continue
-        if pg > 0.0:
+        elif (point := capped[k]) is not None and point.flow.p_grid > 0.0:
+            # Required level not (sensibly) transmittable: deliver what the
+            # cable can, capped by the available production
+            pf, pg = point.flow.p_farm, point.flow.p_grid
             outcomes.append(BinOutcome(
                 power_pu, weight, p, pf, pg,
                 point.operating_point.v2, pg / pf if pf > 0 else None, p - pf,
             ))
         else:
+            # shut down: even the best delivery is non-positive, or the cap
+            # admits no operating point
             outcomes.append(BinOutcome(power_pu, weight, p, 0.0, 0.0, None, None, p))
 
     potential = math.fsum(o.weight * o.p_farm for o in outcomes)

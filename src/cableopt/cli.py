@@ -38,6 +38,7 @@ from .errors import (
 from .config import StudyConfig, load_config, normalized_si, parse_strategy
 from .optimizer import (
     optimize_at_production,
+    optimize_at_production_rows,
     optimize_scaling_unconstrained,
     transfer_envelope,
 )
@@ -245,16 +246,15 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
     )
     for label, lo, hi in policies:
         cons = cfg.constraints.with_v2_range(lo, hi)
-        for level in levels:
-            p = level * 1e6
-            try:
-                point = optimize_at_production(spec, p, cons)
-                op = point.operating_point
-                table.add(label, p / 1e6, True,
-                          point.eta if point.eta is not None else 0.0,
-                          op.v2, op.scaling.alpha, op.scaling.beta_deg)
-            except Infeasible:
+        powers = [level * 1e6 for level in levels]
+        for p, point in zip(powers, optimize_at_production_rows(spec, [(p, cons) for p in powers])):
+            if point is None:
                 table.add(label, p / 1e6, False, 0.0, 0.0, 0.0, 0.0)
+                continue
+            op = point.operating_point
+            table.add(label, p / 1e6, True,
+                      point.eta if point.eta is not None else 0.0,
+                      op.v2, op.scaling.alpha, op.scaling.beta_deg)
     return _emit(args, cfg, [table])
 
 

@@ -14,6 +14,15 @@ one circle or window ray, or where two meet; _solve checks every such
 candidate and keeps the best feasible one.  An opt-in internal check that
 fails adds the worst node's limit as one more circle per v2 piece, and the
 solve repeats.  Ties go to lower v2, then lower alpha.
+
+The solve has a leading row axis: a row is one problem (a production
+level or a farm cap, and a v2 box) on one cable, and the circles, their
+sinusoids, roots, eigenvectors and candidates are numpy arrays over rows,
+NaN where one does not exist.  optimize_at_production, max_feasible_power
+and optimize_scaling_unconstrained are one-row solves;
+optimize_at_production_rows and max_feasible_power_rows take many rows at
+once, as annual_efficiency (every bin), transfer_envelope (every policy of
+a length) and the sweep command (every level of a policy) do.
 """
 
 from __future__ import annotations
@@ -24,16 +33,21 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
+
 from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
                           segment_profile)
 from .errors import Infeasible, NoPositivePower
-from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, solve_flow, unit_flow
+from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, two_port_flow, unit_flow
 
 TIE_TOL = 1e-9
 # limits checked exactly are drawn this fraction inside, so rounding leaves
 # the points on their circles on the feasible side; the internal checks pass
 # up to this fraction above, and an alpha this close to a bound snaps onto it
 _EDGE = 1e-12
+# rows go through the candidate solve in blocks of about this many
+# (curve, form) pairs, which bounds its memory whatever the row count
+_CELLS = 1 << 13
 
 
 class BindingConstraint(enum.Enum):
@@ -127,7 +141,9 @@ class CurvePoint:
 
 # ---------------------------------------------------------------------------
 # Hermitian forms of x = (x1, x2), xi = x1/x2: (q2, w, q0) is the matrix
-# [[q2, conj(w)/2], [w/2, q0]], valued q2*|x1|^2 + Re(w*x1*conj(x2)) + q0*|x2|^2
+# [[q2, conj(w)/2], [w/2, q0]], valued q2*|x1|^2 + Re(w*x1*conj(x2)) + q0*|x2|^2.
+# A part is a number or an array over rows; the arrays below carry NaN where
+# a circle, root or candidate does not exist.
 
 _ONE = (0.0, 0j, 1.0)
 _ID = (1.0, 0j, 1.0)
@@ -138,106 +154,177 @@ def _abs2(p: complex, q: complex):
     return abs(p) ** 2, 2.0 * p * q.conjugate(), abs(q) ** 2
 
 
-def _sub(f, g, k: float = 1.0):
+def _sub(f, g, k=1.0):
     """The form f - k*g; _ONE as g subtracts the constant k, even an infinite one."""
     return tuple(x - k * y if y else x for x, y in zip(f, g))
 
 
-def _herm(f, x, y) -> complex:
-    """x^H F y for the matrix F of form f."""
-    q2, w, q0 = f
-    return (x[0].conjugate() * (q2 * y[0] + 0.5 * w.conjugate() * y[1])
-            + x[1].conjugate() * (0.5 * w * y[0] + q0 * y[1]))
+def _stack(forms, rows: int):
+    """Forms as three (rows, len(forms)) arrays; a form with a non-finite part is NaN."""
+    parts = [np.empty((rows, len(forms)), dtype) for dtype in (float, complex, float)]
+    for j, form in enumerate(forms):
+        for part, x in zip(parts, form):
+            part[:, j] = x
+    bad = ~np.isfinite(parts[0] + parts[2] + abs(parts[1]))
+    return [np.where(bad, np.nan, part) for part in parts]
 
 
-def _quad_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*t^2 + b*t + c."""
-    if a == 0.0:
-        return [-c / b] if b != 0.0 else []
-    disc = b * b - 4.0 * a * c
-    if not disc >= 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [q / a, c / q] if q != 0.0 else [0.0]
+def _quad_roots(a, b, c):
+    """Both real roots of a*t^2 + b*t + c on a new first axis; a linear root comes second."""
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return np.array([np.where(a != 0.0, q / a, np.nan), np.where(q != 0.0, c / q, np.nan)])
 
 
-def _eig(num, den) -> list[tuple[float, tuple[complex, complex]]]:
-    """(lam, x) per real eigenpair of the pencil num - lam*den: num/den is stationary at x1/x2."""
-    (n2, nw, n0), (d2, dw, d0) = num, den
-    out = []
-    for lam in _quad_roots(d2 * d0 - 0.25 * abs(dw) ** 2,
-                           0.5 * (nw.conjugate() * dw).real - n2 * d0 - n0 * d2,
-                           n2 * n0 - 0.25 * abs(nw) ** 2):
-        m2, mw, m0 = n2 - lam * d2, nw - lam * dw, n0 - lam * d0
-        # null vector of the heavier row of [[m2, conj(mw)/2], [mw/2, m0]]
-        out.append((lam, (-0.5 * mw.conjugate(), m2) if abs(m2) >= abs(m0) else (m0, -0.5 * mw)))
-    return out
+def _eig(num, den):
+    """(lam, x1, x2) per real eigenpair of the pencil num - lam*den, on a new first axis.
 
-
-def _circle(f):
-    """(u, v) such that x = e^{j*phi}*u + v traces the zero set of f; None when it has none.
-
-    u and v are the eigenvectors of F scaled to u^H F u = 1 = -v^H F v; a
-    line is a circle through x2 = 0.
+    num/den is stationary at xi = x1/x2.
     """
-    pairs = sorted(_eig(f, _ID), key=lambda pair: -pair[0])
-    if len(pairs) != 2 or not pairs[1][0] < 0.0 < pairs[0][0]:
-        return None             # definite or singular: one point or nothing
-    return tuple(tuple(x / math.sqrt(abs(lam) * (abs(e[0]) ** 2 + abs(e[1]) ** 2)) for x in e)
-                 for lam, e in pairs)
+    (n2, nw, n0), (d2, dw, d0) = num, den
+    lam = _quad_roots(d2 * d0 - 0.25 * abs(dw) ** 2,
+                      0.5 * (np.conj(nw) * dw).real - n2 * d0 - n0 * d2,
+                      n2 * n0 - 0.25 * abs(nw) ** 2)
+    m2, mw, m0 = n2 - lam * d2, nw - lam * dw, n0 - lam * d0
+    # null vector of the heavier row of [[m2, conj(mw)/2], [mw/2, m0]]
+    heavy = abs(m2) >= abs(m0)
+    return lam, np.where(heavy, -0.5 * np.conj(mw), m0), np.where(heavy, m2, -0.5 * mw)
 
 
-def _along(uv, f):
-    """Form f along circle uv as the sinusoid (k0, kc, ks) in phi."""
-    u, v = uv
-    m = _herm(f, u, v)
-    return (_herm(f, u, u) + _herm(f, v, v)).real, 2.0 * m.real, 2.0 * m.imag
+def _circle(lam, x1, x2):
+    """(u1, u2, v1, v2) such that x = e^{j*phi}*u + v traces the zero set of a form.
+
+    lam, x1 and x2 are its eigenpairs (_eig against _ID); u and v are the
+    eigenvectors scaled to u^H F u = 1 = -v^H F v, and a line is a circle
+    through x2 = 0.  NaN where the form is definite or singular: one point
+    or nothing.
+    """
+    scale = np.sqrt(abs(lam) * (abs(x1) ** 2 + abs(x2) ** 2))
+    scale[:, ~((np.minimum(*lam) < 0.0) & (np.maximum(*lam) > 0.0))] = np.nan
+    x1, x2 = x1 / scale, x2 / scale
+    first = lam[0] >= lam[1]      # u has the positive eigenvalue
+    return (np.where(first, x1[0], x1[1]), np.where(first, x2[0], x2[1]),
+            np.where(first, x1[1], x1[0]), np.where(first, x2[1], x2[0]))
 
 
-def _sinusoid_roots(k0: float, kc: float, ks: float) -> list[float]:
-    """Zeros of k0 + kc*cos(phi) + ks*sin(phi) = k0 + r*cos(phi - theta).
+def _along(curve, f):
+    """Forms f along the curves (u1, u2, v1, v2) as the sinusoids (k0, kc, ks) in phi.
+
+    k0 = u^H F u + v^H F v and kc + j*ks = 2*u^H F v.
+    """
+    q2, w, q0 = f
+    u1, u2, v1, v2 = curve
+    cu1, cu2 = np.conj(u1), np.conj(u2)
+    k0 = q2 * (abs(u1) ** 2 + abs(v1) ** 2)
+    k0 += (np.conj(w) * (cu1 * u2 + np.conj(v1) * v2)).real
+    k0 += q0 * (abs(u2) ** 2 + abs(v2) ** 2)
+    hw = 0.5 * w
+    m = q2 * (cu1 * v1)
+    m += np.conj(hw) * (cu1 * v2)
+    m += hw * (cu2 * v1)
+    m += q0 * (cu2 * v2)
+    m *= 2.0
+    return k0, m.real, m.imag
+
+
+def _sinusoid_roots(k0, kc, ks):
+    """Zeros of k0 + kc*cos(phi) + ks*sin(phi) = k0 + r*cos(phi - theta), on a new last axis.
 
     Tangent zeros, where the sinusoid touches zero without a sign change, are left out.
     """
-    r = math.hypot(kc, ks)
-    if r <= abs(k0):
-        return []
-    theta, half = math.atan2(ks, kc), math.acos(-k0 / r)
-    return [theta - half, theta + half]
+    r = np.hypot(kc, ks)
+    theta, half = np.arctan2(ks, kc), np.arccos(-k0 / r)
+    half[~(r > abs(k0))] = np.nan
+    return np.stack([theta - half, theta + half], axis=-1)
 
 
-def _ratio_stationary(num, den) -> list[float]:
-    """Angles where num/den is stationary: num'*den - num*den' is a sinusoid."""
-    (f0, fc, fs), (g0, gc, gs) = den, num
-    return _sinusoid_roots(gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0)
+def _curves(forms, n: int, lo: float, hi: float):
+    """The curves of a solve and the pencil eigenvectors of its ratios.
 
-
-def _points(circles, ratios, lo: float, hi: float) -> list[tuple[float, float]]:
-    """(alpha, beta) in the beta window of every candidate maximum of a ratio.
-
-    The pencil eigenvectors of each ratio; along each circle its meetings
-    with the later circles and each ratio's stationary points; the same
-    along each window ray, traced as xi = e^{j*beta}*tan(phi/2), which
-    meets every circle.
+    forms are (rows, n + 2k) arrays of form parts: n circles, then the k
+    numerators and the k denominators of the ratios.  Returns the (u1, u2,
+    v1, v2) of both window rays and then the circles, a (4, rows, n + 2, 1)
+    array, and the (rows, 2k) eigenvectors xi = x1/x2.
     """
-    xis = [x1 / x2 for num, den in ratios for _, (x1, x2) in _eig(num, den) if x2 != 0.0]
-    curves = [(_circle(f), circles[i + 1:], None) for i, f in enumerate(circles)]
-    curves += [(((-1j * e, 1.0), (1j * e, 1.0)), circles, ray)
-               for ray in (lo, hi) for e in (cmath.exp(1j * ray),)]
-    out = []
-    for uv, others, ray in curves:
-        if uv is None:
-            continue
-        phis = [p for g in others for p in _sinusoid_roots(*_along(uv, g))]
-        phis += [p for num, den in ratios for p in _ratio_stationary(_along(uv, num), _along(uv, den))]
-        if ray is not None:
-            out += [(t, ray) for p in phis if (t := math.tan(0.5 * p)) > 0.0]
-            continue
-        (u1, u2), (v1, v2) = uv
-        xis += [(e * u1 + v1) / x2 for p in phis
-                if (x2 := (e := cmath.exp(1j * p)) * u2 + v2) != 0.0]
-    return out + [(abs(xi), beta) for xi in xis
-                  if cmath.isfinite(xi) and lo <= (beta := cmath.phase(xi)) <= hi]
+    rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
+    # the identity stands in for the denominator of each circle's own pencil
+    dens = []
+    for part, one in zip(forms, _ID):
+        den = np.empty((rows, n + k), part.dtype)
+        den[:, :n], den[:, n:] = one, part[:, n + k:]
+        dens.append(den)
+    lam, x1, x2 = _eig([part[:, :n + k] for part in forms], dens)
+    ray = np.exp(1j * np.array([lo, hi]))
+    curve = np.empty((4, rows, n + 2, 1), complex)
+    curve[:, :, :2, 0] = np.array([-1j * ray, (1.0, 1.0), 1j * ray, (1.0, 1.0)])[:, None]
+    curve[:, :, 2:, 0] = _circle(lam[..., :n], x1[..., :n], x2[..., :n])
+    return curve, (x1[..., n:] / x2[..., n:]).transpose(1, 2, 0).reshape(rows, -1)
+
+
+def _sinusoids(curve, forms, n: int):
+    """Sinusoids (k0, kc, ks) along each curve, one per circle and then one per ratio.
+
+    Their zeros are the curve's meetings with the circles, NaN for the
+    circles up to its own, and the stationary points of each ratio, where
+    num'*den - num*den' is zero.
+    """
+    k = (forms[0].shape[1] - n) // 2
+    k0, kc, ks = _along(curve, [part[:, None, :] for part in forms])
+    (g0, f0), (gc, fc), (gs, fs) = ((x[..., n:n + k], x[..., n + k:]) for x in (k0, kc, ks))
+    out = [np.concatenate([x[..., :n], y], axis=-1) for x, y in
+           ((k0, gs * fc - gc * fs), (kc, gs * f0 - g0 * fs), (ks, g0 * fc - gc * f0))]
+    for i in range(n):          # each pair of circles once
+        out[0][:, 2 + i, :i + 1] = np.nan
+    return out
+
+
+def _points(circles, nums, dens, lo: float, hi: float):
+    """Every candidate maximum of a ratio in the beta window, per row.
+
+    circles are (rows, n) arrays of form parts, nums and dens the parts of
+    the ratios' numerator and denominator forms, numbers in 1-d arrays.
+    The candidates are the pencil eigenvectors of each ratio; along each
+    circle its meetings with the later circles and each ratio's stationary
+    points; the same along each window ray, traced as
+    xi = e^{j*beta}*tan(phi/2), which meets every circle.  They come as
+    (row, rank, alpha, beta) arrays, one entry per candidate that exists;
+    rank orders the candidates of a row: the rays, the eigenvectors, then
+    the circles.
+    """
+    rows, n = circles[0].shape
+    k = len(nums[0])
+    forms = []
+    for circle, num, den in zip(circles, nums, dens):
+        part = np.empty((rows, n + 2 * k), circle.dtype)
+        part[:, :n], part[:, n:n + k], part[:, n + k:] = circle, num, den
+        forms.append(part)
+    curve, pencil = _curves(forms, n, lo, hi)
+    phi = _sinusoid_roots(*_sinusoids(curve, forms, n)).reshape(rows, n + 2, -1)
+    width = phi.shape[2]
+    # the angles that exist, each on a curve, and where they lie
+    row, cur, rank = np.nonzero(np.isfinite(phi))
+    phi = phi[row, cur, rank]
+    rank += cur * width
+    rank[cur >= 2] += 2 * k     # after the rays and the eigenvectors
+    xi = np.exp(1j * phi)
+    den = xi * curve[1, row, cur, 0]
+    den += curve[3, row, cur, 0]
+    xi *= curve[0, row, cur, 0]
+    xi += curve[2, row, cur, 0]
+    xi /= den
+    del den
+    alpha, beta = abs(xi), np.angle(xi)
+    ok = np.isfinite(alpha) & (lo <= beta) & (beta <= hi)
+    ray = np.flatnonzero(cur < 2)
+    alpha[ray] = np.tan(0.5 * phi[ray])
+    beta[ray] = np.where(cur[ray] == 0, lo, hi)
+    ok[ray] = alpha[ray] > 0.0
+    # then the eigenvectors
+    at_row, at_pos = np.nonzero(np.isfinite(pencil))
+    xi = pencil[at_row, at_pos]
+    at_alpha, at_beta = abs(xi), np.angle(xi)
+    at_ok = np.isfinite(at_alpha) & (lo <= at_beta) & (at_beta <= hi)
+    return tuple(np.concatenate([x[ok], y[at_ok]]) for x, y in
+                 ((row, at_row), (rank, 2 * width + at_pos), (alpha, at_alpha), (beta, at_beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +356,15 @@ class _Cable:
         self.beta_floor = max(-math.pi / 2, cmath.phase(b) - math.pi + 1e-9)
         self.delivery_window = (1e-9, max(1e-9, self.beta_cap))
 
-    def at(self, alpha: float, beta: float) -> tuple[float, float, float, float]:
-        """(c, g, eta, i) at xi = alpha*e^{j*beta}, from power_flow.unit_flow.
+    def at(self, alpha, beta):
+        """(c, g, eta, i) at xi = alpha*e^{j*beta}, from power_flow.unit_flow, elementwise.
 
         p_farm = c*v2^2 and p_grid = g*v2^2 [W/(p.u.)^2], eta = g/c (-inf
         when c <= 0) and i is the larger end current per p.u. of v2 [A].
         """
-        farm, grid, i1, i2 = unit_flow(self.tp, alpha * cmath.exp(1j * beta))
-        eta = grid / farm if farm > 0.0 else -math.inf
-        return 3.0 * farm * self.vph2, 3.0 * grid * self.vph2, eta, max(abs(i1), abs(i2)) * self.vph
+        farm, grid, i1, i2 = unit_flow(self.tp, alpha * np.exp(1j * beta))
+        eta = np.where(farm > 0.0, grid / farm, -np.inf)
+        return 3.0 * farm * self.vph2, 3.0 * grid * self.vph2, eta, np.maximum(abs(i1), abs(i2)) * self.vph
 
     def profile(self, alpha: float, beta: float, v2: float) -> SegmentProfile:
         v2_volts = v2 * self.vph
@@ -339,43 +426,98 @@ def _better(cand: _Candidate, best: _Candidate | None) -> bool:
     return cand.alpha < best.alpha - TIE_TOL
 
 
-def _solve(cab: _Cable, window: tuple[float, float], bounds, ratios, point,
-           pieces=()) -> _Candidate | None:
-    """Best point(alpha, beta) by _better over the alpha annulus and the beta window.
+def _cut_out(cuts, alpha, beta, v2):
+    """Candidates at least one cut node already rules out, from its form alone.
+
+    The 1e-9 margin covers the form's rounding; what it lets through, the
+    profile check rejects.
+    """
+    xi, out = alpha * np.exp(1j * beta), np.zeros(alpha.shape, bool)
+    for (q2, w, q0), limit in cuts:
+        out |= (q2 * alpha * alpha + (w * xi).real + q0) * v2 * v2 > (1 + 1e-9) * limit * limit
+    return out
+
+
+def _solve(cab: _Cable, rows: int, window: tuple[float, float], bounds, ratios, point,
+           pieces=()) -> list[_Candidate | None]:
+    """Best point(alpha, beta) by _better over the alpha annulus and the beta window, per row.
 
     bounds are the forms whose zero circles limit the region or switch the
-    objective between pieces, ratios the (num, den) forms it is made of,
-    and point checks and scores one candidate.  The internal checks run by
-    descending score until one passes; pieces lists (k, den) with v2^2 =
-    k/den on each piece of v2, and a candidate above every passing one that
-    fails at a new node n, limit L, adds the circle k*n - L^2*den per piece.
+    objective between pieces, ratios the (num, den) forms it is made of, and
+    point(alpha, beta, r) scores candidates, r their rows: (score, v2)
+    arrays, NaN score where infeasible.  Each row visits its candidates by
+    descending score and stops where none is left within TIE_TOL of its
+    best.  The internal checks run in that order until one passes; pieces
+    lists (k, den) with v2^2 = k/den on each piece of v2, and a candidate
+    above every passing one that fails at a new node n, limit L, adds the
+    circle k*n - L^2*den per piece, and its row is solved again; there, a
+    candidate that a node already cut rules out is dropped by the node's
+    form before any profile is built.
     """
     a_lo, a_hi = cab.cons.alpha_min, cab.cons.alpha_max
-    circles = [(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)]
-    circles += [f for f in bounds if all(map(cmath.isfinite, f))]
-    cuts = []
-    while True:
-        cands = [cand for alpha, beta in _points(circles, ratios, *window)
-                 if a_lo * (1 - _EDGE) <= alpha <= a_hi * (1 + _EDGE)
-                 and (cand := point(min(max(alpha, a_lo), a_hi), beta)) is not None]
-        best = None
-        for cand in sorted(cands, key=lambda c: c.score, reverse=True):
-            if _better(cand, best):
-                fails = cab.violations(cand)
-                if not fails:
-                    best = cand
-                elif best is None and (new := [cut for cut in fails if cut not in cuts]):
-                    break
-        else:
-            return best
-        cuts += new
-        circles += [_sub(tuple(k * x for x in form), den, (limit * (1 - _EDGE)) ** 2)
-                    for form, limit in new for k, den in pieces]
+    base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds), rows)
+    nums, dens = ([np.array([ratio[j][i] for ratio in ratios]) for i in range(3)] for j in (0, 1))
+    best: list[_Candidate | None] = [None] * rows
+    cuts = [[] for _ in range(rows)]
+    extra = [[] for _ in range(rows)]
+    todo = np.arange(rows)
+    while todo.size:
+        width = max(len(extra[r]) for r in todo)
+        n = base[0].shape[1] + width
+        step = max(1, _CELLS // ((n + 2) * (n + 2 * len(ratios))))
+        again = []
+        for block in (todo[i:i + step] for i in range(0, todo.size, step)):
+            circles = [part[block] for part in base]
+            if width:
+                # each row's cut circles, padded with NaN to the longest list
+                ext = [np.full((block.size, width), np.nan, dtype) for dtype in (float, complex, float)]
+                for j, r in enumerate(block):
+                    for part, x in zip(ext, _stack(extra[r], 1)):
+                        part[j, :x.shape[1]] = x[0]
+                circles = [np.concatenate(parts, axis=1) for parts in zip(circles, ext)]
+            row, rank, alpha, beta = _points(circles, nums, dens, *window)
+            # the candidates in the annulus, by row, descending score and rank
+            inside = (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
+            row, rank, beta = row[inside], rank[inside], beta[inside]
+            alpha = np.minimum(np.maximum(alpha[inside], a_lo), a_hi)
+            score, v2 = point(alpha, beta, block[row])
+            valid = np.isfinite(score)
+            for j, r in enumerate(block):
+                if cuts[r]:
+                    mine = np.flatnonzero(row == j)
+                    valid[mine] &= ~_cut_out(cuts[r], alpha[mine], beta[mine], v2[mine])
+            pick = np.flatnonzero(valid)
+            pick = pick[np.lexsort((rank[pick], -score[pick], row[pick]))]
+            ranked = [x[pick] for x in (score, alpha, beta, v2)]
+            edges = np.searchsorted(row[pick], np.arange(block.size + 1))
+            for r, start, end in zip(block, edges[:-1], edges[1:]):
+                row_best, new = None, []
+                for at in range(start, end):
+                    cand = _Candidate(*(float(x[at]) for x in ranked))
+                    if row_best is not None and cand.score < row_best.score - TIE_TOL:
+                        break
+                    if _better(cand, row_best):
+                        fails = cab.violations(cand)
+                        if not fails:
+                            row_best = cand
+                        elif row_best is None and (new := [cut for cut in fails if cut not in cuts[r]]):
+                            break
+                if new:
+                    cuts[r] += new
+                    extra[r] += [_sub(tuple(float(np.broadcast_to(k, (rows,))[r]) * x for x in form),
+                                      den, (limit * (1 - _EDGE)) ** 2)
+                                 for form, limit in new for k, den in pieces]
+                    again.append(r)
+                else:
+                    best[r] = row_best
+        todo = np.array(again, dtype=int)
+    return best
 
 
 # ---------------------------------------------------------------------------
 # unconstrained scaling optimum
 
+@np.errstate(all="ignore")      # NaN marks what does not exist
 def optimize_scaling_unconstrained(
     spec: CableSpec,
     alpha_range: tuple[float, float] = (1.0, 1.1),
@@ -389,11 +531,11 @@ def optimize_scaling_unconstrained(
     a_lo, a_hi = alpha_range
     cab = _Cable(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))
 
-    def point(alpha: float, beta: float) -> _Candidate | None:
+    def point(alpha, beta, r):
         eta = cab.at(alpha, beta)[2]
-        return _Candidate(eta, alpha, beta, 0.0) if math.isfinite(eta) else None
+        return np.where(np.isfinite(eta), eta, np.nan), np.zeros_like(eta)
 
-    best = _solve(cab, (1e-6, cab.beta_cap), [], [(cab.grid, cab.farm)], point)
+    best = _solve(cab, 1, (1e-6, cab.beta_cap), [], [(cab.grid, cab.farm)], point)[0]
     if best is None:
         raise NoPositivePower("no scaling in range yields positive farm power")
     return VoltageScaling(best.alpha, best.beta), best.score
@@ -411,7 +553,8 @@ def optimal_voltage_curve(
 ) -> list[CurvePoint]:
     """v2 = sqrt(p_farm/c) per target, flagged against voltage/current limits."""
     cab = _Cable(spec, Constraints(i_rated=i_rated))
-    c, _, _, i_unit = cab.at(scaling.alpha, scaling.beta)
+    with np.errstate(all="ignore"):
+        c, _, _, i_unit = (float(x) for x in cab.at(scaling.alpha, scaling.beta))
     if c <= 0.0:
         raise NoPositivePower(f"farm power coefficient is {c:.3g} W/pu^2 at this scaling")
     out = []
@@ -429,36 +572,71 @@ def optimal_voltage_curve(
 
 
 # ---------------------------------------------------------------------------
-# constrained optimum at a required production level
+# rows: one (power, v2 box) problem each, on one cable
 
-def _optimum(cab: _Cable, best: _Candidate) -> OptimumPoint:
-    """The search winner as an OptimumPoint: the reference flow plus the limits it meets."""
-    cons, alpha, beta, v2, rel = cab.cons, best.alpha, best.beta, best.v2, 1e-6
+def _row_cable(spec: CableSpec, boxes: list[Constraints]):
+    """The _Cable of a batch and its v2 bounds per row; the rows may differ in their v2 box only."""
+    first = boxes[0]
+    for box in boxes:
+        if box is not first and box.with_v2_range(first.v2_min, first.v2_max) != first:
+            raise ValueError("the rows of one solve may differ in their v2 box only")
+    return (_Cable(spec, first), np.array([box.v2_min for box in boxes]),
+            np.array([box.v2_max for box in boxes]))
+
+
+def _optimum(cab: _Cable, cons: Constraints, best: _Candidate) -> OptimumPoint:
+    """A row's winner as an OptimumPoint: the reference flow plus the limits it meets."""
+    alpha, beta, v2, rel = best.alpha, best.beta, best.v2, 1e-6
+    op = OperatingPoint(v2, VoltageScaling(alpha, beta))
+    flow = two_port_flow(cab.tp, cab.vph, op)
     a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
     v_cap = cons.check_internal_voltage_max
-    meets = {
-        BindingConstraint.V2_MAX: v2 >= cons.v2_max * (1 - rel),
-        BindingConstraint.V2_MIN: v2 <= cons.v2_min * (1 + rel),
-        BindingConstraint.CURRENT_LIMIT: cab.at(alpha, beta)[3] * v2 >= cab.i_rated * (1 - rel),
-        BindingConstraint.ALPHA_MAX: cons.alpha_max - alpha <= rel * a_span,
-        BindingConstraint.ALPHA_MIN: alpha - cons.alpha_min <= rel * a_span,
-        BindingConstraint.INTERNAL_VOLTAGE: v_cap is not None and (
-            cab.profile(alpha, beta, v2).max_voltage >= v_cap * cab.vph * (1 - rel)),
-    }
-    op = OperatingPoint(v2, VoltageScaling(alpha, beta))
-    return OptimumPoint(op, solve_flow(cab.spec, op), frozenset(c for c, m in meets.items() if m))
+    meets = (
+        (BindingConstraint.V2_MAX, v2 >= cons.v2_max * (1 - rel)),
+        (BindingConstraint.V2_MIN, v2 <= cons.v2_min * (1 + rel)),
+        (BindingConstraint.CURRENT_LIMIT, max(abs(flow.i1), abs(flow.i2)) >= cab.i_rated * (1 - rel)),
+        (BindingConstraint.ALPHA_MAX, cons.alpha_max - alpha <= rel * a_span),
+        (BindingConstraint.ALPHA_MIN, alpha - cons.alpha_min <= rel * a_span),
+        (BindingConstraint.INTERNAL_VOLTAGE, v_cap is not None and (
+            cab.profile(alpha, beta, v2).max_voltage >= v_cap * cab.vph * (1 - rel))),
+    )
+    return OptimumPoint(op, flow, frozenset(c for c, m in meets if m))
 
 
-def _production_point(cab: _Cable, cons: Constraints, alpha: float, beta: float,
-                      p_farm: float) -> _Candidate | None:
-    """The point injecting p_farm at (alpha, beta), if it meets the box and rating."""
-    c, _, e, i = cab.at(alpha, beta)
-    if c <= 0.0:
-        return None
-    v2 = math.sqrt(p_farm / c)
-    if not (cons.v2_min * (1 - 1e-9) <= v2 <= cons.v2_max * (1 + 1e-9)):
-        return None
-    return None if i * v2 > cab.i_rated else _Candidate(e, alpha, beta, v2)
+# ---------------------------------------------------------------------------
+# constrained optimum at a required production level
+
+@np.errstate(all="ignore")      # NaN marks what does not exist
+def optimize_at_production_rows(
+    spec: CableSpec, rows: list[tuple[float, Constraints]],
+) -> list[OptimumPoint | None]:
+    """optimize_at_production for every (p_farm, constraints) row in one array solve.
+
+    None marks a row that optimize_at_production reports Infeasible.  The
+    rows' constraints may differ in their v2 box only.
+    """
+    if not rows:
+        return []
+    for p, _ in rows:
+        if not (p > 0.0 and math.isfinite(p)):
+            raise ValueError(f"p_farm must be > 0 W, got {p}")
+    cab, lo, hi = _row_cable(spec, [cons for _, cons in rows])
+    p = np.array([p for p, _ in rows])
+
+    k = p / (3.0 * cab.vph2)      # v2^2 = k/farm
+    shrunk = 3.0 * (cab.i_rated * (1.0 - _EDGE)) ** 2 / p
+    bounds = [_sub(cab.farm, _ONE, k / (v2 * v2)) for v2 in (lo, hi)]
+    bounds += [_sub(cur, cab.farm, shrunk) for cur in (cab.cur1, cab.cur2)]
+
+    def point(alpha, beta, r):
+        c, _, eta, i = cab.at(alpha, beta)
+        v2 = np.sqrt(p[r] / c)
+        fits = (c > 0.0) & (lo[r] * (1 - 1e-9) <= v2) & (v2 <= hi[r] * (1 + 1e-9)) & ~(i * v2 > cab.i_rated)
+        return np.where(fits, eta, np.nan), v2
+
+    best = _solve(cab, len(rows), (cab.beta_floor, cab.beta_cap), bounds, [(cab.grid, cab.farm)],
+                  point, [(k, cab.farm)])
+    return [None if b is None else _optimum(cab, cons, b) for (_, cons), b in zip(rows, best)]
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -470,41 +648,68 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
     in the box transmits p_farm within ratings; the caller decides how to
     treat the shortfall.
     """
-    if not (p_farm > 0.0 and math.isfinite(p_farm)):
-        raise ValueError(f"p_farm must be > 0 W, got {p_farm}")
     cons = constraints if constraints is not None else Constraints()
-    cab = _Cable(spec, cons)
-
-    k = p_farm / (3.0 * cab.vph2)      # v2^2 = k/farm
-    shrunk = 3.0 * (cab.i_rated * (1.0 - _EDGE)) ** 2 / p_farm
-    bounds = [_sub(cab.farm, _ONE, k / (v2 * v2)) for v2 in (cons.v2_min, cons.v2_max)]
-    bounds += [_sub(cur, cab.farm, shrunk) for cur in (cab.cur1, cab.cur2)]
-    best = _solve(cab, (cab.beta_floor, cab.beta_cap), bounds, [(cab.grid, cab.farm)],
-                  lambda alpha, beta: _production_point(cab, cons, alpha, beta, p_farm),
-                  [(k, cab.farm)])
-    if best is None:
+    point = optimize_at_production_rows(spec, [(p_farm, cons)])[0]
+    if point is None:
         raise Infeasible(
             f"no operating point in the box transmits {p_farm/1e6:.3f} MW "
             f"within v2 in [{cons.v2_min}, {cons.v2_max}] p.u. and "
-            f"{cab.i_rated:.0f} A"
+            f"{cons.rated_current(spec):.0f} A"
         )
-    return _optimum(cab, best)
+    return point
 
 
 # ---------------------------------------------------------------------------
 # maximum deliverable power
 
-def _delivery_probe(cab: _Cable, cons: Constraints, alpha: float, beta: float,
-                    p_farm_cap: float | None) -> _Candidate | None:
-    c, g, _, i = cab.at(alpha, beta)
-    v2_cap = min(cons.v2_max, cab.i_rated / i)
-    if p_farm_cap is not None and c > 0.0:
-        v2_cap = min(v2_cap, math.sqrt(p_farm_cap / c))
-    if v2_cap < cons.v2_min * (1 - 1e-12):
-        return None
-    # delivery grows with v2 when g > 0; otherwise park at the floor
-    v2 = max(v2_cap, cons.v2_min) if g > 0.0 else cons.v2_min
-    return _Candidate(g * v2 * v2, alpha, beta, v2)
+@np.errstate(all="ignore")      # NaN marks what does not exist
+def max_feasible_power_rows(
+    spec: CableSpec, rows: list[tuple[Constraints, float | None]],
+) -> list[OptimumPoint | None]:
+    """max_feasible_power for every (constraints, p_farm_cap) row in one array solve.
+
+    None marks a row that max_feasible_power reports Infeasible.  The rows'
+    constraints may differ in their v2 box only, and either every row has a
+    farm cap or none has.
+    """
+    if not rows:
+        return []
+    capped = {cap is not None for _, cap in rows}
+    if len(capped) > 1:
+        raise ValueError("p_farm_cap must be set on every row of a solve or on none")
+    for _, cap in rows:
+        if cap is not None and not cap > 0.0:
+            raise ValueError(f"p_farm_cap must be > 0 W, got {cap}")
+    cab, lo, hi = _row_cable(spec, [cons for cons, _ in rows])
+    cap = np.array([cap for _, cap in rows]) if capped == {True} else None
+
+    curs = (cab.cur1, cab.cur2)
+    # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
+    # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
+    levels = [r * r for v2 in (lo, hi) for r in (cab.i_rated / (cab.vph * v2),)]
+    bounds = [_sub(cab.cur1, cab.cur2)] + [_sub(cur, _ONE, q) for cur in curs for q in levels]
+    ratios = [(cab.grid, _ONE)] + [(num, den) for cur in curs for num, den in
+                                   ((cab.grid, cur), (cur, _ONE))]
+    pieces = [(v2 * v2, _ONE) for v2 in (lo, hi)]
+    pieces += [(cab.i_rated**2 / cab.vph2, cur) for cur in curs]
+    if cap is not None:
+        k = 3.0 * cab.i_rated**2 / cap   # c*v2^2 = cap where farm = q/k
+        bounds += [_sub(cab.farm, _ONE, q / k) for q in levels] + [_sub(cur, cab.farm, k) for cur in curs]
+        ratios.append((cab.grid, cab.farm))
+        pieces.append((cap / (3.0 * cab.vph2), cab.farm))
+
+    def point(alpha, beta, r):
+        c, g, _, i = cab.at(alpha, beta)
+        v2 = np.minimum(hi[r], cab.i_rated / i)
+        if cap is not None:
+            v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
+        fits = ~(v2 < lo[r] * (1 - 1e-12))
+        # delivery grows with v2 when g > 0; otherwise park at the floor
+        v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
+        return np.where(fits, g * v2 * v2, np.nan), v2
+
+    best = _solve(cab, len(rows), cab.delivery_window, bounds, ratios, point, pieces)
+    return [None if b is None else _optimum(cab, cons, b) for (cons, _), b in zip(rows, best)]
 
 
 def max_feasible_power(
@@ -523,33 +728,13 @@ def max_feasible_power(
     pieces switch and feasibility ends on circles; the extremes of |i_k|^2
     are candidates too, so a box with a feasible point is never Infeasible.
     """
-    if p_farm_cap is not None and not p_farm_cap > 0.0:
-        raise ValueError(f"p_farm_cap must be > 0 W, got {p_farm_cap}")
     cons = constraints if constraints is not None else Constraints()
-    cab = _Cable(spec, cons)
-
-    curs = (cab.cur1, cab.cur2)
-    # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
-    # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
-    levels = [r * r for v2 in (cons.v2_min, cons.v2_max) for r in (cab.i_rated / (cab.vph * v2),)]
-    bounds = [_sub(cab.cur1, cab.cur2)] + [_sub(cur, _ONE, q) for cur in curs for q in levels]
-    ratios = [(cab.grid, _ONE)] + [(num, den) for cur in curs for num, den in
-                                   ((cab.grid, cur), (cur, _ONE))]
-    pieces = [(v2 * v2, _ONE) for v2 in (cons.v2_min, cons.v2_max)]
-    pieces += [(cab.i_rated**2 / cab.vph2, cur) for cur in curs]
-    if p_farm_cap is not None:
-        k = 3.0 * cab.i_rated**2 / p_farm_cap   # c*v2^2 = cap where farm = q/k
-        bounds += [_sub(cab.farm, _ONE, q / k) for q in levels] + [_sub(cur, cab.farm, k) for cur in curs]
-        ratios.append((cab.grid, cab.farm))
-        pieces.append((p_farm_cap / (3.0 * cab.vph2), cab.farm))
-    best = _solve(cab, cab.delivery_window, bounds, ratios,
-                  lambda alpha, beta: _delivery_probe(cab, cons, alpha, beta, p_farm_cap), pieces)
-    if best is None:
+    point = max_feasible_power_rows(spec, [(cons, p_farm_cap)])[0]
+    if point is None:
         raise Infeasible(
-            f"charging current alone exceeds {cab.i_rated:.0f} A at "
+            f"charging current alone exceeds {cons.rated_current(spec):.0f} A at "
             f"v2 = {cons.v2_min} p.u.; even zero-power operation violates limits"
         )
-    point = _optimum(cab, best)
     return point.flow.p_farm, point.flow.p_grid, point
 
 
@@ -562,25 +747,28 @@ def transfer_envelope(
     """Capability study: thin fixed-voltage curves plus the upper envelope.
 
     Per (length, v2) the deliverable maximum at that fixed voltage; per
-    length also the maximum with v2 free inside the constraint box.
-    Infeasible combinations are recorded as zero capability, not errors.
+    length also the maximum with v2 free inside the constraint box, all
+    rows of one length in one solve.  Infeasible combinations are recorded
+    as zero capability, not errors.
     """
     if not lengths or not v2_values:
         raise ValueError("lengths and v2_values must be non-empty")
     cons = constraints if constraints is not None else Constraints()
 
-    def capability(spec: CableSpec, box: Constraints) -> EnvelopePoint:
-        try:
-            pf, pg, point = max_feasible_power(spec, box)
-        except Infeasible:
-            return EnvelopePoint(spec.length_km, box.v2_min, 0.0, 0.0, feasible=False)
+    def capability(length: float, box: Constraints, point: OptimumPoint | None) -> EnvelopePoint:
+        if point is None:
+            return EnvelopePoint(length, box.v2_min, 0.0, 0.0, feasible=False)
+        pf, pg = point.flow.p_farm, point.flow.p_grid
         if not pg > 0.0:
             pf = pg = 0.0
-        return EnvelopePoint(spec.length_km, point.operating_point.v2, pg, pf)
+        return EnvelopePoint(length, point.operating_point.v2, pg, pf)
 
     points, envelope = [], []
     for length in lengths:
         spec = spec_template.with_length(length)
-        points += [capability(spec, cons.fixed_v2(v2)) for v2 in v2_values]
-        envelope.append(capability(spec, cons))
+        boxes = [cons.fixed_v2(v2) for v2 in v2_values] + [cons]
+        rows = [capability(spec.length_km, box, point) for box, point in
+                zip(boxes, max_feasible_power_rows(spec, [(box, None) for box in boxes]))]
+        points += rows[:-1]
+        envelope.append(rows[-1])
     return TransferEnvelope(tuple(points), tuple(envelope))

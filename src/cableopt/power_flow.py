@@ -87,8 +87,12 @@ class FlowSolution:
 
 def solve_flow(spec: CableSpec, op: OperatingPoint) -> FlowSolution:
     """Currents, powers and losses at a terminal operating point."""
-    tp = exact_pi_two_port(spec)
-    v2 = op.v2 * spec.phase_voltage  # real by convention
+    return two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op)
+
+
+def two_port_flow(tp: TwoPort, phase_voltage: float, op: OperatingPoint) -> FlowSolution:
+    """solve_flow on a two-port already built; phase_voltage is the cable's p.u. base [V]."""
+    v2 = op.v2 * phase_voltage  # real by convention
     v1 = op.scaling.xi * v2
     i1, i2 = tp.currents(v1, v2)
 

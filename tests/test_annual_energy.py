@@ -1,8 +1,11 @@
 """Duration curves, synthetic generation and annual strategy evaluation."""
 
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cableopt import (
     Constraints,
@@ -16,6 +19,9 @@ from cableopt import (
     annual_efficiency,
     compare_strategies,
     load_duration_curve,
+    max_feasible_power,
+    optimize_at_production,
+    optimize_scaling_unconstrained,
     read_duration_csv,
     reference_duration_curve,
     synth_duration_curve,
@@ -25,7 +31,7 @@ from cableopt import (
 )
 from cableopt.annual_energy import REFERENCE_CURVE_PARAMS
 
-from conftest import ref_cable
+from conftest import random_cable, ref_cable
 
 
 def small_curve(n_bins=12, target_uf=0.46):
@@ -236,3 +242,88 @@ def test_compare_strategies_reference_is_zero(cable200):
 def test_annual_validates_rated_power(cable200):
     with pytest.raises(ValueError):
         annual_efficiency(cable200, 0.0, small_curve(n_bins=4), FixedVoltage(1.0))
+
+
+# ---------------------------------------------------------------------------
+# every bin of one annual evaluation is one row of two batched solves
+
+def _random_case(rng):
+    spec = random_cable(rng).with_length(rng.uniform(1.0, 400.0))
+    levels = [0.0, 1.0] + [rng.random() ** 2 for _ in range(8)]
+    curve = load_duration_curve([(p, rng.uniform(0.1, 1.0)) for p in levels])
+    lo = rng.uniform(0.4, 1.0)
+    strategy = rng.choice([FixedVoltage(lo), VoltageRange(lo, rng.uniform(lo, 1.0)),
+                           tap_range(rng.uniform(0.85, 1.0), rng.uniform(0.05, 0.15))])
+    return spec, rng.uniform(20e6, 600e6), curve, strategy
+
+
+def _close(a, b, rel=1e-12):
+    return (a is None and b is None) or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def test_annual_bins_match_one_row_calls():
+    # each per_bin outcome is what optimize_at_production, or else
+    # max_feasible_power capped at that bin's production, gives for it alone
+    rng = random.Random(29)
+    cases = [_random_case(rng) for _ in range(24)]
+    box = Constraints(check_internal_voltage_max=1.02, check_internal_current=True,
+                      n_profile_segments=20)
+    cases.append((ref_cable(150.0), 340e6, small_curve(8), VoltageRange(0.9, 1.0), box))
+    kinds = []
+    for spec, rated, curve, strategy, *cons in cases:
+        cons = cons[0] if cons else Constraints()
+        try:
+            result = annual_efficiency(spec, rated, curve, strategy, cons)
+        except Infeasible:
+            continue
+        lo, hi = strategy.v2_bounds()
+        box = cons.with_v2_range(lo, hi)
+        for o in result.per_bin:
+            if o.p_farm == 0.0:
+                continue
+            try:
+                best = optimize_at_production(spec, o.p_farm, box)
+            except Infeasible:
+                best = None
+            if best is not None and best.eta > 0.0:
+                kinds.append("served")
+                assert o.p_farm_used == o.p_farm and o.curtailed == 0.0
+                assert _close(o.p_grid, best.flow.p_grid) and _close(o.v2_used, best.operating_point.v2)
+                continue
+            try:
+                pf, pg, point = max_feasible_power(spec, box, p_farm_cap=o.p_farm)
+            except Infeasible:
+                pg = 0.0
+            if pg > 0.0:
+                kinds.append("curtailed")
+                assert _close(o.p_grid, pg) and _close(o.p_farm_used, pf)
+                assert _close(o.v2_used, point.operating_point.v2)
+            else:
+                kinds.append("shut down")
+                assert (o.p_grid, o.p_farm_used, o.v2_used, o.curtailed) == (0.0, 0.0, None, o.p_farm)
+    assert {"served", "curtailed", "shut down"} <= set(kinds)
+
+
+# ---------------------------------------------------------------------------
+# property: the annual energies balance and stay under the scaling optimum
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), length=st.floats(1.0, 300.0), rated=st.floats(0.1, 1.5),
+       kind=st.sampled_from(["fixed", "range", "tap"]), v2=st.floats(0.6, 1.0))
+def test_annual_energy_balance(seed, length, rated, kind, v2):
+    rng = random.Random(seed)
+    spec = random_cable(rng).with_length(length)
+    curve = load_duration_curve([(p, rng.uniform(0.1, 1.0))
+                                 for p in [0.0, 1.0] + [rng.random() for _ in range(6)]])
+    strategy = {"fixed": FixedVoltage(v2), "range": VoltageRange(0.4, v2),
+                "tap": tap_range(v2, 0.1)}[kind]
+    try:
+        _, p_max, _ = max_feasible_power(spec, Constraints().with_v2_range(*strategy.v2_bounds()))
+    except Infeasible:
+        p_max = 0.0
+    assume(p_max > 0.0)     # the strategy delivers something at its best
+    result = annual_efficiency(spec, rated * p_max, curve, strategy)
+    total = result.energy_delivered + result.energy_lost + result.energy_curtailed
+    assert abs(total - result.energy_produced_potential) <= 1e-9 * result.energy_produced_potential
+    _, eta_star = optimize_scaling_unconstrained(spec)
+    assert 0.0 < result.eta_annual <= eta_star + 1e-12

@@ -185,6 +185,44 @@ def test_tiny_v2_bounds_do_not_overflow(tmp_path, capsys, argv, expected):
     assert code == expected
 
 
+_ANNUAL = ["annual", "--rated-mw", "300", "--synth-uf", "0.46", "--n-bins", "10"]
+_SWEEP = ["sweep", "--p-step-mw", "100", "--optimal-range", "0.4", "1.0"]
+
+
+@pytest.mark.parametrize("constraints,argv,expected", [
+    # a v2 box of [1e-160, 1e-160]: its squares underflow, (rating / v2)^2 overflows
+    ({"v2_min": 1e-160, "v2_max": 1e-160},
+     _ANNUAL + ["--strategy", "fixed:1e-160", "--strategy", "range:1e-160:1.0"], 0),
+    ({"v2_min": 1e-160, "v2_max": 1e-160}, ["envelope", "--lengths-km", "100,250",
+                                             "--voltages", "1.0,1e-160"], 0),
+    ({"v2_min": 1e-160, "v2_max": 1e-160}, ["sweep", "--p-min-mw", "50", "--p-max-mw", "250",
+                                             "--p-step-mw", "100", "--voltages", "1e-160,0.6"], 0),
+    ({"v2_min": 1e-160, "v2_max": 1e-160}, ["optimize", "--p-farm-mw", "100"], 3),
+    # a fixed alpha: both alpha circles are one
+    ({"alpha_min": 1.05, "alpha_max": 1.05},
+     _ANNUAL + ["--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"], 0),
+    ({"alpha_min": 1.05, "alpha_max": 1.05}, ["envelope", "--lengths-km", "100,250",
+                                               "--voltages", "1.0,0.5"], 0),
+    ({"alpha_min": 1.05, "alpha_max": 1.05},
+     _SWEEP + ["--p-min-mw", "1e-6", "--p-max-mw", "300", "--voltages", "0.6"], 0),
+    ({"alpha_min": 1.05, "alpha_max": 1.05}, ["optimize", "--p-farm-mw", "100"], 0),
+    # a 1 W production level
+    ({}, ["annual", "--rated-mw", "1e-6", "--synth-uf", "0.46", "--n-bins", "10",
+          "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"], 0),
+    ({}, _SWEEP + ["--p-min-mw", "1e-6", "--p-max-mw", "1e-6", "--voltages", "1.0,0.4"], 0),
+    ({}, ["optimize", "--p-farm-mw", "1e-6"], 0),
+])
+def test_extreme_inputs_print_no_numpy_warning(tmp_path, capsys, constraints, argv, expected):
+    # the array solves mark what does not exist with NaN: no RuntimeWarning may escape
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"constraints": constraints}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == expected
+    assert "RuntimeWarning" not in err
+
+
 # ---------------------------------------------------------------------------
 # optimize and sweep
 

@@ -15,8 +15,10 @@ from cableopt import (
     NoPositivePower,
     VoltageScaling,
     max_feasible_power,
+    max_feasible_power_rows,
     optimal_voltage_curve,
     optimize_at_production,
+    optimize_at_production_rows,
     optimize_scaling_unconstrained,
     segment_profile,
     solve_flow,
@@ -306,14 +308,20 @@ def test_max_power_respects_binding_internal_voltage_cap():
 
 
 def test_max_power_internal_limits_take_several_cuts(monkeypatch):
-    # each internal-check failure adds the worst node as a circle and solves again
-    solves = []
+    # each internal-check failure adds the worst node as a circle and solves
+    # again: one candidate table per cut round of this one-row solve
+    solves, profiles = [], []
     monkeypatch.setattr(optimizer, "_points", lambda *a: solves.append(1) or _points(*a))
+    monkeypatch.setattr(optimizer, "segment_profile",
+                        lambda *a: profiles.append(1) or segment_profile(*a))
     spec = ref_cable(150.0)
     cons = Constraints(check_internal_current=True, check_internal_voltage_max=0.98,
                        n_profile_segments=40)
     _, pg, point = max_feasible_power(spec, cons)
     assert len(solves) > 2
+    # the candidates a cut node already rules out get no profile: two for the
+    # node forms, one check per round, one for the binding internal voltage
+    assert len(profiles) == 2 + len(solves) + 1
     assert pg >= 355.917174e6      # reached by the earlier alpha search with beta bisection
     op = point.operating_point
     vph = spec.phase_voltage
@@ -502,3 +510,40 @@ def test_solves_beat_every_feasible_sample(seed, length, v2_lo, v2_span, a_lo, a
         assert not delivered
     else:
         assert not delivered or pg >= max(delivered) - 1e-12 * abs(max(delivered))
+
+
+# ---------------------------------------------------------------------------
+# rows: a batched solve gives each row what its one-row call gives
+
+def test_envelope_rows_match_one_row_calls():
+    rng = random.Random(31)
+    for _ in range(6):
+        spec = random_cable(rng)
+        lengths = sorted(rng.uniform(1.0, 400.0) for _ in range(3))
+        voltages = [rng.uniform(0.4, 1.0) for _ in range(3)]
+        cons = Constraints(v2_min=rng.uniform(0.3, 0.8), v2_max=1.0)
+        env = transfer_envelope(spec, lengths, voltages, cons)
+        boxes = [cons.fixed_v2(v2) for v2 in voltages]
+        rows = [(pt, box) for pt, box in zip(env.points, boxes * len(lengths))]
+        rows += [(pt, cons) for pt in env.envelope]
+        for pt, box in rows:
+            try:
+                pf, pg, point = max_feasible_power(spec.with_length(pt.length_km), box)
+            except Infeasible:
+                assert not pt.feasible and pt.p_grid_max == 0.0
+                continue
+            assert pt.feasible and pt.v2 == pytest.approx(point.operating_point.v2, rel=1e-12)
+            if pg > 0.0:
+                assert pt.p_grid_max == pytest.approx(pg, rel=1e-12)
+                assert pt.p_farm_at_max == pytest.approx(pf, rel=1e-12)
+            else:
+                assert pt.p_grid_max == pt.p_farm_at_max == 0.0
+
+
+def test_rows_may_differ_in_their_v2_box_only(cable200):
+    rows = [(100e6, Constraints()), (100e6, Constraints(alpha_max=1.05))]
+    with pytest.raises(ValueError):
+        optimize_at_production_rows(cable200, rows)
+    with pytest.raises(ValueError):
+        max_feasible_power_rows(cable200, [(Constraints(), None), (Constraints(), 50e6)])
+    assert optimize_at_production_rows(cable200, []) == []
