@@ -31,8 +31,7 @@ from .errors import (
     PowerOutOfRange,
     UnreachableTarget,
 )
-from .optimizer import (Constraints, max_feasible_power, max_feasible_power_rows,
-                        optimize_at_production_rows)
+from .optimizer import Constraints, inoperable, max_feasible_power_rows, optimize_at_production_rows
 
 _UF_BISECT_ITERS = 80
 
@@ -312,9 +311,76 @@ class AnnualResult:
     per_bin: tuple[BinOutcome, ...]
 
 
-def _strategy_constraints(strategy: VoltageStrategy, constraints: Constraints) -> Constraints:
-    lo, hi = strategy.v2_bounds()
-    return constraints.with_v2_range(lo, hi)
+def _annual_results(
+    spec: CableSpec,
+    rated_farm_power: float,
+    curve: DurationCurve,
+    strategies: list[VoltageStrategy],
+    constraints: Constraints | None,
+) -> list[AnnualResult]:
+    """annual_efficiency of every strategy, each kind of solve done once for all of them."""
+    if not (rated_farm_power > 0.0 and math.isfinite(rated_farm_power)):
+        raise ValueError(f"rated farm power must be > 0 W, got {rated_farm_power}")
+    base = constraints if constraints is not None else Constraints()
+    boxes = [base.with_v2_range(*strategy.v2_bounds()) for strategy in strategies]
+
+    # a strategy whose voltage window cannot even carry the charging current
+    # is infeasible as a whole, not merely curtailed
+    for strategy, box, point in zip(strategies, boxes,
+                                    max_feasible_power_rows([(spec, box, None) for box in boxes])):
+        if point is None:
+            exc = inoperable(spec, box)
+            raise Infeasible(
+                f"strategy {strategy.label} cannot operate this cable at all: {exc}") from exc
+
+    # every strategy's positive bins in one production solve; those it cannot
+    # serve (sensibly) in one capped delivery solve
+    levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
+    live = [(s, k) for s in range(len(strategies)) for k, p in enumerate(levels) if p > 0.0]
+    points = optimize_at_production_rows([(spec, levels[k], boxes[s]) for s, k in live])
+    served = {row: best for row, best in zip(live, points)
+              if best is not None and best.eta is not None and best.eta > 0.0}
+    short = [row for row in live if row not in served]
+    capped = dict(zip(short, max_feasible_power_rows([(spec, boxes[s], levels[k]) for s, k in short])))
+
+    results = []
+    for s in range(len(strategies)):
+        outcomes = []
+        for k, (power_pu, weight) in enumerate(curve.bins):
+            p = levels[k]
+            if p <= 0.0:
+                outcomes.append(BinOutcome(power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
+            elif (best := served.get((s, k))) is not None:
+                outcomes.append(BinOutcome(
+                    power_pu, weight, p, p, best.flow.p_grid,
+                    best.operating_point.v2, best.eta, 0.0,
+                ))
+            elif (point := capped[s, k]) is not None and point.flow.p_grid > 0.0:
+                # Required level not (sensibly) transmittable: deliver what the
+                # cable can, capped by the available production
+                pf, pg = point.flow.p_farm, point.flow.p_grid
+                outcomes.append(BinOutcome(
+                    power_pu, weight, p, pf, pg,
+                    point.operating_point.v2, pg / pf if pf > 0 else None, p - pf,
+                ))
+            else:
+                # shut down: even the best delivery is non-positive, or the cap
+                # admits no operating point
+                outcomes.append(BinOutcome(power_pu, weight, p, 0.0, 0.0, None, None, p))
+
+        potential = math.fsum(o.weight * o.p_farm for o in outcomes)
+        delivered = math.fsum(o.weight * o.p_grid for o in outcomes)
+        curtailed = math.fsum(o.weight * o.curtailed for o in outcomes)
+        lost = math.fsum(o.weight * (o.p_farm_used - o.p_grid) for o in outcomes)
+        results.append(AnnualResult(
+            eta_annual=delivered / potential if potential > 0.0 else 0.0,
+            energy_produced_potential=potential,
+            energy_delivered=delivered,
+            energy_lost=lost,
+            energy_curtailed=curtailed,
+            per_bin=tuple(outcomes),
+        ))
+    return results
 
 
 def annual_efficiency(
@@ -331,66 +397,7 @@ def annual_efficiency(
     rating); individual over- or under-range production levels are handled
     by curtailment instead.
     """
-    if not (rated_farm_power > 0.0 and math.isfinite(rated_farm_power)):
-        raise ValueError(f"rated farm power must be > 0 W, got {rated_farm_power}")
-    cons = _strategy_constraints(strategy, constraints if constraints is not None else Constraints())
-
-    # a strategy whose voltage window cannot even carry the charging current
-    # is infeasible as a whole, not merely curtailed
-    try:
-        max_feasible_power(spec, cons)
-    except Infeasible as exc:
-        raise Infeasible(
-            f"strategy {strategy.label} cannot operate this cable at all: {exc}"
-        ) from exc
-
-    # every positive bin in one production solve; those it cannot serve
-    # (sensibly) in one capped delivery solve
-    levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
-    live = [k for k, p in enumerate(levels) if p > 0.0]
-    points = optimize_at_production_rows(spec, [(levels[k], cons) for k in live])
-    served = {k: best for k, best in zip(live, points)
-              if best is not None and best.eta is not None and best.eta > 0.0}
-    short = [k for k in live if k not in served]
-    capped = dict(zip(short, max_feasible_power_rows(spec, [(cons, levels[k]) for k in short])))
-
-    outcomes = []
-    for k, (power_pu, weight) in enumerate(curve.bins):
-        p = levels[k]
-        if p <= 0.0:
-            outcomes.append(BinOutcome(power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
-        elif k in served:
-            best = served[k]
-            outcomes.append(BinOutcome(
-                power_pu, weight, p, p, best.flow.p_grid,
-                best.operating_point.v2, best.eta, 0.0,
-            ))
-        elif (point := capped[k]) is not None and point.flow.p_grid > 0.0:
-            # Required level not (sensibly) transmittable: deliver what the
-            # cable can, capped by the available production
-            pf, pg = point.flow.p_farm, point.flow.p_grid
-            outcomes.append(BinOutcome(
-                power_pu, weight, p, pf, pg,
-                point.operating_point.v2, pg / pf if pf > 0 else None, p - pf,
-            ))
-        else:
-            # shut down: even the best delivery is non-positive, or the cap
-            # admits no operating point
-            outcomes.append(BinOutcome(power_pu, weight, p, 0.0, 0.0, None, None, p))
-
-    potential = math.fsum(o.weight * o.p_farm for o in outcomes)
-    delivered = math.fsum(o.weight * o.p_grid for o in outcomes)
-    curtailed = math.fsum(o.weight * o.curtailed for o in outcomes)
-    lost = math.fsum(o.weight * (o.p_farm_used - o.p_grid) for o in outcomes)
-    eta = delivered / potential if potential > 0.0 else 0.0
-    return AnnualResult(
-        eta_annual=eta,
-        energy_produced_potential=potential,
-        energy_delivered=delivered,
-        energy_lost=lost,
-        energy_curtailed=curtailed,
-        per_bin=tuple(outcomes),
-    )
+    return _annual_results(spec, rated_farm_power, curve, [strategy], constraints)[0]
 
 
 @dataclass(frozen=True)
@@ -414,10 +421,7 @@ def compare_strategies(
     """
     if not strategies:
         raise ValueError("strategy list must be non-empty")
-    results = [
-        annual_efficiency(spec, rated_farm_power, curve, s, constraints)
-        for s in strategies
-    ]
+    results = _annual_results(spec, rated_farm_power, curve, strategies, constraints)
     loss_ref = results[0].energy_produced_potential - results[0].energy_delivered
     out = []
     for strategy, result in zip(strategies, results):

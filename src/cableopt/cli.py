@@ -231,11 +231,11 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
 
     voltages = (_parse_float_list(args.voltages, "--voltages")
                 if args.voltages else block.get("voltages", []))
-    policies = [(f"fixed-{v:g}", v, v) for v in voltages]
+    policies = [(f"fixed-{v:g}", cfg.constraints.fixed_v2(v)) for v in voltages]
     optimal_range = args.optimal_range or block.get("optimal_range")
     if optimal_range:
         lo, hi = optimal_range
-        policies.append((f"optimal-{lo:g}-{hi:g}", lo, hi))
+        policies.append((f"optimal-{lo:g}-{hi:g}", cfg.constraints.with_v2_range(lo, hi)))
     if not policies:
         raise ConfigError("sweep needs --voltages and/or --optimal-range")
 
@@ -244,17 +244,16 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
         ["policy", "p_farm", "feasible", "eta", "v2", "alpha", "beta"],
         ["-", "MW", "flag", "-", "pu", "-", "deg"],
     )
-    for label, lo, hi in policies:
-        cons = cfg.constraints.with_v2_range(lo, hi)
-        powers = [level * 1e6 for level in levels]
-        for p, point in zip(powers, optimize_at_production_rows(spec, [(p, cons) for p in powers])):
-            if point is None:
-                table.add(label, p / 1e6, False, 0.0, 0.0, 0.0, 0.0)
-                continue
-            op = point.operating_point
-            table.add(label, p / 1e6, True,
-                      point.eta if point.eta is not None else 0.0,
-                      op.v2, op.scaling.alpha, op.scaling.beta_deg)
+    rows = [(label, level * 1e6, cons) for label, cons in policies for level in levels]
+    points = optimize_at_production_rows([(spec, p, cons) for _, p, cons in rows])
+    for (label, p, _), point in zip(rows, points):
+        if point is None:
+            table.add(label, p / 1e6, False, 0.0, 0.0, 0.0, 0.0)
+            continue
+        op = point.operating_point
+        table.add(label, p / 1e6, True,
+                  point.eta if point.eta is not None else 0.0,
+                  op.v2, op.scaling.alpha, op.scaling.beta_deg)
     return _emit(args, cfg, [table])
 
 

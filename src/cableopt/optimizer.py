@@ -15,14 +15,17 @@ candidate and keeps the best feasible one.  An opt-in internal check that
 fails adds the worst node's limit as one more circle per v2 piece, and the
 solve repeats.  Ties go to lower v2, then lower alpha.
 
-The solve has a leading row axis: a row is one problem (a production
-level or a farm cap, and a v2 box) on one cable, and the circles, their
-sinusoids, roots, eigenvectors and candidates are numpy arrays over rows,
-NaN where one does not exist.  optimize_at_production, max_feasible_power
-and optimize_scaling_unconstrained are one-row solves;
+The solve has a leading row axis: a row is one problem (a cable, a
+production level or a farm cap, and a v2 box), and the cable numbers,
+the circles, their sinusoids, roots, eigenvectors and candidates are
+numpy arrays over rows, NaN where one does not exist.  Each distinct
+cable computes its numbers as Python numbers once (_Rows), so a row does
+the same floating-point work as its one-row call.  optimize_at_production,
+max_feasible_power and optimize_scaling_unconstrained are one-row solves;
 optimize_at_production_rows and max_feasible_power_rows take many rows at
-once, as annual_efficiency (every bin), transfer_envelope (every policy of
-a length) and the sweep command (every level of a policy) do.
+once, so a command makes one solve per kind: transfer_envelope over every
+(length, policy), compare_strategies over every strategy's bins and the
+sweep command over every (policy, level).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
                           segment_profile)
-from .errors import Infeasible, NoPositivePower
+from .errors import DegenerateCable, Infeasible, NoPositivePower
 from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, two_port_flow, unit_flow
 
 TIE_TOL = 1e-9
@@ -155,8 +158,8 @@ def _abs2(p: complex, q: complex):
 
 
 def _sub(f, g, k=1.0):
-    """The form f - k*g; _ONE as g subtracts the constant k, even an infinite one."""
-    return tuple(x - k * y if y else x for x, y in zip(f, g))
+    """The form f - k*g; a part of g that is the number 0 subtracts nothing, even k = inf times it."""
+    return tuple(x - k * y if isinstance(y, np.ndarray) or y else x for x, y in zip(f, g))
 
 
 def _stack(forms, rows: int):
@@ -237,13 +240,14 @@ def _sinusoid_roots(k0, kc, ks):
     return np.stack([theta - half, theta + half], axis=-1)
 
 
-def _curves(forms, n: int, lo: float, hi: float):
+def _curves(forms, n: int, lo, hi):
     """The curves of a solve and the pencil eigenvectors of its ratios.
 
     forms are (rows, n + 2k) arrays of form parts: n circles, then the k
-    numerators and the k denominators of the ratios.  Returns the (u1, u2,
-    v1, v2) of both window rays and then the circles, a (4, rows, n + 2, 1)
-    array, and the (rows, 2k) eigenvectors xi = x1/x2.
+    numerators and the k denominators of the ratios; lo and hi are each
+    row's beta window.  Returns the (u1, u2, v1, v2) of both window rays
+    and then the circles, a (4, rows, n + 2, 1) array, and the (rows, 2k)
+    eigenvectors xi = x1/x2.
     """
     rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
     # the identity stands in for the denominator of each circle's own pencil
@@ -253,9 +257,10 @@ def _curves(forms, n: int, lo: float, hi: float):
         den[:, :n], den[:, n:] = one, part[:, n + k:]
         dens.append(den)
     lam, x1, x2 = _eig([part[:, :n + k] for part in forms], dens)
-    ray = np.exp(1j * np.array([lo, hi]))
+    ray = np.exp(1j * np.stack([lo, hi], axis=-1))
     curve = np.empty((4, rows, n + 2, 1), complex)
-    curve[:, :, :2, 0] = np.array([-1j * ray, (1.0, 1.0), 1j * ray, (1.0, 1.0)])[:, None]
+    curve[0, :, :2, 0], curve[2, :, :2, 0] = -1j * ray, 1j * ray
+    curve[1, :, :2, 0] = curve[3, :, :2, 0] = 1.0
     curve[:, :, 2:, 0] = _circle(lam[..., :n], x1[..., :n], x2[..., :n])
     return curve, (x1[..., n:] / x2[..., n:]).transpose(1, 2, 0).reshape(rows, -1)
 
@@ -277,12 +282,11 @@ def _sinusoids(curve, forms, n: int):
     return out
 
 
-def _points(circles, nums, dens, lo: float, hi: float):
-    """Every candidate maximum of a ratio in the beta window, per row.
+def _points(forms, n: int, lo, hi):
+    """Every candidate maximum of a ratio in the beta window [lo, hi] of each row.
 
-    circles are (rows, n) arrays of form parts, nums and dens the parts of
-    the ratios' numerator and denominator forms, numbers in 1-d arrays.
-    The candidates are the pencil eigenvectors of each ratio; along each
+    forms are (rows, n + 2k) arrays of form parts: n circles, then the k
+    numerators and the k denominators of the ratios.  The candidates are the pencil eigenvectors of each ratio; along each
     circle its meetings with the later circles and each ratio's stationary
     points; the same along each window ray, traced as
     xi = e^{j*beta}*tan(phi/2), which meets every circle.  They come as
@@ -290,13 +294,7 @@ def _points(circles, nums, dens, lo: float, hi: float):
     rank orders the candidates of a row: the rays, the eigenvectors, then
     the circles.
     """
-    rows, n = circles[0].shape
-    k = len(nums[0])
-    forms = []
-    for circle, num, den in zip(circles, nums, dens):
-        part = np.empty((rows, n + 2 * k), circle.dtype)
-        part[:, :n], part[:, n:n + k], part[:, n + k:] = circle, num, den
-        forms.append(part)
+    rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
     curve, pencil = _curves(forms, n, lo, hi)
     phi = _sinusoid_roots(*_sinusoids(curve, forms, n)).reshape(rows, n + 2, -1)
     width = phi.shape[2]
@@ -313,16 +311,16 @@ def _points(circles, nums, dens, lo: float, hi: float):
     xi /= den
     del den
     alpha, beta = abs(xi), np.angle(xi)
-    ok = np.isfinite(alpha) & (lo <= beta) & (beta <= hi)
+    ok = np.isfinite(alpha) & (lo[row] <= beta) & (beta <= hi[row])
     ray = np.flatnonzero(cur < 2)
     alpha[ray] = np.tan(0.5 * phi[ray])
-    beta[ray] = np.where(cur[ray] == 0, lo, hi)
+    beta[ray] = np.where(cur[ray] == 0, lo[row[ray]], hi[row[ray]])
     ok[ray] = alpha[ray] > 0.0
     # then the eigenvectors
     at_row, at_pos = np.nonzero(np.isfinite(pencil))
     xi = pencil[at_row, at_pos]
     at_alpha, at_beta = abs(xi), np.angle(xi)
-    at_ok = np.isfinite(at_alpha) & (lo <= at_beta) & (at_beta <= hi)
+    at_ok = np.isfinite(at_alpha) & (lo[at_row] <= at_beta) & (at_beta <= hi[at_row])
     return tuple(np.concatenate([x[ok], y[at_ok]]) for x, y in
                  ((row, at_row), (rank, 2 * width + at_pos), (alpha, at_alpha), (beta, at_beta)))
 
@@ -331,13 +329,19 @@ def _points(circles, nums, dens, lo: float, hi: float):
 # the cable and the candidate solve
 
 class _Cable:
-    """Precomputed per-cable quantities for the solves."""
+    """Precomputed quantities of one cable for the solves, as Python numbers."""
 
     def __init__(self, spec: CableSpec, constraints: Constraints):
         self.spec = spec
         self.cons = constraints
         self.tp: TwoPort = exact_pi_two_port(spec)
         a, b = self.tp.a, self.tp.b
+        # the forms square the admittances, which overflows on a cable short
+        # enough: it has no operating point the solves can represent
+        size = abs(a) + abs(b)
+        if not math.isfinite(size * size):
+            raise DegenerateCable(f"a {spec.length_km:g} km cable is too short: "
+                                  f"its admittances overflow when squared")
         self.vph = spec.phase_voltage
         self.vph2 = self.vph**2
         self.i_rated = constraints.rated_current(spec)
@@ -355,16 +359,6 @@ class _Cable:
         self.beta_cap = min(math.pi / 2, cmath.phase(b) - 1e-9)
         self.beta_floor = max(-math.pi / 2, cmath.phase(b) - math.pi + 1e-9)
         self.delivery_window = (1e-9, max(1e-9, self.beta_cap))
-
-    def at(self, alpha, beta):
-        """(c, g, eta, i) at xi = alpha*e^{j*beta}, from power_flow.unit_flow, elementwise.
-
-        p_farm = c*v2^2 and p_grid = g*v2^2 [W/(p.u.)^2], eta = g/c (-inf
-        when c <= 0) and i is the larger end current per p.u. of v2 [A].
-        """
-        farm, grid, i1, i2 = unit_flow(self.tp, alpha * np.exp(1j * beta))
-        eta = np.where(farm > 0.0, grid / farm, -np.inf)
-        return 3.0 * farm * self.vph2, 3.0 * grid * self.vph2, eta, np.maximum(abs(i1), abs(i2)) * self.vph
 
     def profile(self, alpha: float, beta: float, v2: float) -> SegmentProfile:
         v2_volts = v2 * self.vph
@@ -403,6 +397,50 @@ class _Cable:
         return out
 
 
+class _Rows:
+    """The cables of a solve's rows, one _Cable per distinct spec.
+
+    The numbers the array solve reads per cable are gathered into arrays
+    over rows: each distinct cable computes them as Python numbers, as a
+    one-row solve does, so every row does the same floating-point work
+    whatever its batch.
+    """
+
+    def __init__(self, specs: list[CableSpec], constraints: Constraints):
+        distinct = {}
+        which = np.array([distinct.setdefault(spec, len(distinct)) for spec in specs])
+        self.distinct = [_Cable(spec, constraints) for spec in distinct]
+        self.per_row = [self.distinct[k] for k in which]
+        self.which = which
+        self.cons = constraints
+        self.tp = TwoPort(*self.gather(lambda cab: (cab.tp.a, cab.tp.b)))
+        self.vph, self.vph2, self.i_rated = self.gather(lambda cab: (cab.vph, cab.vph2, cab.i_rated))
+        # the four forms' parts, real but for the middle one; a part 0 on every cable stays 0
+        table = np.array([cab.farm + cab.grid + cab.cur1 + cab.cur2 for cab in self.distinct])
+        zero = ~table.any(axis=0)
+        table = table[which]
+        parts = [0.0 if zero[j] else table[:, j] if j % 3 == 1 else table[:, j].real for j in range(12)]
+        self.farm, self.grid, self.cur1, self.cur2 = (tuple(parts[j:j + 3]) for j in range(0, 12, 3))
+
+    def __len__(self):
+        return len(self.per_row)
+
+    def gather(self, numbers):
+        """numbers(cab) of each row's cable, as an array over rows, or one per number of a tuple."""
+        return np.array([numbers(cab) for cab in self.distinct])[self.which].T
+
+    def at(self, alpha, beta, r):
+        """(c, g, eta, i) at xi = alpha*e^{j*beta} on rows r, from power_flow.unit_flow, elementwise.
+
+        p_farm = c*v2^2 and p_grid = g*v2^2 [W/(p.u.)^2], eta = g/c (-inf
+        when c <= 0) and i is the larger end current per p.u. of v2 [A].
+        """
+        farm, grid, i1, i2 = unit_flow(TwoPort(self.tp.a[r], self.tp.b[r]), alpha * np.exp(1j * beta))
+        eta = np.where(farm > 0.0, grid / farm, -np.inf)
+        vph2 = self.vph2[r]
+        return 3.0 * farm * vph2, 3.0 * grid * vph2, eta, np.maximum(abs(i1), abs(i2)) * self.vph[r]
+
+
 @dataclass
 class _Candidate:
     score: float     # objective being maximized
@@ -438,12 +476,12 @@ def _cut_out(cuts, alpha, beta, v2):
     return out
 
 
-def _solve(cab: _Cable, rows: int, window: tuple[float, float], bounds, ratios, point,
-           pieces=()) -> list[_Candidate | None]:
+def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> list[_Candidate | None]:
     """Best point(alpha, beta) by _better over the alpha annulus and the beta window, per row.
 
-    bounds are the forms whose zero circles limit the region or switch the
-    objective between pieces, ratios the (num, den) forms it is made of, and
+    window is each row's beta window (lo, hi), bounds are the forms whose
+    zero circles limit the region or switch the objective between pieces,
+    ratios the (num, den) forms it is made of, and
     point(alpha, beta, r) scores candidates, r their rows: (score, v2)
     arrays, NaN score where infeasible.  Each row visits its candidates by
     descending score and stops where none is left within TIE_TOL of its
@@ -454,28 +492,32 @@ def _solve(cab: _Cable, rows: int, window: tuple[float, float], bounds, ratios, 
     candidate that a node already cut rules out is dropped by the node's
     form before any profile is built.
     """
-    a_lo, a_hi = cab.cons.alpha_min, cab.cons.alpha_max
-    base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds), rows)
-    nums, dens = ([np.array([ratio[j][i] for ratio in ratios]) for i in range(3)] for j in (0, 1))
+    rows = len(cables)
+    a_lo, a_hi = cables.cons.alpha_min, cables.cons.alpha_max
+    # the alpha circles and the bounds, then the ratios' numerators and denominators
+    n_base = 2 + len(bounds)
+    base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds)
+                  + [num for num, _ in ratios] + [den for _, den in ratios], rows)
     best: list[_Candidate | None] = [None] * rows
     cuts = [[] for _ in range(rows)]
     extra = [[] for _ in range(rows)]
     todo = np.arange(rows)
     while todo.size:
         width = max(len(extra[r]) for r in todo)
-        n = base[0].shape[1] + width
+        n = n_base + width
         step = max(1, _CELLS // ((n + 2) * (n + 2 * len(ratios))))
         again = []
         for block in (todo[i:i + step] for i in range(0, todo.size, step)):
-            circles = [part[block] for part in base]
+            forms = [part[block] for part in base]
             if width:
-                # each row's cut circles, padded with NaN to the longest list
+                # each row's cut circles after the others, padded with NaN to the longest list
                 ext = [np.full((block.size, width), np.nan, dtype) for dtype in (float, complex, float)]
                 for j, r in enumerate(block):
                     for part, x in zip(ext, _stack(extra[r], 1)):
                         part[j, :x.shape[1]] = x[0]
-                circles = [np.concatenate(parts, axis=1) for parts in zip(circles, ext)]
-            row, rank, alpha, beta = _points(circles, nums, dens, *window)
+                forms = [np.concatenate([part[:, :n_base], x, part[:, n_base:]], axis=1)
+                         for part, x in zip(forms, ext)]
+            row, rank, alpha, beta = _points(forms, n, *(end[block] for end in window))
             # the candidates in the annulus, by row, descending score and rank
             inside = (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
             row, rank, beta = row[inside], rank[inside], beta[inside]
@@ -497,7 +539,7 @@ def _solve(cab: _Cable, rows: int, window: tuple[float, float], bounds, ratios, 
                     if row_best is not None and cand.score < row_best.score - TIE_TOL:
                         break
                     if _better(cand, row_best):
-                        fails = cab.violations(cand)
+                        fails = cables.per_row[r].violations(cand)
                         if not fails:
                             row_best = cand
                         elif row_best is None and (new := [cut for cut in fails if cut not in cuts[r]]):
@@ -505,7 +547,8 @@ def _solve(cab: _Cable, rows: int, window: tuple[float, float], bounds, ratios, 
                 if new:
                     cuts[r] += new
                     extra[r] += [_sub(tuple(float(np.broadcast_to(k, (rows,))[r]) * x for x in form),
-                                      den, (limit * (1 - _EDGE)) ** 2)
+                                      tuple(x[r] if isinstance(x, np.ndarray) else x for x in den),
+                                      (limit * (1 - _EDGE)) ** 2)
                                  for form, limit in new for k, den in pieces]
                     again.append(r)
                 else:
@@ -529,13 +572,14 @@ def optimize_scaling_unconstrained(
     at a stationary point along the circle or ray, all in closed form.
     """
     a_lo, a_hi = alpha_range
-    cab = _Cable(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))
+    cables = _Rows([spec], Constraints(alpha_min=a_lo, alpha_max=a_hi))
 
     def point(alpha, beta, r):
-        eta = cab.at(alpha, beta)[2]
+        eta = cables.at(alpha, beta, r)[2]
         return np.where(np.isfinite(eta), eta, np.nan), np.zeros_like(eta)
 
-    best = _solve(cab, 1, (1e-6, cab.beta_cap), [], [(cab.grid, cab.farm)], point)[0]
+    window = cables.gather(lambda cab: (1e-6, cab.beta_cap))
+    best = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[0]
     if best is None:
         raise NoPositivePower("no scaling in range yields positive farm power")
     return VoltageScaling(best.alpha, best.beta), best.score
@@ -552,9 +596,9 @@ def optimal_voltage_curve(
     i_rated: float | None = None,
 ) -> list[CurvePoint]:
     """v2 = sqrt(p_farm/c) per target, flagged against voltage/current limits."""
-    cab = _Cable(spec, Constraints(i_rated=i_rated))
+    cables = _Rows([spec], Constraints(i_rated=i_rated))
     with np.errstate(all="ignore"):
-        c, _, _, i_unit = (float(x) for x in cab.at(scaling.alpha, scaling.beta))
+        c, _, _, i_unit = (float(x) for x in cables.at(scaling.alpha, scaling.beta, 0))
     if c <= 0.0:
         raise NoPositivePower(f"farm power coefficient is {c:.3g} W/pu^2 at this scaling")
     out = []
@@ -566,22 +610,26 @@ def optimal_voltage_curve(
             p_farm=p,
             v2_opt=v2,
             exceeds_v2_max=v2 > v2_max,
-            exceeds_current=i_unit * v2 > cab.i_rated,
+            exceeds_current=i_unit * v2 > cables.per_row[0].i_rated,
         ))
     return out
 
 
 # ---------------------------------------------------------------------------
-# rows: one (power, v2 box) problem each, on one cable
+# rows: one (cable, power, v2 box) problem each
 
-def _row_cable(spec: CableSpec, boxes: list[Constraints]):
-    """The _Cable of a batch and its v2 bounds per row; the rows may differ in their v2 box only."""
-    first = boxes[0]
-    for box in boxes:
+def _row_cables(rows: list[tuple[CableSpec, Constraints]]):
+    """The _Rows of a batch and its v2 bounds per row.
+
+    The rows may differ in their cable and v2 box only: not in their alpha
+    bounds, rating override or internal checks.
+    """
+    first = rows[0][1]
+    for box in {id(box): box for _, box in rows}.values():
         if box is not first and box.with_v2_range(first.v2_min, first.v2_max) != first:
-            raise ValueError("the rows of one solve may differ in their v2 box only")
-    return (_Cable(spec, first), np.array([box.v2_min for box in boxes]),
-            np.array([box.v2_max for box in boxes]))
+            raise ValueError("the rows of one solve may differ in their cable and v2 box only")
+    return (_Rows([spec for spec, _ in rows], first), np.array([box.v2_min for _, box in rows]),
+            np.array([box.v2_max for _, box in rows]))
 
 
 def _optimum(cab: _Cable, cons: Constraints, best: _Candidate) -> OptimumPoint:
@@ -608,35 +656,37 @@ def _optimum(cab: _Cable, cons: Constraints, best: _Candidate) -> OptimumPoint:
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
 def optimize_at_production_rows(
-    spec: CableSpec, rows: list[tuple[float, Constraints]],
+    rows: list[tuple[CableSpec, float, Constraints]],
 ) -> list[OptimumPoint | None]:
-    """optimize_at_production for every (p_farm, constraints) row in one array solve.
+    """optimize_at_production for every (spec, p_farm, constraints) row in one array solve.
 
     None marks a row that optimize_at_production reports Infeasible.  The
-    rows' constraints may differ in their v2 box only.
+    rows may differ in their cable and in their constraints' v2 box only.
     """
     if not rows:
         return []
-    for p, _ in rows:
+    for _, p, _ in rows:
         if not (p > 0.0 and math.isfinite(p)):
             raise ValueError(f"p_farm must be > 0 W, got {p}")
-    cab, lo, hi = _row_cable(spec, [cons for _, cons in rows])
-    p = np.array([p for p, _ in rows])
+    cables, lo, hi = _row_cables([(spec, cons) for spec, _, cons in rows])
+    p = np.array([p for _, p, _ in rows])
 
-    k = p / (3.0 * cab.vph2)      # v2^2 = k/farm
-    shrunk = 3.0 * (cab.i_rated * (1.0 - _EDGE)) ** 2 / p
-    bounds = [_sub(cab.farm, _ONE, k / (v2 * v2)) for v2 in (lo, hi)]
-    bounds += [_sub(cur, cab.farm, shrunk) for cur in (cab.cur1, cab.cur2)]
+    k = p / (3.0 * cables.vph2)      # v2^2 = k/farm
+    shrunk = cables.gather(lambda cab: 3.0 * (cab.i_rated * (1.0 - _EDGE)) ** 2) / p
+    bounds = [_sub(cables.farm, _ONE, k / (v2 * v2)) for v2 in (lo, hi)]
+    bounds += [_sub(cur, cables.farm, shrunk) for cur in (cables.cur1, cables.cur2)]
 
     def point(alpha, beta, r):
-        c, _, eta, i = cab.at(alpha, beta)
+        c, _, eta, i = cables.at(alpha, beta, r)
         v2 = np.sqrt(p[r] / c)
-        fits = (c > 0.0) & (lo[r] * (1 - 1e-9) <= v2) & (v2 <= hi[r] * (1 + 1e-9)) & ~(i * v2 > cab.i_rated)
+        fits = (c > 0.0) & (lo[r] * (1 - 1e-9) <= v2) & (v2 <= hi[r] * (1 + 1e-9))
+        fits &= ~(i * v2 > cables.i_rated[r])
         return np.where(fits, eta, np.nan), v2
 
-    best = _solve(cab, len(rows), (cab.beta_floor, cab.beta_cap), bounds, [(cab.grid, cab.farm)],
-                  point, [(k, cab.farm)])
-    return [None if b is None else _optimum(cab, cons, b) for (_, cons), b in zip(rows, best)]
+    window = cables.gather(lambda cab: (cab.beta_floor, cab.beta_cap))
+    best = _solve(cables, window, bounds, [(cables.grid, cables.farm)], point, [(k, cables.farm)])
+    return [None if b is None else _optimum(cab, cons, b)
+            for (_, _, cons), cab, b in zip(rows, cables.per_row, best)]
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -649,7 +699,7 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
     treat the shortfall.
     """
     cons = constraints if constraints is not None else Constraints()
-    point = optimize_at_production_rows(spec, [(p_farm, cons)])[0]
+    point = optimize_at_production_rows([(spec, p_farm, cons)])[0]
     if point is None:
         raise Infeasible(
             f"no operating point in the box transmits {p_farm/1e6:.3f} MW "
@@ -664,43 +714,45 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
 def max_feasible_power_rows(
-    spec: CableSpec, rows: list[tuple[Constraints, float | None]],
+    rows: list[tuple[CableSpec, Constraints, float | None]],
 ) -> list[OptimumPoint | None]:
-    """max_feasible_power for every (constraints, p_farm_cap) row in one array solve.
+    """max_feasible_power for every (spec, constraints, p_farm_cap) row in one array solve.
 
-    None marks a row that max_feasible_power reports Infeasible.  The rows'
-    constraints may differ in their v2 box only, and either every row has a
-    farm cap or none has.
+    None marks a row that max_feasible_power reports Infeasible.  The rows
+    may differ in their cable and in their constraints' v2 box only, and
+    either every row has a farm cap or none has.
     """
     if not rows:
         return []
-    capped = {cap is not None for _, cap in rows}
+    capped = {cap is not None for _, _, cap in rows}
     if len(capped) > 1:
         raise ValueError("p_farm_cap must be set on every row of a solve or on none")
-    for _, cap in rows:
+    for _, _, cap in rows:
         if cap is not None and not cap > 0.0:
             raise ValueError(f"p_farm_cap must be > 0 W, got {cap}")
-    cab, lo, hi = _row_cable(spec, [cons for cons, _ in rows])
-    cap = np.array([cap for _, cap in rows]) if capped == {True} else None
+    cables, lo, hi = _row_cables([(spec, cons) for spec, cons, _ in rows])
+    cap = np.array([cap for _, _, cap in rows]) if capped == {True} else None
 
-    curs = (cab.cur1, cab.cur2)
+    curs = (cables.cur1, cables.cur2)
+    i_rated2 = cables.gather(lambda cab: cab.i_rated**2)
     # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
     # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
-    levels = [r * r for v2 in (lo, hi) for r in (cab.i_rated / (cab.vph * v2),)]
-    bounds = [_sub(cab.cur1, cab.cur2)] + [_sub(cur, _ONE, q) for cur in curs for q in levels]
-    ratios = [(cab.grid, _ONE)] + [(num, den) for cur in curs for num, den in
-                                   ((cab.grid, cur), (cur, _ONE))]
+    levels = [r * r for v2 in (lo, hi) for r in (cables.i_rated / (cables.vph * v2),)]
+    bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, _ONE, q) for cur in curs for q in levels]
+    ratios = [(cables.grid, _ONE)] + [(num, den) for cur in curs for num, den in
+                                   ((cables.grid, cur), (cur, _ONE))]
     pieces = [(v2 * v2, _ONE) for v2 in (lo, hi)]
-    pieces += [(cab.i_rated**2 / cab.vph2, cur) for cur in curs]
+    pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
     if cap is not None:
-        k = 3.0 * cab.i_rated**2 / cap   # c*v2^2 = cap where farm = q/k
-        bounds += [_sub(cab.farm, _ONE, q / k) for q in levels] + [_sub(cur, cab.farm, k) for cur in curs]
-        ratios.append((cab.grid, cab.farm))
-        pieces.append((cap / (3.0 * cab.vph2), cab.farm))
+        k = 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
+        bounds += [_sub(cables.farm, _ONE, q / k) for q in levels]
+        bounds += [_sub(cur, cables.farm, k) for cur in curs]
+        ratios.append((cables.grid, cables.farm))
+        pieces.append((cap / (3.0 * cables.vph2), cables.farm))
 
     def point(alpha, beta, r):
-        c, g, _, i = cab.at(alpha, beta)
-        v2 = np.minimum(hi[r], cab.i_rated / i)
+        c, g, _, i = cables.at(alpha, beta, r)
+        v2 = np.minimum(hi[r], cables.i_rated[r] / i)
         if cap is not None:
             v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
         fits = ~(v2 < lo[r] * (1 - 1e-12))
@@ -708,8 +760,10 @@ def max_feasible_power_rows(
         v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
         return np.where(fits, g * v2 * v2, np.nan), v2
 
-    best = _solve(cab, len(rows), cab.delivery_window, bounds, ratios, point, pieces)
-    return [None if b is None else _optimum(cab, cons, b) for (cons, _), b in zip(rows, best)]
+    window = cables.gather(lambda cab: cab.delivery_window)
+    best = _solve(cables, window, bounds, ratios, point, pieces)
+    return [None if b is None else _optimum(cab, cons, b)
+            for (_, cons, _), cab, b in zip(rows, cables.per_row, best)]
 
 
 def max_feasible_power(
@@ -729,13 +783,18 @@ def max_feasible_power(
     are candidates too, so a box with a feasible point is never Infeasible.
     """
     cons = constraints if constraints is not None else Constraints()
-    point = max_feasible_power_rows(spec, [(cons, p_farm_cap)])[0]
+    point = max_feasible_power_rows([(spec, cons, p_farm_cap)])[0]
     if point is None:
-        raise Infeasible(
-            f"charging current alone exceeds {cons.rated_current(spec):.0f} A at "
-            f"v2 = {cons.v2_min} p.u.; even zero-power operation violates limits"
-        )
+        raise inoperable(spec, cons)
     return point.flow.p_farm, point.flow.p_grid, point
+
+
+def inoperable(spec: CableSpec, constraints: Constraints) -> Infeasible:
+    """The Infeasible of a box where max_feasible_power finds no operating point at all."""
+    return Infeasible(
+        f"charging current alone exceeds {constraints.rated_current(spec):.0f} A at "
+        f"v2 = {constraints.v2_min} p.u.; even zero-power operation violates limits"
+    )
 
 
 def transfer_envelope(
@@ -747,28 +806,27 @@ def transfer_envelope(
     """Capability study: thin fixed-voltage curves plus the upper envelope.
 
     Per (length, v2) the deliverable maximum at that fixed voltage; per
-    length also the maximum with v2 free inside the constraint box, all
-    rows of one length in one solve.  Infeasible combinations are recorded
-    as zero capability, not errors.
+    length also the maximum with v2 free inside the constraint box, every
+    row of every length in one solve.  Infeasible combinations are
+    recorded as zero capability, not errors.
     """
     if not lengths or not v2_values:
         raise ValueError("lengths and v2_values must be non-empty")
     cons = constraints if constraints is not None else Constraints()
+    boxes = [cons.fixed_v2(v2) for v2 in v2_values] + [cons]
+    rows = [(spec, box, None) for spec in map(spec_template.with_length, lengths) for box in boxes]
 
-    def capability(length: float, box: Constraints, point: OptimumPoint | None) -> EnvelopePoint:
+    def capability(spec: CableSpec, box: Constraints, point: OptimumPoint | None) -> EnvelopePoint:
         if point is None:
-            return EnvelopePoint(length, box.v2_min, 0.0, 0.0, feasible=False)
+            return EnvelopePoint(spec.length_km, box.v2_min, 0.0, 0.0, feasible=False)
         pf, pg = point.flow.p_farm, point.flow.p_grid
         if not pg > 0.0:
             pf = pg = 0.0
-        return EnvelopePoint(length, point.operating_point.v2, pg, pf)
+        return EnvelopePoint(spec.length_km, point.operating_point.v2, pg, pf)
 
-    points, envelope = [], []
-    for length in lengths:
-        spec = spec_template.with_length(length)
-        boxes = [cons.fixed_v2(v2) for v2 in v2_values] + [cons]
-        rows = [capability(spec.length_km, box, point) for box, point in
-                zip(boxes, max_feasible_power_rows(spec, [(box, None) for box in boxes]))]
-        points += rows[:-1]
-        envelope.append(rows[-1])
-    return TransferEnvelope(tuple(points), tuple(envelope))
+    out = [capability(spec, box, point)
+           for (spec, box, _), point in zip(rows, max_feasible_power_rows(rows))]
+    # each length's rows: the fixed voltages, then the free one
+    groups = [out[j:j + len(boxes)] for j in range(0, len(out), len(boxes))]
+    return TransferEnvelope(tuple(pt for group in groups for pt in group[:-1]),
+                            tuple(group[-1] for group in groups))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cableopt import CableSpec, PulParameters, VoltageScaling
+from cableopt import CableSpec, PulParameters, VoltageScaling, optimizer
 
 # Reference 220 kV class 1000 mm2 submarine cable (50 Hz data), per-unit
 # voltage base 240 kV (the system's maximum operating voltage).
@@ -17,6 +17,15 @@ def ref_cable(length_km=200.0) -> CableSpec:
 @pytest.fixture
 def cable200() -> CableSpec:
     return ref_cable(200.0)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch) -> list:
+    """One entry per call of the candidate solve optimizer._solve."""
+    calls = []
+    solve = optimizer._solve
+    monkeypatch.setattr(optimizer, "_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
 
 
 def random_cable(rng: random.Random) -> CableSpec:

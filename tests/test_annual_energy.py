@@ -239,6 +239,30 @@ def test_compare_strategies_reference_is_zero(cable200):
     assert out[2].loss_reduction_pct > 0.0
 
 
+def test_compare_strategies_is_three_solves_with_the_one_strategy_results(solve_calls):
+    spec, curve = ref_cable(230.0), small_curve()
+    strategies = [FixedVoltage(1.0), VoltageRange(0.4, 1.0), tap_range(0.9, 0.1)]
+    out = compare_strategies(spec, 340e6, curve, strategies)
+    # the up-front check, the production solve and the capped solve
+    assert len(solve_calls) == 3
+    for o, strategy in zip(out, strategies):
+        alone = annual_efficiency(spec, 340e6, curve, strategy)
+        assert o.strategy == strategy and o.result == alone
+        assert any(b.curtailed > 0.0 for b in alone.per_bin)
+
+
+def test_compare_strategies_names_the_first_inoperable_strategy():
+    spec, curve = ref_cable(300.0), small_curve(n_bins=6)
+    strategies = [VoltageRange(0.4, 1.0), FixedVoltage(1.0), FixedVoltage(0.99)]
+    with pytest.raises(Infeasible) as alone:
+        annual_efficiency(spec, 200e6, curve, FixedVoltage(1.0))
+    with pytest.raises(Infeasible) as batch:
+        compare_strategies(spec, 200e6, curve, strategies)
+    assert str(batch.value) == str(alone.value) == (
+        "strategy fixed-1.000 cannot operate this cable at all: charging current alone "
+        "exceeds 1055 A at v2 = 1.0 p.u.; even zero-power operation violates limits")
+
+
 def test_annual_validates_rated_power(cable200):
     with pytest.raises(ValueError):
         annual_efficiency(cable200, 0.0, small_curve(n_bins=4), FixedVoltage(1.0))

@@ -1,12 +1,17 @@
 """CLI behaviour: output format, determinism, exit codes, round-trips."""
 
+import contextlib
 import hashlib
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cableopt.cli import MAX_POINTS, _parse_float_list, main
 from cableopt.errors import ConfigError
@@ -221,6 +226,59 @@ def test_extreme_inputs_print_no_numpy_warning(tmp_path, capsys, constraints, ar
         code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == expected
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("length", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--p-farm-mw", "100"],
+    ["optimize"],
+    _SWEEP + ["--p-min-mw", "50", "--p-max-mw", "250", "--voltages", "0.6"],
+    _ANNUAL + ["--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
+    ["envelope", "--voltages", "1"],
+])
+def test_very_short_cable_is_degenerate(tmp_path, capsys, length, argv):
+    # its admittances overflow when squared: an infeasible request, not a traceback
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"cable": {"length_km": length}}), encoding="utf-8")
+    if argv[0] == "envelope":
+        argv = argv + ["--lengths-km", f"200,{length}"]
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 3
+    assert err.startswith("infeasible:") and "too short" in err
+
+
+_LOG_KM = st.floats(-300.0, 9.0).map(lambda e: 10.0 ** e)
+_VOLTAGE = st.floats(0.0, 1.5) | st.floats(-160.0, 0.0).map(lambda e: 10.0 ** e)
+_LEVEL_MW = st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(command=st.sampled_from(["envelope", "sweep", "optimize"]), length=_LOG_KM,
+       lengths=st.lists(_LOG_KM, min_size=1, max_size=3),
+       voltages=st.lists(_VOLTAGE, min_size=1, max_size=3), level=_LEVEL_MW | st.none(),
+       box=st.tuples(_VOLTAGE, st.floats(0.0, 1.0)))
+def test_fuzzed_commands_exit_0_2_or_3(command, length, lengths, voltages, level, box):
+    joined = ",".join(map(repr, voltages))
+    argv = {
+        "envelope": ["envelope", f"--lengths-km={','.join(map(repr, lengths))}",
+                     f"--voltages={joined}"],
+        "sweep": ["sweep", f"--voltages={joined}",
+                  "--optimal-range", repr(box[0]), repr(box[0] + box[1]),
+                  f"--p-min-mw={level or 1.0!r}", f"--p-max-mw={4 * (level or 1.0)!r}",
+                  f"--p-step-mw={level or 1.0!r}"],
+        "optimize": ["optimize"] + ([] if level is None else [f"--p-farm-mw={level!r}"]),
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "study.json"
+        cfg.write_text(json.dumps({"cable": {"length_km": length}}), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", str(cfg)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert code == 0 or err.getvalue().startswith(("infeasible:", "config error:", "error:"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

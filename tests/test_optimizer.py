@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from cableopt import (
 )
 
 from cableopt import optimizer
+from cableopt.cli import main
 from cableopt.optimizer import _Cable, _points
 from cableopt.power_flow import unit_flow
 from conftest import random_cable, ref_cable
@@ -540,10 +542,70 @@ def test_envelope_rows_match_one_row_calls():
                 assert pt.p_grid_max == pt.p_farm_at_max == 0.0
 
 
-def test_rows_may_differ_in_their_v2_box_only(cable200):
-    rows = [(100e6, Constraints()), (100e6, Constraints(alpha_max=1.05))]
+def _same_point(point, one):
+    """A row's OptimumPoint against its one-row call's, within 1e-12 relative."""
+    assert (point is None) == (one is None)
+    if point is not None:
+        got, want = point.operating_point, one.operating_point
+        assert got.v2 == pytest.approx(want.v2, rel=1e-12)
+        assert got.scaling.alpha == pytest.approx(want.scaling.alpha, rel=1e-12)
+        assert got.scaling.beta == pytest.approx(want.scaling.beta, rel=1e-12, abs=1e-15)
+        assert point.flow.p_farm == pytest.approx(one.flow.p_farm, rel=1e-12)
+        assert point.flow.p_grid == pytest.approx(one.flow.p_grid, rel=1e-12)
+        assert point.binding_constraints == one.binding_constraints
+
+
+@pytest.mark.parametrize("internal", [False, True])
+def test_rows_on_different_cables_match_one_row_calls(internal):
+    # one production and one capped delivery solve over rows whose cables
+    # differ in their per-length data and length, and whose v2 boxes differ
+    rng = random.Random(43 + internal)
+    cons = Constraints(check_internal_current=internal,
+                       check_internal_voltage_max=1.0 if internal else None, n_profile_segments=8)
+    specs = [random_cable(rng).with_length(10.0 ** rng.uniform(0.0, math.log10(400.0)))
+             for _ in range(6 if internal else 16)]
+    rows = []
+    for spec in specs:
+        for _ in range(3):
+            lo = rng.uniform(0.3, 1.0)
+            rows.append((spec, cons.with_v2_range(lo, rng.choice([lo, rng.uniform(lo, 1.0), 1.0])),
+                         10.0 ** rng.uniform(5.0, 9.0)))
+    rng.shuffle(rows)
+    batched = optimize_at_production_rows([(spec, p, box) for spec, box, p in rows])
+    for (spec, box, p), point in zip(rows, batched):
+        _same_point(point, optimize_at_production_rows([(spec, p, box)])[0])
+    assert any(point is None for point in batched) and any(point is not None for point in batched)
+    batched = max_feasible_power_rows(rows)
+    for (spec, box, cap), point in zip(rows, batched):
+        _same_point(point, max_feasible_power_rows([(spec, box, cap)])[0])
+    assert any(point is None for point in batched) and any(point is not None for point in batched)
+
+
+def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
+    rows = [(cable200, 100e6, Constraints()), (cable200, 100e6, Constraints(alpha_max=1.05))]
     with pytest.raises(ValueError):
-        optimize_at_production_rows(cable200, rows)
+        optimize_at_production_rows(rows)
     with pytest.raises(ValueError):
-        max_feasible_power_rows(cable200, [(Constraints(), None), (Constraints(), 50e6)])
-    assert optimize_at_production_rows(cable200, []) == []
+        max_feasible_power_rows([(cable200, Constraints(), None), (cable200, Constraints(), 50e6)])
+    assert optimize_at_production_rows([]) == []
+    # a different cable, v2 box or cable rating is fine; a different override is not
+    rows = [(cable200, 100e6, Constraints()), (ref_cable(80.0), 100e6, Constraints(v2_min=0.9)),
+            (replace(cable200, rated_current=700.0), 100e6, Constraints())]
+    assert None not in optimize_at_production_rows(rows)
+    with pytest.raises(ValueError):
+        optimize_at_production_rows(rows + [(cable200, 100e6, Constraints(i_rated=900.0))])
+    with pytest.raises(ValueError):
+        max_feasible_power_rows([(cable200, Constraints(), None),
+                                 (cable200, Constraints(check_internal_current=True), None)])
+
+
+def test_envelope_and_sweep_are_one_solve_each(solve_calls, capsys):
+    calls = solve_calls
+    env = transfer_envelope(ref_cable(), [60.0, 150.0, 240.0, 330.0, 420.0], [1.0, 0.8, 0.6, 0.4])
+    assert len(calls) == 1
+    assert len(env.points) == 20 and len(env.envelope) == 5
+    assert [pt.length_km for pt in env.envelope] == [60.0, 150.0, 240.0, 330.0, 420.0]
+    calls.clear()
+    assert main(["sweep", "--voltages", "0.6,1.0", "--optimal-range", "0.4", "1.0"]) == 0
+    assert len(calls) == 1
+    assert len(capsys.readouterr().out.splitlines()) > 3 * 30
