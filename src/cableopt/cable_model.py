@@ -270,8 +270,8 @@ def segment_profile(
         )
 
     return SegmentProfile(
-        node_voltages=tuple(complex(v) for v in voltages),
-        node_currents=tuple(complex(i) for i in sending),
+        node_voltages=tuple(voltages.tolist()),
+        node_currents=tuple(sending.tolist()),
         grid_end_current=complex(receiving[-1]),
-        segment_losses=tuple(float(p) for p in losses),
+        segment_losses=tuple(losses.tolist()),
     )

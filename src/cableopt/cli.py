@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from contextlib import ExitStack
@@ -164,23 +165,25 @@ def _cmd_analyze(args, cfg: StudyConfig) -> int:
         vph = spec.phase_voltage
         v2_volts = args.v2 * vph
         prof = segment_profile(spec, scaling.xi * v2_volts, v2_volts, args.profile)
-        ptab = ResultTable(
+        voltages = prof.node_voltages
+        v_mag = list(map(abs, voltages))
+        step = spec.length_km / args.profile
+        nodes = range(len(voltages))
+        columns = (
+            nodes,
+            [k * step for k in nodes],
+            [m / 1e3 for m in v_mag],
+            [m / vph for m in v_mag],
+            map(math.degrees, map(cmath.phase, voltages)),
+            [*map(abs, prof.node_currents), abs(prof.grid_end_current)],
+            [p / 1e6 for p in prof.segment_losses] + [0.0],
+        )
+        tables.append(ResultTable(
             "profile",
             ["node", "position", "v_mag", "v_pu", "v_angle", "i_mag", "segment_loss"],
             ["-", "km", "kV", "pu", "deg", "A", "MW"],
-        )
-        n = args.profile
-        step = spec.length_km / n
-        for k, v in enumerate(prof.node_voltages):
-            if k < n:
-                i_mag = abs(prof.node_currents[k])
-                seg_loss = prof.segment_losses[k] / 1e6
-            else:
-                i_mag = abs(prof.grid_end_current)
-                seg_loss = 0.0
-            ptab.add(k, k * step, abs(v) / 1e3, abs(v) / vph,
-                     math.degrees(cmath.phase(v)), i_mag, seg_loss)
-        tables.append(ptab)
+            list(zip(*columns)),
+        ))
     return _emit(args, cfg, tables)
 
 
@@ -314,7 +317,9 @@ def _cmd_envelope(args, cfg: StudyConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON study configuration")
     common.add_argument("--out", metavar="PATH", help="output file (default: stdout)")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 
 def _fmt(value) -> str:
@@ -42,22 +44,59 @@ class ResultTable:
         self.rows.append(tuple(row))
 
     def has_nonfinite(self) -> bool:
-        for row in self.rows:
-            for v in row:
-                if isinstance(v, float) and v != v:
-                    return True
-                if isinstance(v, float) and v in (float("inf"), float("-inf")):
-                    return True
-        return False
-
-    def as_dict(self) -> dict:
-        return {"columns": self.columns, "units": self.units,
-                "rows": [list(r) for r in self.rows]}
+        """True if a float cell (numpy float64 included) is NaN or infinite."""
+        cells = list(chain.from_iterable(self.rows))
+        floats = compress(cells, map(isinstance, cells, repeat(float)))
+        return not all(map(math.isfinite, floats))
 
 
 def provenance_digest(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+# A table's rows are written through one %-template built column by column:
+# a column whose cells are all exact floats is formatted by % itself, every
+# other column is turned into strings first and goes in through %s.
+
+def _csv_column(values: tuple) -> tuple[str, tuple]:
+    if set(map(type, values)) == {float}:
+        return "%.12g", values          # the text of f"{v:.12g}"
+    return "%s", tuple(map(_fmt, values))
+
+
+def _json_column(values: tuple) -> tuple[str, tuple]:
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return "%r", values             # float.__repr__, as json writes it
+    if kinds == {int}:
+        return "%d", values
+    return "%s", tuple(map(json.dumps, values))
+
+
+def _cells(rows: list[tuple], column_format) -> tuple[list[str], tuple]:
+    """The %-spec of each column and every cell, row by row, for one % call."""
+    columns = [column_format(values) for values in zip(*rows)]
+    cells = tuple(chain.from_iterable(zip(*[values for _, values in columns])))
+    return [spec for spec, _ in columns], cells
+
+
+def _json_block(value, depth: int) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) nested `depth` levels deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _json_table(table: ResultTable) -> str:
+    rows = "[]"
+    if table.rows:
+        specs, cells = _cells(table.rows, _json_column)
+        row = "        []"
+        if specs:
+            row = "        [\n          " + ",\n          ".join(specs) + "\n        ]"
+        rows = "[\n" + ",\n".join([row] * len(table.rows)) % cells + "\n      ]"
+    return (f'{{\n      "columns": {_json_block(table.columns, 3)},\n'
+            f'      "rows": {rows},\n'
+            f'      "units": {_json_block(table.units, 3)}\n    }}')
 
 
 def write_tables(
@@ -67,13 +106,22 @@ def write_tables(
     json_mode: bool = False,
     config_echo: dict | None = None,
 ):
+    """Write the tables as CSV, or with json_mode as the JSON document
+    {"config"?, "provenance", "sections": {name: {columns, rows, units}}}
+    laid out exactly as json.dump(doc, indent=2, sort_keys=True) lays it out;
+    of two tables with one name, the later one is the section."""
     if json_mode:
-        doc = {"sections": {t.name: t.as_dict() for t in tables},
-               "provenance": provenance}
+        named = {t.name: t for t in tables}
+        sections = "{}"
+        if named:
+            sections = "{\n" + ",\n".join(
+                f"    {json.dumps(name)}: {_json_table(named[name])}"
+                for name in sorted(named)) + "\n  }"
+        parts = [f'  "provenance": {_json_block(provenance, 1)}',
+                 f'  "sections": {sections}']
         if config_echo is not None:
-            doc["config"] = config_echo
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            parts.insert(0, f'  "config": {_json_block(config_echo, 1)}')
+        fh.write("{\n" + ",\n".join(parts) + "\n}\n")
         return
     if config_echo is not None:
         for line in json.dumps(config_echo, indent=2, sort_keys=True).splitlines():
@@ -82,8 +130,8 @@ def write_tables(
         fh.write(f"# section: {table.name}\n")
         fh.write(",".join(table.columns) + "\n")
         fh.write("# units: " + ",".join(table.units) + "\n")
-        for row in table.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        specs, cells = _cells(table.rows, _csv_column)
+        fh.write((",".join(specs) + "\n") * len(table.rows) % cells)
     for key in sorted(provenance):
         fh.write(f"# {key}: {provenance[key]}\n")
 

@@ -1,5 +1,6 @@
 """CLI behaviour: output format, determinism, exit codes, round-trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cableopt.cli import MAX_POINTS, _parse_float_list, main
+from cableopt.cli import MAX_POINTS, _build_parser, _parse_float_list, main
 from cableopt.errors import ConfigError
 from cableopt.results import read_tables
 
@@ -61,6 +62,57 @@ def test_analyze_huge_voltage_exits_3_without_warnings(capsys):
                            "--beta-deg", "5", "--profile", "10")
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["csv", "json"])
+def test_nonfinite_rows_need_allow_infeasible(capsys, json_mode):
+    # at v2 = 1e150 the powers overflow: the flow row holds inf and NaN
+    argv = ["analyze", "--v2", "1e150", "--alpha", "1.03", "--beta-deg", "5",
+            "--profile", "2"] + (["--json"] if json_mode else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: section flow contains non-finite values")
+    code, out, err = run(capsys, *argv, "--allow-infeasible")
+    assert code == 0 and err == ""
+    if json_mode:
+        assert "Infinity" in out and "NaN" in out
+        flow = json.loads(out)["sections"]["flow"]
+        row = dict(zip(flow["columns"], flow["rows"][0]))
+    else:
+        flow = parse(out)["flow"]
+        row = dict(zip(flow.columns, flow.rows[0]))
+    assert row["p_farm"] == math.inf and math.isnan(row["eta"])
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(v2=_SPECIAL | st.floats(0.01, 2.0), alpha=_SPECIAL | st.floats(0.5, 1.5),
+       beta=_SPECIAL | st.floats(-90.0, 90.0),
+       profile=st.sampled_from([-1, 0, 1, 2, 7, 50, MAX_POINTS, MAX_POINTS + 1]),
+       json_mode=st.booleans(), allow=st.booleans())
+def test_fuzzed_analyze_exits_0_2_or_3(v2, alpha, beta, profile, json_mode, allow):
+    argv = ["analyze", f"--v2={v2!r}", f"--alpha={alpha!r}", f"--beta-deg={beta!r}",
+            f"--profile={profile}"]
+    argv += ["--json"] * json_mode + ["--allow-infeasible"] * allow
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code != 0:
+        assert err.getvalue().startswith(("infeasible:", "config error:", "error:"))
+        return
+    assert err.getvalue() == ""
+    if json_mode:
+        sections = {name: t["rows"] for name, t in json.loads(out.getvalue())["sections"].items()}
+    else:
+        sections = {name: t.rows for name, t in parse(out.getvalue()).items()}
+    assert len(sections["flow"]) == 1
+    assert len(sections.get("profile", ())) == (profile + 1 if profile > 0 else 0)
 
 
 def test_analyze_degenerate_allowed_with_flag(capsys):
@@ -486,6 +538,54 @@ def test_wrong_typed_study_block_exits_2(tmp_path, capsys, study):
 
 
 # ---------------------------------------------------------------------------
+# one parser for every main() call
+
+_POINT = ["analyze", "--alpha", "1.025", "--beta-deg", "4.25"]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, *_POINT)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (_POINT, ["optimize"], ["envelope", "--lengths-km", "100", "--voltages", "1"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+    assert _build_parser() is _build_parser()
+
+
+def test_arguments_do_not_leak_between_calls(capsys):
+    # --strategy appends: one call's strategies must not add to the next call's
+    code, out, _ = run(capsys, *_ANNUAL, "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0")
+    assert code == 0 and len(parse(out)["annual"].rows) == 2
+    code, out, _ = run(capsys, *_ANNUAL, "--strategy", "fixed:0.8")
+    assert code == 0 and len(parse(out)["annual"].rows) == 1
+    # an option given once falls back to its default in the next call
+    code, out, _ = run(capsys, *_POINT, "--v2", "0.8", "--json")
+    assert code == 0 and json.loads(out)["sections"]["flow"]["rows"][0][0] == 0.8
+    code, out, _ = run(capsys, *_POINT)
+    assert code == 0 and out.startswith("# section: flow")
+    assert parse(out)["flow"].rows[0][0] == 1.0
+    assert _build_parser().parse_args(["analyze"]).v2 == 1.0
+
+
+@pytest.mark.parametrize("bad", [["analyze", "--v2", "abc"], ["analyse"], ["annual", "--bogus"]])
+def test_usage_error_leaves_the_parser_working(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    code, out, err = run(capsys, *_POINT)
+    assert code == 0 and err == ""
+    assert parse(out)["flow"].rows[0][:3] == (1.0, 1.025, 4.25)
+
+
+# ---------------------------------------------------------------------------
 # golden outputs: a change to these digests changes published numbers and
 # must be explained in CHANGES.md
 
@@ -500,6 +600,13 @@ def test_wrong_typed_study_block_exits_2(tmp_path, capsys, study):
      "b4c4c16deed54c3abc505bc84e019d660963b38f4fe5acc88147aa0381c47d08"),
     (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "50"],
      "4b6e1eb5bbbad0124fba95808947a193f7f931e67f2958729a98eedd48cf6736"),
+    (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "50",
+      "--json"],
+     "7c89aefe25665748751258555bc1d60551cf2e77b6f57134f1a8f0982a516c57"),
+    (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "2000"],
+     "d416fbec5fd466a108e33d9400f79684c88ee84c77048c8b2598291c8ff1ee0c"),
+    (["optimize", "--echo-config", "--json"],
+     "027c8f505d0849c07f4affe4f005ba892c167dfd0a47a8ca134d19d51955bd42"),
 ])
 def test_golden_output_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
