@@ -36,18 +36,7 @@ from .cable_model import (
     pul_shunt_admittance,
     segment_profile,
 )
-from .errors import (
-    CableOptError,
-    ConfigError,
-    DegenerateCable,
-    EmptyCurve,
-    Infeasible,
-    NegativeWeight,
-    NoPositivePower,
-    PowerOutOfRange,
-    UnreachableTarget,
-    ZeroFarmPower,
-)
+from .errors import CableOptError, ConfigError, Infeasible
 from .optimizer import (
     BindingConstraint,
     Constraints,
@@ -78,13 +67,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnualResult", "BinOutcome", "BindingConstraint", "CableOptError",
     "CableSpec", "ConfigError", "Constraints", "CurvePoint",
-    "DEFAULT_PROFILE_SEGMENTS", "DegenerateCable", "DurationCurve",
-    "EmptyCurve", "EnvelopePoint", "FixedVoltage", "FlowSolution",
-    "Infeasible", "NegativeWeight", "NoPositivePower", "OperatingPoint",
-    "OptimumPoint", "PowerOutOfRange", "PulParameters", "SegmentProfile",
-    "StrategyOutcome", "TransferEnvelope", "TwoPort",
-    "UnreachableTarget", "VoltageRange", "VoltageScaling", "VoltageStrategy",
-    "ZeroFarmPower", "annual_efficiency", "characteristic_impedance",
+    "DEFAULT_PROFILE_SEGMENTS", "DurationCurve", "EnvelopePoint", "FixedVoltage",
+    "FlowSolution", "Infeasible", "OperatingPoint", "OptimumPoint", "PulParameters",
+    "SegmentProfile", "StrategyOutcome", "TransferEnvelope", "TwoPort",
+    "VoltageRange", "VoltageScaling", "VoltageStrategy",
+    "annual_efficiency", "characteristic_impedance",
     "compare_strategies", "efficiency_of_scaling", "exact_pi_two_port",
     "farm_power_coefficient", "grid_power_coefficient",
     "load_duration_curve", "max_feasible_power", "max_feasible_power_rows",

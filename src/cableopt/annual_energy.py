@@ -23,14 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .cable_model import CableSpec
-from .errors import (
-    ConfigError,
-    EmptyCurve,
-    Infeasible,
-    NegativeWeight,
-    PowerOutOfRange,
-    UnreachableTarget,
-)
+from .errors import ConfigError, Infeasible
 from .optimizer import Constraints, inoperable, max_feasible_power_rows, optimize_at_production_rows
 
 _UF_BISECT_ITERS = 80
@@ -49,7 +42,7 @@ class DurationCurve:
 
     def __post_init__(self):
         if not self.bins:
-            raise EmptyCurve("duration curve has no bins")
+            raise ConfigError("duration curve has no bins")
         total = math.fsum(w for _, w in self.bins)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
@@ -58,15 +51,15 @@ class DurationCurve:
 def load_duration_curve(rows: list[tuple[float, float]]) -> DurationCurve:
     """Validate and normalize raw (power_pu, weight) rows."""
     if not rows:
-        raise EmptyCurve("no duration-curve rows given")
+        raise ConfigError("no duration-curve rows given")
     for p, w in rows:
         if not (math.isfinite(w) and w >= 0.0):
-            raise NegativeWeight(f"weight must be finite and >= 0, got {w!r}")
+            raise ConfigError(f"weight must be finite and >= 0, got {w!r}")
         if not (math.isfinite(p) and -1e-9 <= p <= 1.0 + 1e-9):
-            raise PowerOutOfRange(f"power_pu must lie in [0, 1], got {p!r}")
+            raise ConfigError(f"power_pu must lie in [0, 1], got {p!r}")
     total = math.fsum(w for _, w in rows)
     if total <= 0.0:
-        raise EmptyCurve("duration-curve weights sum to zero")
+        raise ConfigError("duration-curve weights sum to zero")
     bins = tuple((min(max(p, 0.0), 1.0), w / total) for p, w in rows)
     return DurationCurve(bins=bins, normalization=total)
 
@@ -140,11 +133,11 @@ def synth_duration_curve(
         return _curve_for_scale(weibull_scale, weibull_shape, cut_in, rated, cut_out, n_bins)
 
     if not (0.0 < target_uf < 1.0):
-        raise UnreachableTarget(f"target utilization factor must be in (0, 1), got {target_uf}")
+        raise Infeasible(f"target utilization factor must be in (0, 1), got {target_uf}")
     lo, hi = 0.05, 0.98 * cut_out
     uf_hi = utilization_factor(_curve_for_scale(hi, weibull_shape, cut_in, rated, cut_out, n_bins))
     if uf_hi < target_uf - uf_tolerance:
-        raise UnreachableTarget(
+        raise Infeasible(
             f"utilization factor {target_uf} unreachable; maximum on the rising "
             f"branch is {uf_hi:.4f} for this turbine"
         )
@@ -158,7 +151,7 @@ def synth_duration_curve(
     scale = 0.5 * (lo + hi)
     curve = _curve_for_scale(scale, weibull_shape, cut_in, rated, cut_out, n_bins)
     if abs(utilization_factor(curve) - target_uf) > uf_tolerance:
-        raise UnreachableTarget(
+        raise Infeasible(
             f"bisection stalled at UF {utilization_factor(curve):.5f} for target {target_uf}"
         )
     return curve
@@ -178,14 +171,14 @@ def _parse_duration_lines(lines, source: str) -> DurationCurve:
         if not header_seen:
             cols = [c.strip() for c in line.split(",")]
             if cols != ["power_pu", "weight"]:
-                raise PowerOutOfRange(
+                raise ConfigError(
                     f"{source}:{lineno}: expected header 'power_pu,weight', got {line!r}"
                 )
             header_seen = True
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise PowerOutOfRange(f"{source}:{lineno}: expected two columns, got {line!r}")
+            raise ConfigError(f"{source}:{lineno}: expected two columns, got {line!r}")
         rows.append((float(parts[0]), float(parts[1])))
     return load_duration_curve(rows)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateCable
+from .errors import Infeasible
 
 DEFAULT_PROFILE_SEGMENTS = 100
 #: most values a range argument, a sweep or a segment profile may ask for
@@ -155,7 +155,7 @@ def characteristic_impedance(spec: CableSpec) -> complex:
     z = pul_series_impedance(spec.pul, spec.omega)
     y = pul_shunt_admittance(spec.pul, spec.omega)
     if y == 0:
-        raise DegenerateCable("shunt admittance is zero; wave impedance undefined")
+        raise Infeasible("shunt admittance is zero; wave impedance undefined")
     return cmath.sqrt(z / y)
 
 
@@ -208,11 +208,11 @@ def _shunt_conductance(spec: CableSpec, length_km: float) -> float:
 
 def _two_port_for_length(spec: CableSpec, length_km: float) -> TwoPort:
     if length_km <= 0.0:
-        raise DegenerateCable(f"cable length must be > 0 km, got {length_km}")
+        raise Infeasible(f"cable length must be > 0 km, got {length_km}")
     zc = characteristic_impedance(spec)
     gl = propagation_constant(spec) * length_km
     if gl == 0:
-        raise DegenerateCable("propagation constant is zero; two-port undefined")
+        raise Infeasible("propagation constant is zero; two-port undefined")
     return TwoPort(a=_coth(gl) / zc, b=-_csch(gl) / zc)
 
 

@@ -5,8 +5,9 @@ comma-separated tables (or the same content as JSON with --json) with a
 unit header and a provenance footer; angles are degrees at this surface
 and radians internally.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 infeasible or
-degenerate operating request.
+Exit codes: 0 success; 2 `config error:` for a ConfigError or any other
+ValueError (bad configuration or usage); 3 `infeasible:` for an Infeasible
+(infeasible or degenerate request).  Only main prints these lines.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from .annual_energy import (
     utilization_factor,
 )
 from .cable_model import MAX_POINTS, segment_profile
-from .errors import (
-    CableOptError,
-    ConfigError,
-    DegenerateCable,
-    Infeasible,
-    NoPositivePower,
-    UnreachableTarget,
-    ZeroFarmPower,
-)
+from .errors import ConfigError, Infeasible
 from .config import StudyConfig, load_config, normalized_si, parse_strategy
 from .optimizer import (
     optimize_at_production,
@@ -45,9 +38,6 @@ from .optimizer import (
 )
 from .power_flow import OperatingPoint, VoltageScaling, solve_flow
 from .results import ResultTable, provenance_digest, write_tables
-
-_INFEASIBLE_ERRORS = (Infeasible, DegenerateCable, NoPositivePower, ZeroFarmPower,
-                      UnreachableTarget)
 
 
 def _binding_label(point) -> str:
@@ -113,9 +103,8 @@ def _emit(args, cfg: StudyConfig, tables: list[ResultTable],
           extra_provenance: dict | None = None) -> int:
     for t in tables:
         if t.has_nonfinite() and not args.allow_infeasible:
-            print(f"error: section {t.name} contains non-finite values; "
-                  f"rerun with --allow-infeasible to emit them", file=sys.stderr)
-            return 3
+            raise Infeasible(f"section {t.name} contains non-finite values; "
+                             f"rerun with --allow-infeasible to emit them")
     provenance = {
         "config_sha256": provenance_digest(normalized_si(cfg)),
         "tool": f"cableopt/{__version__}",
@@ -140,13 +129,14 @@ def _cmd_analyze(args, cfg: StudyConfig) -> int:
     scaling = VoltageScaling.from_degrees(args.alpha, args.beta_deg)
     flow = solve_flow(spec, OperatingPoint(args.v2, scaling))
     # degenerate: no positive through power (covers xi = 1, where both ends
-    # merely feed the charging losses, and reversed-flow points)
+    # merely feed the charging losses, and reversed-flow points); the row
+    # also flags a NaN efficiency, as from powers that overflow
     degenerate = flow.eta is None or flow.p_grid <= 0.0
     if degenerate and not args.allow_infeasible:
-        print(f"error: no through power at alpha={args.alpha}, "
-              f"beta={args.beta_deg} deg (p_farm = {flow.p_farm/1e6:.6g} MW, "
-              f"p_grid = {flow.p_grid/1e6:.6g} MW)", file=sys.stderr)
-        return 3
+        raise Infeasible(f"no through power at alpha={args.alpha}, "
+                         f"beta={args.beta_deg} deg (p_farm = {flow.p_farm/1e6:.6g} MW, "
+                         f"p_grid = {flow.p_grid/1e6:.6g} MW)")
+    eta = flow.eta if flow.eta is not None else math.nan
 
     table = ResultTable(
         "flow",
@@ -156,9 +146,7 @@ def _cmd_analyze(args, cfg: StudyConfig) -> int:
     )
     table.add(args.v2, args.alpha, args.beta_deg, abs(flow.i1), abs(flow.i2),
               flow.p_farm / 1e6, flow.q_farm / 1e6, flow.p_grid / 1e6,
-              flow.q_grid / 1e6, flow.p_loss / 1e6,
-              flow.eta if flow.eta is not None else float("nan"),
-              degenerate)
+              flow.q_grid / 1e6, flow.p_loss / 1e6, eta, degenerate or math.isnan(eta))
     tables = [table]
 
     if args.profile:
@@ -393,17 +381,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _INFEASIBLE_ERRORS as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except CableOptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # domain validation of user-supplied values (voltages, powers, ...)
+        # ConfigError, and the domain validation of user-supplied values (voltages, powers, ...)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
                           segment_profile)
-from .errors import DegenerateCable, Infeasible, NoPositivePower
+from .errors import Infeasible
 from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, two_port_flow, unit_flow
 
 TIE_TOL = 1e-9
@@ -340,8 +340,8 @@ class _Cable:
         # enough: it has no operating point the solves can represent
         size = abs(a) + abs(b)
         if not math.isfinite(size * size):
-            raise DegenerateCable(f"a {spec.length_km:g} km cable is too short: "
-                                  f"its admittances overflow when squared")
+            raise Infeasible(f"a {spec.length_km:g} km cable is too short: "
+                             f"its admittances overflow when squared")
         self.vph = spec.phase_voltage
         self.vph2 = self.vph**2
         self.i_rated = constraints.rated_current(spec)
@@ -581,7 +581,7 @@ def optimize_scaling_unconstrained(
     window = cables.gather(lambda cab: (1e-6, cab.beta_cap))
     best = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[0]
     if best is None:
-        raise NoPositivePower("no scaling in range yields positive farm power")
+        raise Infeasible("no scaling in range yields positive farm power")
     return VoltageScaling(best.alpha, best.beta), best.score
 
 
@@ -596,11 +596,12 @@ def optimal_voltage_curve(
     i_rated: float | None = None,
 ) -> list[CurvePoint]:
     """v2 = sqrt(p_farm/c) per target, flagged against voltage/current limits."""
-    cables = _Rows([spec], Constraints(i_rated=i_rated))
-    with np.errstate(all="ignore"):
-        c, _, _, i_unit = (float(x) for x in cables.at(scaling.alpha, scaling.beta, 0))
-    if c <= 0.0:
-        raise NoPositivePower(f"farm power coefficient is {c:.3g} W/pu^2 at this scaling")
+    farm, _, i1, i2 = unit_flow(exact_pi_two_port(spec), scaling.xi)
+    c = 3.0 * farm * spec.phase_voltage**2
+    if not c > 0.0:
+        raise Infeasible(f"farm power coefficient is {c:.3g} W/pu^2 at this scaling")
+    i_unit = max(abs(i1), abs(i2)) * spec.phase_voltage
+    rated = Constraints(i_rated=i_rated).rated_current(spec)
     out = []
     for p in p_farm_targets:
         if p < 0.0 or not math.isfinite(p):
@@ -610,7 +611,7 @@ def optimal_voltage_curve(
             p_farm=p,
             v2_opt=v2,
             exceeds_v2_max=v2 > v2_max,
-            exceeds_current=i_unit * v2 > cables.per_row[0].i_rated,
+            exceeds_current=i_unit * v2 > rated,
         ))
     return out
 

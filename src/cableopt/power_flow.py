@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .cable_model import CableSpec, TwoPort, exact_pi_two_port
-from .errors import ZeroFarmPower
+from .errors import Infeasible
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:
     """
     farm, grid, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
     if farm <= 0.0:
-        raise ZeroFarmPower(
+        raise Infeasible(
             f"wind side injects no active power at alpha={scaling.alpha}, "
             f"beta={scaling.beta_deg:.3f} deg; efficiency undefined"
         )

@@ -8,13 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cableopt import (
+    ConfigError,
     Constraints,
-    EmptyCurve,
     FixedVoltage,
     Infeasible,
-    NegativeWeight,
-    PowerOutOfRange,
-    UnreachableTarget,
     VoltageRange,
     annual_efficiency,
     compare_strategies,
@@ -60,16 +57,24 @@ def test_all_zero_production_curve():
     assert utilization_factor(curve) == 0.0
 
 
-@pytest.mark.parametrize("rows,exc", [
-    ([], EmptyCurve),
-    ([(0.5, 0.0)], EmptyCurve),
-    ([(0.5, -1.0)], NegativeWeight),
-    ([(0.5, math.nan)], NegativeWeight),
-    ([(1.5, 1.0)], PowerOutOfRange),
-    ([(-0.2, 1.0)], PowerOutOfRange),
+# the message each kind of malformed curve raises its ConfigError with
+_CURVE_FAULTS = {
+    "EmptyCurve": "^(no duration-curve rows given|duration-curve weights sum to zero)$",
+    "NegativeWeight": r"^weight must be finite and >= 0, got (-1\.0|nan)$",
+    "PowerOutOfRange": r"^power_pu must lie in \[0, 1\], got (1\.5|-0\.2)$",
+}
+
+
+@pytest.mark.parametrize("rows,fault", [
+    ([], "EmptyCurve"),
+    ([(0.5, 0.0)], "EmptyCurve"),
+    ([(0.5, -1.0)], "NegativeWeight"),
+    ([(0.5, math.nan)], "NegativeWeight"),
+    ([(1.5, 1.0)], "PowerOutOfRange"),
+    ([(-0.2, 1.0)], "PowerOutOfRange"),
 ])
-def test_curve_validation(rows, exc):
-    with pytest.raises(exc):
+def test_curve_validation(rows, fault):
+    with pytest.raises(ConfigError, match=_CURVE_FAULTS[fault]):
         load_duration_curve(rows)
 
 
@@ -99,7 +104,7 @@ def test_synth_rated_everywhere_degenerate_shape():
 
 
 def test_synth_unreachable_target():
-    with pytest.raises(UnreachableTarget):
+    with pytest.raises(Infeasible, match="^utilization factor 0.95 unreachable; maximum"):
         synth_duration_curve(9.0, 2.0, 10.0, 24.0, 25.0, n_bins=50, target_uf=0.95)
 
 

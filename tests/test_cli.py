@@ -29,6 +29,31 @@ def parse(out):
     return read_tables(io.StringIO(out))
 
 
+# the one stderr prefix of each error exit code
+_PREFIX = {2: "config error:", 3: "infeasible:"}
+
+
+def run_fuzzed(argv):
+    """main(argv) with stdout and stderr captured: (code, out, err, RuntimeWarnings)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return (code, out.getvalue(), err.getvalue(),
+            [w for w in caught if issubclass(w.category, RuntimeWarning)])
+
+
+def assert_exit_policy(code, err, runtime_warnings):
+    """Exit 0 with a silent stderr, or exit 2 or 3 with its own prefix; never a numpy warning."""
+    assert code in (0, 2, 3), err
+    assert not runtime_warnings
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(_PREFIX[code]) and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -48,7 +73,7 @@ def test_analyze_degenerate_point_exits_3(capsys):
     code, out, err = run(capsys, "analyze", "--alpha", "1.0", "--beta-deg", "0.0",
                          "--v2", "1.0")
     assert code == 3
-    assert "no through power" in err
+    assert err.startswith("infeasible: no through power")
     # reversed flow is equally degenerate
     code, out, err = run(capsys, "analyze", "--alpha", "1.0", "--beta-deg", "-30.0")
     assert code == 3
@@ -61,7 +86,7 @@ def test_analyze_huge_voltage_exits_3_without_warnings(capsys):
         code, _, err = run(capsys, "analyze", "--v2", "1e150", "--alpha", "1.03",
                            "--beta-deg", "5", "--profile", "10")
     assert code == 3
-    assert err.startswith("error:")
+    assert err.startswith("infeasible:")
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["csv", "json"])
@@ -71,7 +96,7 @@ def test_nonfinite_rows_need_allow_infeasible(capsys, json_mode):
             "--profile", "2"] + (["--json"] if json_mode else [])
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
-    assert err.startswith("error: section flow contains non-finite values")
+    assert err.startswith("infeasible: section flow contains non-finite values")
     code, out, err = run(capsys, *argv, "--allow-infeasible")
     assert code == 0 and err == ""
     if json_mode:
@@ -82,6 +107,8 @@ def test_nonfinite_rows_need_allow_infeasible(capsys, json_mode):
         flow = parse(out)["flow"]
         row = dict(zip(flow.columns, flow.rows[0]))
     assert row["p_farm"] == math.inf and math.isnan(row["eta"])
+    # an efficiency of inf/inf is no operating point: the row is flagged degenerate
+    assert row["degenerate"] == 1.0
 
 
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300])
@@ -96,21 +123,14 @@ def test_fuzzed_analyze_exits_0_2_or_3(v2, alpha, beta, profile, json_mode, allo
     argv = ["analyze", f"--v2={v2!r}", f"--alpha={alpha!r}", f"--beta-deg={beta!r}",
             f"--profile={profile}"]
     argv += ["--json"] * json_mode + ["--allow-infeasible"] * allow
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main(argv)
-    assert code in (0, 2, 3), err.getvalue()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    code, out, err, runtime_warnings = run_fuzzed(argv)
+    assert_exit_policy(code, err, runtime_warnings)
     if code != 0:
-        assert err.getvalue().startswith(("infeasible:", "config error:", "error:"))
         return
-    assert err.getvalue() == ""
     if json_mode:
-        sections = {name: t["rows"] for name, t in json.loads(out.getvalue())["sections"].items()}
+        sections = {name: t["rows"] for name, t in json.loads(out)["sections"].items()}
     else:
-        sections = {name: t.rows for name, t in parse(out.getvalue()).items()}
+        sections = {name: t.rows for name, t in parse(out).items()}
     assert len(sections["flow"]) == 1
     assert len(sections.get("profile", ())) == (profile + 1 if profile > 0 else 0)
 
@@ -323,14 +343,88 @@ def test_fuzzed_commands_exit_0_2_or_3(command, length, lengths, voltages, level
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "study.json"
         cfg.write_text(json.dumps({"cable": {"length_km": length}}), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(argv + ["--config", str(cfg)])
-    assert code in (0, 2, 3), err.getvalue()
-    assert code == 0 or err.getvalue().startswith(("infeasible:", "config error:", "error:"))
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        code, _, err, runtime_warnings = run_fuzzed(argv + ["--config", str(cfg)])
+    assert_exit_policy(code, err, runtime_warnings)
+
+
+_GOOD_CURVE = "# comment\npower_pu , weight\n\n0.0,0.5\n0.5,0.3\n1.0,0.2\n"
+_BAD_CURVES = [
+    "", "# no header\n", "power_pu,weight\n", "power,weight\n0.5,1.0\n",
+    "power_pu,weight,extra\n0.5,1.0\n", "0.5,1.0\n", "power_pu,weight\n0.5,nan\n",
+    "power_pu,weight\n0.5,-1\n", "power_pu,weight\n0.5,inf\n",
+    "power_pu,weight\n0.5,0\n0.7,0\n", "power_pu,weight\n1.5,1\n",
+    "power_pu,weight\n-0.2,1\n", "power_pu,weight\nnan,1\n",
+    "power_pu,weight\n0.5,1,2\n", "power_pu,weight\nabc,1\n",
+]
+_ODD = [True, False, "x", None, 0, 1, 10001, -1.0, math.inf, -math.inf, 1e300, -1e300, 1e-300]
+_CONSTRAINT_KEYS = {
+    "v2_min": [0.4, 0.2], "v2_max": [1.0, 0.9], "alpha_min": [1.0], "alpha_max": [1.1, 1.2],
+    "i_rated_a": [1055.0, 700.0], "check_internal_current": [False, True],
+    "check_internal_voltage_max": [1.1], "n_profile_segments": [20],
+}
+
+
+def _constraints(values):
+    """A constraints block of up to three keys, each drawing its value from values(key)."""
+    return st.lists(st.sampled_from(sorted(_CONSTRAINT_KEYS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: values(k) for k in keys}))
+
+
+# one input per call is drawn from its faulty values, the rest from valid ones
+_ANNUAL_INPUTS = {
+    "rated": (st.floats(50.0, 500.0),
+              st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, None])),
+    "source": (st.sampled_from([("--builtin-curve", "high-uf"), ("--builtin-curve", "low-uf"),
+                                ("--synth-uf", "0.3"), ("--synth-uf", "0.46"),
+                                ("--curve", _GOOD_CURVE)]),
+               st.sampled_from([("--synth-uf", repr(uf)) for uf in
+                                (math.nan, -1.0, 0.0, 1e-300, 0.95, 1.0, 1e300)]
+                               + [("--curve", text) for text in _BAD_CURVES] + [None])),
+    "n_bins": (st.sampled_from([2, 10]), st.sampled_from([-1, 0, 1])),
+    "strategies": (st.lists(st.sampled_from(["fixed:1.0", "fixed:0.6", "range:0.4:1.0",
+                                             "range:0.9:0.9", "tap:0.87:0.15"]),
+                            min_size=1, max_size=3),
+                   st.lists(st.sampled_from(["fixed:0", "fixed:-1", "fixed:nan", "fixed:inf",
+                                             "fixed:1e-160", "range:1.0:0.4", "range:0:1",
+                                             "range:nan:1", "tap:1:2", "tap:0.5:-1",
+                                             "tap:nan:0.1", "fixed", "sawtooth:0.5", ""]),
+                            max_size=2)),
+    "constraints": (_constraints(lambda k: st.sampled_from(_CONSTRAINT_KEYS[k])),
+                    _constraints(lambda k: st.sampled_from(_ODD))
+                    | st.just({"n_profile_segments": 10001, "check_internal_current": True})
+                    | st.just({"bogus": 1.0})),
+    # from 300 km on, charging current alone exceeds the rating at 1.0 p.u.
+    "length_km": (st.sampled_from([100.0, 200.0, 300.0]),
+                  st.sampled_from([0.0, -1.0, 1e-200, 1e300, math.nan, "x", True, 1e4])),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), fault=st.sampled_from([None, *_ANNUAL_INPUTS]), json_mode=st.booleans())
+def test_fuzzed_annual_exits_0_2_or_3(data, fault, json_mode):
+    drawn = {name: data.draw(pair[name == fault], label=name)
+             for name, pair in _ANNUAL_INPUTS.items()}
+    rated, source, strategies = drawn["rated"], drawn["source"], drawn["strategies"]
+    argv = ["annual", f"--n-bins={drawn['n_bins']}"] + ["--json"] * json_mode
+    argv += [] if rated is None else [f"--rated-mw={rated!r}"]
+    argv += [f"--strategy={text}" for text in strategies]
+    with tempfile.TemporaryDirectory() as tmp:
+        if source is not None:
+            option, value = source
+            if option == "--curve":
+                curve = Path(tmp) / "curve.csv"
+                curve.write_text(value, encoding="utf-8")
+                value = str(curve)
+            argv.append(f"{option}={value}")
+        cfg = Path(tmp) / "study.json"
+        cfg.write_text(json.dumps({"cable": {"length_km": drawn["length_km"]},
+                                   "constraints": drawn["constraints"]}), encoding="utf-8")
+        code, out, err, runtime_warnings = run_fuzzed(argv + ["--config", str(cfg)])
+    assert_exit_policy(code, err, runtime_warnings)
+    if code == 0:
+        rows = (json.loads(out)["sections"]["annual"]["rows"] if json_mode
+                else parse(out)["annual"].rows)
+        assert len(rows) == len(strategies)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cableopt import (
     BindingConstraint,
     Constraints,
     Infeasible,
-    NoPositivePower,
     VoltageScaling,
     max_feasible_power,
     max_feasible_power_rows,
@@ -105,7 +104,7 @@ def test_curve_flags_consistent_with_limits(cable200):
 
 
 def test_curve_rejects_powerless_scaling(cable200):
-    with pytest.raises(NoPositivePower):
+    with pytest.raises(Infeasible, match=r"^farm power coefficient is -.* W/pu\^2 at this scaling$"):
         optimal_voltage_curve(cable200, VoltageScaling.from_degrees(1.0, -30.0), [1e6])
 
 

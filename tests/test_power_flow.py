@@ -12,10 +12,10 @@ import pytest
 
 from cableopt import (
     CableSpec,
+    Infeasible,
     OperatingPoint,
     PulParameters,
     VoltageScaling,
-    ZeroFarmPower,
     efficiency_of_scaling,
     farm_power_coefficient,
     grid_power_coefficient,
@@ -143,7 +143,7 @@ def test_eta_absent_when_farm_power_nonpositive(cable200):
     flow = solve_flow(cable200, OperatingPoint(1.0, VoltageScaling.from_degrees(1.0, -30.0)))
     assert flow.p_farm < 0
     assert flow.eta is None
-    with pytest.raises(ZeroFarmPower):
+    with pytest.raises(Infeasible, match="^wind side injects no active power at alpha=1.0, "):
         efficiency_of_scaling(cable200, VoltageScaling.from_degrees(1.0, -30.0))
 
 
