@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .cable_model import CableSpec
 from .errors import ConfigError, Infeasible
-from .optimizer import Constraints, inoperable, max_feasible_power_rows, optimize_at_production_rows
+from .optimizer import Constraints, _delivery_winners, _production_winners, inoperable
 
 _UF_BISECT_ITERS = 80
 
@@ -144,10 +144,10 @@ def synth_duration_curve(
     for _ in range(_UF_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         u = utilization_factor(_curve_for_scale(mid, weibull_shape, cut_in, rated, cut_out, n_bins))
-        if u < target_uf:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if u < target_uf else (lo, mid)
+        if bracket == (lo, hi):
+            break       # a fixed point: every later step would repeat this one
+        lo, hi = bracket
     scale = 0.5 * (lo + hi)
     curve = _curve_for_scale(scale, weibull_shape, cut_in, rated, cut_out, n_bins)
     if abs(utilization_factor(curve) - target_uf) > uf_tolerance:
@@ -319,22 +319,27 @@ def _annual_results(
 
     # a strategy whose voltage window cannot even carry the charging current
     # is infeasible as a whole, not merely curtailed
-    for strategy, box, point in zip(strategies, boxes,
-                                    max_feasible_power_rows([(spec, box, None) for box in boxes])):
-        if point is None:
+    operable = _delivery_winners([(spec, box, None) for box in boxes]).found.tolist()
+    for strategy, box, ok in zip(strategies, boxes, operable):
+        if not ok:
             exc = inoperable(spec, box)
             raise Infeasible(
                 f"strategy {strategy.label} cannot operate this cable at all: {exc}") from exc
 
     # every strategy's positive bins in one production solve; those it cannot
-    # serve (sensibly) in one capped delivery solve
+    # serve (sensibly) in one capped delivery solve: (p_farm, p_grid, v2) each
     levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
     live = [(s, k) for s in range(len(strategies)) for k, p in enumerate(levels) if p > 0.0]
-    points = optimize_at_production_rows([(spec, levels[k], boxes[s]) for s, k in live])
-    served = {row: best for row, best in zip(live, points)
-              if best is not None and best.eta is not None and best.eta > 0.0}
+    served, capped = {}, {}
+    if live:
+        won = _production_winners([(spec, levels[k], boxes[s]) for s, k in live])
+        served = {row: (pg, v2, eta) for row, good, pg, v2, eta in zip(live, *(x.tolist() for x in (
+            won.found & (won.eta > 0.0), won.p_grid, won.v2, won.eta))) if good}
     short = [row for row in live if row not in served]
-    capped = dict(zip(short, max_feasible_power_rows([(spec, boxes[s], levels[k]) for s, k in short])))
+    if short:
+        won = _delivery_winners([(spec, boxes[s], levels[k]) for s, k in short])
+        capped = {row: (pf, pg, v2) for row, found, pf, pg, v2 in zip(short, *(x.tolist() for x in (
+            won.found, won.p_farm, won.p_grid, won.v2))) if found and pg > 0.0}
 
     results = []
     for s in range(len(strategies)):
@@ -343,19 +348,15 @@ def _annual_results(
             p = levels[k]
             if p <= 0.0:
                 outcomes.append(BinOutcome(power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
-            elif (best := served.get((s, k))) is not None:
-                outcomes.append(BinOutcome(
-                    power_pu, weight, p, p, best.flow.p_grid,
-                    best.operating_point.v2, best.eta, 0.0,
-                ))
-            elif (point := capped[s, k]) is not None and point.flow.p_grid > 0.0:
+            elif (hit := served.get((s, k))) is not None:
+                pg, v2, eta = hit
+                outcomes.append(BinOutcome(power_pu, weight, p, p, pg, v2, eta, 0.0))
+            elif (hit := capped.get((s, k))) is not None:
                 # Required level not (sensibly) transmittable: deliver what the
                 # cable can, capped by the available production
-                pf, pg = point.flow.p_farm, point.flow.p_grid
-                outcomes.append(BinOutcome(
-                    power_pu, weight, p, pf, pg,
-                    point.operating_point.v2, pg / pf if pf > 0 else None, p - pf,
-                ))
+                pf, pg, v2 = hit
+                outcomes.append(BinOutcome(power_pu, weight, p, pf, pg, v2,
+                                           pg / pf if pf > 0 else None, p - pf))
             else:
                 # shut down: even the best delivery is non-positive, or the cap
                 # admits no operating point

@@ -20,12 +20,18 @@ production level or a farm cap, and a v2 box), and the cable numbers,
 the circles, their sinusoids, roots, eigenvectors and candidates are
 numpy arrays over rows, NaN where one does not exist.  Each distinct
 cable computes its numbers as Python numbers once (_Rows), so a row does
-the same floating-point work as its one-row call.  optimize_at_production,
-max_feasible_power and optimize_scaling_unconstrained are one-row solves;
-optimize_at_production_rows and max_feasible_power_rows take many rows at
-once, so a command makes one solve per kind: transfer_envelope over every
-(length, policy), compare_strategies over every strategy's bins and the
-sweep command over every (policy, level).
+the same floating-point work as its one-row call.  The winners come out
+as arrays too (_Winners): a row with a clear winner takes it in one array
+comparison, the rows with near-ties walk their candidates as floats, and
+each winner's flow is one array pass of power_flow.flow_parts, the real
+arithmetic two_port_flow runs on one point.  compare_strategies and
+transfer_envelope read those arrays; only the list API,
+optimize_at_production_rows and max_feasible_power_rows and through them
+the one-row optimize_at_production and max_feasible_power and the sweep
+command, builds OptimumPoints from them.  optimize_scaling_unconstrained
+is a one-row solve too.  A command makes one solve per kind:
+transfer_envelope over every (length, policy), compare_strategies over
+every strategy's bins and the sweep command over every (policy, level).
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ import numpy as np
 from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
                           segment_profile)
 from .errors import Infeasible
-from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, two_port_flow, unit_flow
+from .power_flow import (FlowSolution, OperatingPoint, VoltageScaling, flow_parts, flow_solution,
+                         unit_flow)
 
 TIE_TOL = 1e-9
 # limits checked exactly are drawn this fraction inside, so rounding leaves
@@ -378,11 +385,11 @@ class _Cable:
                 [_abs2(x, y) for x, y in zip(p.node_currents + (p.grid_end_current,),
                                              q.node_currents + (q.grid_end_current,))])
 
-    def violations(self, cand: "_Candidate") -> list[tuple[tuple, float]]:
-        """(node form, limit) of the worst node of each opt-in internal check cand fails."""
+    def violations(self, alpha: float, beta: float, v2: float) -> list[tuple[tuple, float]]:
+        """(node form, limit) of the worst node of each opt-in internal check the point fails."""
         if not self.internal:
             return []
-        cons, prof = self.cons, self.profile(cand.alpha, cand.beta, cand.v2)
+        cons, prof = self.cons, self.profile(alpha, beta, v2)
         v_forms, i_forms = self.node_forms
         checks = []
         if cons.check_internal_current:
@@ -407,19 +414,25 @@ class _Rows:
     """
 
     def __init__(self, specs: list[CableSpec], constraints: Constraints):
+        # rows mostly share spec objects: hash each object once, not each row
+        by_id = dict(zip(map(id, specs), specs))
         distinct = {}
-        which = np.array([distinct.setdefault(spec, len(distinct)) for spec in specs])
+        index = {key: distinct.setdefault(spec, len(distinct)) for key, spec in by_id.items()}
+        which = list(map(index.__getitem__, map(id, specs)))
         self.distinct = [_Cable(spec, constraints) for spec in distinct]
-        self.per_row = [self.distinct[k] for k in which]
-        self.which = which
+        self.per_row = list(map(self.distinct.__getitem__, which))
+        self.which = np.array(which)
         self.cons = constraints
-        self.tp = TwoPort(*self.gather(lambda cab: (cab.tp.a, cab.tp.b)))
-        self.vph, self.vph2, self.i_rated = self.gather(lambda cab: (cab.vph, cab.vph2, cab.i_rated))
-        # the four forms' parts, real but for the middle one; a part 0 on every cable stays 0
-        table = np.array([cab.farm + cab.grid + cab.cur1 + cab.cur2 for cab in self.distinct])
-        zero = ~table.any(axis=0)
-        table = table[which]
-        parts = [0.0 if zero[j] else table[:, j] if j % 3 == 1 else table[:, j].real for j in range(12)]
+        # each cable's admittances, voltage base, its square and rating, then
+        # the four forms' parts, real but for each middle one; a part 0 on
+        # every cable stays 0
+        table = np.array([(cab.tp.a, cab.tp.b, cab.vph, cab.vph2, cab.i_rated)
+                          + cab.farm + cab.grid + cab.cur1 + cab.cur2 for cab in self.distinct]).T
+        zero = ~table.any(axis=1)
+        table = table[:, self.which]
+        self.tp = TwoPort(table[0], table[1])
+        self.vph, self.vph2, self.i_rated = table[2:5].real
+        parts = [0.0 if zero[j] else table[j] if j % 3 == 0 else table[j].real for j in range(5, 17)]
         self.farm, self.grid, self.cur1, self.cur2 = (tuple(parts[j:j + 3]) for j in range(0, 12, 3))
 
     def __len__(self):
@@ -441,27 +454,21 @@ class _Rows:
         return 3.0 * farm * vph2, 3.0 * grid * vph2, eta, np.maximum(abs(i1), abs(i2)) * self.vph[r]
 
 
-@dataclass
-class _Candidate:
-    score: float     # objective being maximized
-    alpha: float
-    beta: float
-    v2: float
-
-
-def _better(cand: _Candidate, best: _Candidate | None) -> bool:
-    """Deterministic comparison: score, then lower v2, then lower alpha."""
+def _better(cand: tuple, best: tuple | None) -> bool:
+    """Deterministic comparison of (score, alpha, beta, v2): score, then lower v2, then lower alpha."""
     if best is None:
         return True
-    if cand.score > best.score + TIE_TOL:
+    score, alpha, _, v2 = cand
+    best_score, best_alpha, _, best_v2 = best
+    if score > best_score + TIE_TOL:
         return True
-    if cand.score < best.score - TIE_TOL:
+    if score < best_score - TIE_TOL:
         return False
-    if cand.v2 < best.v2 - TIE_TOL:
+    if v2 < best_v2 - TIE_TOL:
         return True
-    if cand.v2 > best.v2 + TIE_TOL:
+    if v2 > best_v2 + TIE_TOL:
         return False
-    return cand.alpha < best.alpha - TIE_TOL
+    return alpha < best_alpha - TIE_TOL
 
 
 def _cut_out(cuts, alpha, beta, v2):
@@ -476,21 +483,23 @@ def _cut_out(cuts, alpha, beta, v2):
     return out
 
 
-def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> list[_Candidate | None]:
+def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarray:
     """Best point(alpha, beta) by _better over the alpha annulus and the beta window, per row.
 
     window is each row's beta window (lo, hi), bounds are the forms whose
     zero circles limit the region or switch the objective between pieces,
     ratios the (num, den) forms it is made of, and
     point(alpha, beta, r) scores candidates, r their rows: (score, v2)
-    arrays, NaN score where infeasible.  Each row visits its candidates by
-    descending score and stops where none is left within TIE_TOL of its
-    best.  The internal checks run in that order until one passes; pieces
-    lists (k, den) with v2^2 = k/den on each piece of v2, and a candidate
-    above every passing one that fails at a new node n, limit L, adds the
-    circle k*n - L^2*den per piece, and its row is solved again; there, a
-    candidate that a node already cut rules out is dropped by the node's
-    form before any profile is built.
+    arrays, NaN score where infeasible.  Returns the winners' (score,
+    alpha, beta, v2), a (4, rows) array, NaN on a row without one.  Each
+    row visits its candidates by descending score and stops where none is
+    left within TIE_TOL of its best, so a row whose runner-up trails by more
+    takes its first.  The internal checks run in that order until one
+    passes; pieces lists (k, den) with v2^2 = k/den on each piece of v2, and
+    a candidate above every passing one that fails at a new node n, limit L,
+    adds the circle k*n - L^2*den per piece, and its row is solved again;
+    there, a candidate that a node already cut rules out is dropped by the
+    node's form before any profile is built.
     """
     rows = len(cables)
     a_lo, a_hi = cables.cons.alpha_min, cables.cons.alpha_max
@@ -498,12 +507,13 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> list[_Can
     n_base = 2 + len(bounds)
     base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds)
                   + [num for num, _ in ratios] + [den for _, den in ratios], rows)
-    best: list[_Candidate | None] = [None] * rows
+    best = np.full((4, rows), np.nan)
     cuts = [[] for _ in range(rows)]
     extra = [[] for _ in range(rows)]
+    internal = cables.distinct[0].internal
     todo = np.arange(rows)
     while todo.size:
-        width = max(len(extra[r]) for r in todo)
+        width = max([len(extra[r]) for r in todo.tolist()])
         n = n_base + width
         step = max(1, _CELLS // ((n + 2) * (n + 2 * len(ratios))))
         again = []
@@ -524,22 +534,37 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> list[_Can
             alpha = np.minimum(np.maximum(alpha[inside], a_lo), a_hi)
             score, v2 = point(alpha, beta, block[row])
             valid = np.isfinite(score)
-            for j, r in enumerate(block):
+            for j, r in enumerate(block.tolist()):
                 if cuts[r]:
                     mine = np.flatnonzero(row == j)
                     valid[mine] &= ~_cut_out(cuts[r], alpha[mine], beta[mine], v2[mine])
             pick = np.flatnonzero(valid)
             pick = pick[np.lexsort((rank[pick], -score[pick], row[pick]))]
-            ranked = [x[pick] for x in (score, alpha, beta, v2)]
+            ranked = np.array([score, alpha, beta, v2])[:, pick]
             edges = np.searchsorted(row[pick], np.arange(block.size + 1))
-            for r, start, end in zip(block, edges[:-1], edges[1:]):
-                row_best, new = None, []
-                for at in range(start, end):
-                    cand = _Candidate(*(float(x[at]) for x in ranked))
-                    if row_best is not None and cand.score < row_best.score - TIE_TOL:
+            first, count = edges[:-1], edges[1:] - edges[:-1]
+            walk = count > 0
+            if not internal:
+                # the loop's break rule on every row at once: a row with one
+                # candidate, or whose runner-up trails by more than TIE_TOL, takes its first
+                top = np.concatenate((ranked[0], [np.nan]))
+                runner_up = top[np.minimum(first + 1, pick.size)]
+                clear = walk & ((count == 1) | (runner_up < top[first] - TIE_TOL))
+                best[:, block[clear]] = ranked[:, first[clear]]
+                walk &= ~clear
+            if not walk.any():
+                continue
+            # the other rows walk their candidates as floats
+            ends = np.cumsum(count[walk]).tolist()
+            cands = ranked[:, np.repeat(walk, count)].tolist()
+            won, won_rows = [], []
+            for r, start, end in zip(block[walk].tolist(), [0] + ends, ends):
+                row_best, new, cable = None, [], cables.per_row[r]
+                for cand in zip(*(x[start:end] for x in cands)):
+                    if row_best is not None and cand[0] < row_best[0] - TIE_TOL:
                         break
                     if _better(cand, row_best):
-                        fails = cables.per_row[r].violations(cand)
+                        fails = cable.violations(*cand[1:])
                         if not fails:
                             row_best = cand
                         elif row_best is None and (new := [cut for cut in fails if cut not in cuts[r]]):
@@ -551,8 +576,11 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> list[_Can
                                       (limit * (1 - _EDGE)) ** 2)
                                  for form, limit in new for k, den in pieces]
                     again.append(r)
-                else:
-                    best[r] = row_best
+                elif row_best is not None:
+                    won.append(row_best)
+                    won_rows.append(r)
+            if won:
+                best[:, won_rows] = np.array(won).T
         todo = np.array(again, dtype=int)
     return best
 
@@ -579,10 +607,10 @@ def optimize_scaling_unconstrained(
         return np.where(np.isfinite(eta), eta, np.nan), np.zeros_like(eta)
 
     window = cables.gather(lambda cab: (1e-6, cab.beta_cap))
-    best = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[0]
-    if best is None:
+    eta, alpha, beta, _ = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[:, 0].tolist()
+    if math.isnan(eta):
         raise Infeasible("no scaling in range yields positive farm power")
-    return VoltageScaling(best.alpha, best.beta), best.score
+    return VoltageScaling(alpha, beta), eta
 
 
 # ---------------------------------------------------------------------------
@@ -633,39 +661,81 @@ def _row_cables(rows: list[tuple[CableSpec, Constraints]]):
             np.array([box.v2_max for _, box in rows]))
 
 
-def _optimum(cab: _Cable, cons: Constraints, best: _Candidate) -> OptimumPoint:
-    """A row's winner as an OptimumPoint: the reference flow plus the limits it meets."""
-    alpha, beta, v2, rel = best.alpha, best.beta, best.v2, 1e-6
-    op = OperatingPoint(v2, VoltageScaling(alpha, beta))
-    flow = two_port_flow(cab.tp, cab.vph, op)
-    a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
-    v_cap = cons.check_internal_voltage_max
-    meets = (
-        (BindingConstraint.V2_MAX, v2 >= cons.v2_max * (1 - rel)),
-        (BindingConstraint.V2_MIN, v2 <= cons.v2_min * (1 + rel)),
-        (BindingConstraint.CURRENT_LIMIT, max(abs(flow.i1), abs(flow.i2)) >= cab.i_rated * (1 - rel)),
-        (BindingConstraint.ALPHA_MAX, cons.alpha_max - alpha <= rel * a_span),
-        (BindingConstraint.ALPHA_MIN, alpha - cons.alpha_min <= rel * a_span),
-        (BindingConstraint.INTERNAL_VOLTAGE, v_cap is not None and (
-            cab.profile(alpha, beta, v2).max_voltage >= v_cap * cab.vph * (1 - rel))),
-    )
-    return OptimumPoint(op, flow, frozenset(c for c, m in meets if m))
+class _Winners:
+    """Each row's winner and its flow, as arrays over rows, NaN where found is False.
+
+    The flow is power_flow.flow_parts at the winner's (alpha, beta, v2), with
+    cos(beta) and sin(beta) from math: the bits of two_port_flow, so of the
+    row's OptimumPoint.  i1 and i2 are the end currents' (real, imag)
+    parts, and eta is NaN where p_farm <= 0.
+    """
+
+    def __init__(self, cables: _Rows, lo, hi, best):
+        """The winners best of _solve on rows with v2 boxes [lo, hi], under np.errstate(all="ignore")."""
+        self.cables, self.lo, self.hi = cables, lo, hi
+        score, self.alpha, self.beta, self.v2 = best
+        self.found = ~np.isnan(score)
+        beta = self.beta.tolist()
+        a, b = cables.tp.a, cables.tp.b
+        args = (a.real, a.imag, b.real, b.imag, cables.vph, self.alpha,
+                np.array([math.cos(x) for x in beta]), np.array([math.sin(x) for x in beta]), self.v2)
+        if len(beta) == 1:
+            # one row runs the same arithmetic on floats, where numpy's cost
+            # per call would be most of a one-row call's flow
+            i1, i2, *powers = flow_parts(*(x.item() for x in args))
+            parts = np.array([[*i1, *i2, *powers]]).T
+        else:
+            i1, i2, *powers = flow_parts(*args)
+            parts = (*i1, *i2, *powers)
+        i1r, i1i, i2r, i2i, self.p_farm, self.q_farm, self.p_grid, self.q_grid = parts
+        self.i1, self.i2 = (i1r, i1i), (i2r, i2i)
+        self.eta = np.where(self.p_farm > 0.0, self.p_grid / self.p_farm, np.nan)
+
+    @cached_property
+    def binding(self) -> dict[BindingConstraint, np.ndarray]:
+        """The rows on which each limit binds, to 1e-6 relative; none binds on a row without a winner."""
+        cables, cons, rel = self.cables, self.cables.cons, 1e-6
+        alpha, v2 = self.alpha, self.v2
+        a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
+        current = np.maximum(np.hypot(*self.i1), np.hypot(*self.i2))
+        masks = {
+            BindingConstraint.V2_MAX: v2 >= self.hi * (1 - rel),
+            BindingConstraint.V2_MIN: v2 <= self.lo * (1 + rel),
+            BindingConstraint.CURRENT_LIMIT: current >= cables.i_rated * (1 - rel),
+            BindingConstraint.ALPHA_MAX: cons.alpha_max - alpha <= rel * a_span,
+            BindingConstraint.ALPHA_MIN: alpha - cons.alpha_min <= rel * a_span,
+        }
+        if (v_cap := cons.check_internal_voltage_max) is not None:
+            peak = np.full(len(v2), np.nan)
+            point = zip(alpha.tolist(), self.beta.tolist(), v2.tolist())
+            for r, (found, at) in enumerate(zip(self.found.tolist(), point)):
+                if found:
+                    peak[r] = cables.per_row[r].profile(*at).max_voltage
+            masks[BindingConstraint.INTERNAL_VOLTAGE] = peak >= v_cap * cables.vph * (1 - rel)
+        return masks
+
+    def points(self) -> list[OptimumPoint | None]:
+        """Each row's OptimumPoint, None where it has no winner."""
+        names, masks = zip(*self.binding.items())
+        out = []
+        for found, (alpha, beta, v2, i1r, i1i, i2r, i2i, *powers), meets in zip(
+                self.found.tolist(),
+                np.array([self.alpha, self.beta, self.v2, *self.i1, *self.i2,
+                          self.p_farm, self.q_farm, self.p_grid, self.q_grid]).T.tolist(),
+                np.array(masks).T.tolist()):
+            out.append(OptimumPoint(
+                OperatingPoint(v2, VoltageScaling(alpha, beta)),
+                flow_solution((i1r, i1i), (i2r, i2i), *powers),
+                frozenset(c for c, m in zip(names, meets) if m)) if found else None)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # constrained optimum at a required production level
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
-def optimize_at_production_rows(
-    rows: list[tuple[CableSpec, float, Constraints]],
-) -> list[OptimumPoint | None]:
-    """optimize_at_production for every (spec, p_farm, constraints) row in one array solve.
-
-    None marks a row that optimize_at_production reports Infeasible.  The
-    rows may differ in their cable and in their constraints' v2 box only.
-    """
-    if not rows:
-        return []
+def _production_winners(rows: list[tuple[CableSpec, float, Constraints]]) -> _Winners:
+    """optimize_at_production_rows on at least one row, its winners as arrays."""
     for _, p, _ in rows:
         if not (p > 0.0 and math.isfinite(p)):
             raise ValueError(f"p_farm must be > 0 W, got {p}")
@@ -685,9 +755,19 @@ def optimize_at_production_rows(
         return np.where(fits, eta, np.nan), v2
 
     window = cables.gather(lambda cab: (cab.beta_floor, cab.beta_cap))
-    best = _solve(cables, window, bounds, [(cables.grid, cables.farm)], point, [(k, cables.farm)])
-    return [None if b is None else _optimum(cab, cons, b)
-            for (_, _, cons), cab, b in zip(rows, cables.per_row, best)]
+    return _Winners(cables, lo, hi, _solve(cables, window, bounds, [(cables.grid, cables.farm)],
+                                          point, [(k, cables.farm)]))
+
+
+def optimize_at_production_rows(
+    rows: list[tuple[CableSpec, float, Constraints]],
+) -> list[OptimumPoint | None]:
+    """optimize_at_production for every (spec, p_farm, constraints) row in one array solve.
+
+    None marks a row that optimize_at_production reports Infeasible.  The
+    rows may differ in their cable and in their constraints' v2 box only.
+    """
+    return _production_winners(rows).points() if rows else []
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -714,17 +794,8 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
 # maximum deliverable power
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
-def max_feasible_power_rows(
-    rows: list[tuple[CableSpec, Constraints, float | None]],
-) -> list[OptimumPoint | None]:
-    """max_feasible_power for every (spec, constraints, p_farm_cap) row in one array solve.
-
-    None marks a row that max_feasible_power reports Infeasible.  The rows
-    may differ in their cable and in their constraints' v2 box only, and
-    either every row has a farm cap or none has.
-    """
-    if not rows:
-        return []
+def _delivery_winners(rows: list[tuple[CableSpec, Constraints, float | None]]) -> _Winners:
+    """max_feasible_power_rows on at least one row, its winners as arrays."""
     capped = {cap is not None for _, _, cap in rows}
     if len(capped) > 1:
         raise ValueError("p_farm_cap must be set on every row of a solve or on none")
@@ -762,9 +833,19 @@ def max_feasible_power_rows(
         return np.where(fits, g * v2 * v2, np.nan), v2
 
     window = cables.gather(lambda cab: cab.delivery_window)
-    best = _solve(cables, window, bounds, ratios, point, pieces)
-    return [None if b is None else _optimum(cab, cons, b)
-            for (_, cons, _), cab, b in zip(rows, cables.per_row, best)]
+    return _Winners(cables, lo, hi, _solve(cables, window, bounds, ratios, point, pieces))
+
+
+def max_feasible_power_rows(
+    rows: list[tuple[CableSpec, Constraints, float | None]],
+) -> list[OptimumPoint | None]:
+    """max_feasible_power for every (spec, constraints, p_farm_cap) row in one array solve.
+
+    None marks a row that max_feasible_power reports Infeasible.  The rows
+    may differ in their cable and in their constraints' v2 box only, and
+    either every row has a farm cap or none has.
+    """
+    return _delivery_winners(rows).points() if rows else []
 
 
 def max_feasible_power(
@@ -816,17 +897,16 @@ def transfer_envelope(
     cons = constraints if constraints is not None else Constraints()
     boxes = [cons.fixed_v2(v2) for v2 in v2_values] + [cons]
     rows = [(spec, box, None) for spec in map(spec_template.with_length, lengths) for box in boxes]
-
-    def capability(spec: CableSpec, box: Constraints, point: OptimumPoint | None) -> EnvelopePoint:
-        if point is None:
-            return EnvelopePoint(spec.length_km, box.v2_min, 0.0, 0.0, feasible=False)
-        pf, pg = point.flow.p_farm, point.flow.p_grid
-        if not pg > 0.0:
-            pf = pg = 0.0
-        return EnvelopePoint(spec.length_km, point.operating_point.v2, pg, pf)
-
-    out = [capability(spec, box, point)
-           for (spec, box, _), point in zip(rows, max_feasible_power_rows(rows))]
+    won = _delivery_winners(rows)
+    out = []
+    for (spec, box, _), found, v2, pf, pg in zip(rows, *(x.tolist() for x in (
+            won.found, won.v2, won.p_farm, won.p_grid))):
+        if not found:
+            out.append(EnvelopePoint(spec.length_km, box.v2_min, 0.0, 0.0, feasible=False))
+        elif pg > 0.0:
+            out.append(EnvelopePoint(spec.length_km, v2, pg, pf))
+        else:
+            out.append(EnvelopePoint(spec.length_km, v2, 0.0, 0.0))
     # each length's rows: the fixed voltages, then the free one
     groups = [out[j:j + len(boxes)] for j in range(0, len(out), len(boxes))]
     return TransferEnvelope(tuple(pt for group in groups for pt in group[:-1]),

@@ -92,21 +92,46 @@ def solve_flow(spec: CableSpec, op: OperatingPoint) -> FlowSolution:
 
 def two_port_flow(tp: TwoPort, phase_voltage: float, op: OperatingPoint) -> FlowSolution:
     """solve_flow on a two-port already built; phase_voltage is the cable's p.u. base [V]."""
-    v2 = op.v2 * phase_voltage  # real by convention
-    v1 = op.scaling.xi * v2
-    i1, i2 = tp.currents(v1, v2)
+    beta = op.scaling.beta
+    return flow_solution(*flow_parts(tp.a.real, tp.a.imag, tp.b.real, tp.b.imag, phase_voltage,
+                                     op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2))
 
-    s_farm = 3.0 * v1 * i1.conjugate()
-    s_grid = -3.0 * v2 * i2.conjugate()
-    p_farm, q_farm = s_farm.real, s_farm.imag
-    p_grid, q_grid = s_grid.real, s_grid.imag
-    p_loss = p_farm - p_grid
-    eta = p_grid / p_farm if p_farm > 0.0 else None
+
+def _product(xr, xi, yr, yi):
+    """(x*y).real, (x*y).imag as CPython's complex * forms them; a float x is (x, 0.0)."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):
+    """(i1, i2, p_farm, q_farm, p_grid, q_grid) at v2 [p.u.], xi = alpha*e^{j*beta}, in real parts.
+
+    The admittances a and b come as their (real, imag) parts, and i1 and i2
+    go out as theirs.  The arguments are floats or numpy float arrays:
+    every part is formed operation for operation as CPython forms the
+    complex expressions
+
+        v1 = alpha*e^{j*beta} * (v2*V_ph),  i1 = a*v1 + b*(v2*V_ph),
+        i2 = b*v1 + a*(v2*V_ph),  s_farm = 3*v1*conj(i1),  s_grid = -3*(v2*V_ph)*conj(i2),
+
+    x*0.0 terms included, so a float and an array give the same bits, signed
+    zeros too, whatever numpy's dispatch.
+    """
+    v = v2 * phase_voltage
+    v1 = _product(*_product(alpha, 0.0, cos_beta, sin_beta), v, 0.0)
+    i1 = tuple(x + y for x, y in zip(_product(ar, ai, *v1), _product(br, bi, v, 0.0)))
+    i2 = tuple(x + y for x, y in zip(_product(br, bi, *v1), _product(ar, ai, v, 0.0)))
+    s_farm = _product(*_product(3.0, 0.0, *v1), i1[0], -i1[1])
+    s_grid = _product(-3.0 * v, 0.0, i2[0], -i2[1])
+    return i1, i2, *s_farm, *s_grid
+
+
+def flow_solution(i1, i2, p_farm: float, q_farm: float, p_grid: float, q_grid: float) -> FlowSolution:
+    """The FlowSolution of one point's flow_parts, as floats."""
     return FlowSolution(
-        i1=i1, i2=i2,
+        i1=complex(*i1), i2=complex(*i2),
         p_farm=p_farm, q_farm=q_farm,
         p_grid=p_grid, q_grid=q_grid,
-        p_loss=p_loss, eta=eta,
+        p_loss=p_farm - p_grid, eta=p_grid / p_farm if p_farm > 0.0 else None,
     )
 
 

@@ -287,3 +287,37 @@ def best_pgrid_at_voltage(spec, v2, i_rated, p_farm_cap=None, d_alpha=0.002,
                 if beta_v is not None and feasible(alpha_v, beta_v):
                     best = max(best, pg_of(alpha_v, beta_v))
     return best if math.isfinite(best) else None
+
+
+def complex_two_port_flow(tp, phase_voltage, op):
+    """(i1, i2, p_farm, q_farm, p_grid, q_grid, p_loss, eta) in Python complex arithmetic.
+
+    power_flow.two_port_flow as it was before it was written in real parts;
+    eta is None where p_farm <= 0.
+    """
+    v2 = op.v2 * phase_voltage  # real by convention
+    v1 = op.scaling.xi * v2
+    i1, i2 = tp.a * v1 + tp.b * v2, tp.b * v1 + tp.a * v2
+    s_farm = 3.0 * v1 * i1.conjugate()
+    s_grid = -3.0 * v2 * i2.conjugate()
+    p_farm, p_grid = s_farm.real, s_grid.real
+    return (i1, i2, p_farm, s_farm.imag, p_grid, s_grid.imag, p_farm - p_grid,
+            p_grid / p_farm if p_farm > 0.0 else None)
+
+
+def bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, target_uf, iters=80):
+    """synth_duration_curve's curve for target_uf from a bisection of the scale run all iters steps.
+
+    The curve for a scale and its utilization factor come from the package
+    (annual_energy._curve_for_scale), so only the stopping rule differs.
+    """
+    from cableopt.annual_energy import _curve_for_scale, utilization_factor
+
+    lo, hi = 0.05, 0.98 * cut_out
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if utilization_factor(_curve_for_scale(mid, shape, cut_in, rated, cut_out, n_bins)) < target_uf:
+            lo = mid
+        else:
+            hi = mid
+    return _curve_for_scale(0.5 * (lo + hi), shape, cut_in, rated, cut_out, n_bins)

@@ -26,9 +26,11 @@ from cableopt import (
     utilization_factor,
     write_duration_csv,
 )
+from cableopt import annual_energy
 from cableopt.annual_energy import REFERENCE_CURVE_PARAMS
 
 from conftest import random_cable, ref_cable
+from oracle import bisected_duration_curve
 
 
 def small_curve(n_bins=12, target_uf=0.46):
@@ -113,6 +115,34 @@ def test_synth_validates_inputs():
         synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=1)
     with pytest.raises(ValueError):
         synth_duration_curve(9.0, 8.0, 12.0, 11.0, 25.0)
+
+
+def test_synth_bisection_stops_at_its_fixed_point(monkeypatch):
+    # the scale bisection ends where a step leaves its bracket unchanged:
+    # the same curve, bit for bit, as running all 80 steps, in about 2/3 of the curve builds
+    builds = []
+    curve_for_scale = annual_energy._curve_for_scale
+    monkeypatch.setattr(annual_energy, "_curve_for_scale",
+                        lambda *a: builds.append(1) or curve_for_scale(*a))
+    rng = random.Random(2024)
+    cases = 0
+    for _ in range(150):
+        cut_in = rng.uniform(2.0, 4.5)
+        rated = rng.uniform(cut_in + 3.0, 15.0)
+        cut_out = rng.uniform(rated, 30.0)
+        shape, n_bins, target = rng.uniform(1.2, 10.0), rng.randint(2, 24), rng.uniform(0.05, 0.7)
+        builds.clear()
+        try:
+            curve = synth_duration_curve(9.0, shape, cut_in, rated, cut_out, n_bins=n_bins,
+                                         target_uf=target)
+        except Infeasible:
+            continue
+        # the bisection plus the curves at the upper end and at the result
+        assert 54 + 2 <= len(builds) <= 56 + 2
+        want = bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, target)
+        assert repr(curve.bins) == repr(want.bins)
+        cases += 1
+    assert cases == 134
 
 
 def test_reference_curves_load_and_match_generator():

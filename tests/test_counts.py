@@ -1,0 +1,71 @@
+"""Solver work per CLI command, pinned exactly.
+
+Counts do not depend on the hardware, so they show a change in the work a
+command does where wall time cannot.  A change that raises a count updates
+it here and says why in CHANGES.md; one that lowers it has evidence of its
+speed-up.  The commands are the seven golden-digest commands of
+test_cli.py and the README's sweep, annual and envelope runs.
+"""
+
+import pytest
+
+from cableopt import cable_model, cli, optimizer
+
+_SWEEP = ["sweep", "--p-min-mw", "20", "--p-max-mw", "300", "--p-step-mw", "10",
+          "--voltages", "0.4,0.6,0.8,1.0", "--optimal-range", "0.4", "1.0"]
+_ANNUAL = ["annual", "--rated-mw", "320", "--builtin-curve", "high-uf", "--strategy", "fixed:1.0",
+           "--strategy", "range:0.4:1.0", "--strategy", "tap:0.87:0.15"]
+_ENVELOPE = ["envelope", "--lengths-km", "100:400:10", "--voltages", "1.0,0.8,0.6,0.4"]
+_ANALYZE = ["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile"]
+
+
+@pytest.fixture
+def counts(monkeypatch) -> dict:
+    """Counters of the candidate solve and of what the commands build, through wrappers."""
+    c = dict.fromkeys(("solves", "rows", "candidates", "profiles", "cables", "optimum_points"), 0)
+    solve, cable, optimum = optimizer._solve, optimizer._Cable, optimizer.OptimumPoint
+    profile = cable_model.segment_profile
+
+    def counted_solve(cables, window, bounds, ratios, point, *rest):
+        def counted_point(alpha, beta, r):
+            c["candidates"] += len(alpha)
+            return point(alpha, beta, r)
+
+        c["solves"] += 1
+        c["rows"] += len(cables)
+        return solve(cables, window, bounds, ratios, counted_point, *rest)
+
+    def counted(key, fun):
+        def wrapper(*args, **kwargs):
+            c[key] += 1
+            return fun(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "_solve", counted_solve)
+    monkeypatch.setattr(optimizer, "_Cable", counted("cables", cable))
+    monkeypatch.setattr(optimizer, "OptimumPoint", counted("optimum_points", optimum))
+    for module in (cable_model, optimizer, cli):
+        monkeypatch.setattr(module, "segment_profile", counted("profiles", profile))
+    return c
+
+
+# (solves, rows, candidates scored, segment profiles, _Cable builds, OptimumPoint builds)
+@pytest.mark.parametrize("argv,want", [
+    (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
+      "--voltages", "0.6", "--optimal-range", "0.4", "1.0"], (1, 8, 183, 0, 1, 6)),
+    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"], (1, 9, 220, 0, 3, 0)),
+    (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
+      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"], (3, 22, 691, 0, 3, 0)),
+    (_ANALYZE + ["50"], (0, 0, 0, 1, 0, 0)),
+    (_ANALYZE + ["50", "--json"], (0, 0, 0, 1, 0, 0)),
+    (_ANALYZE + ["2000"], (0, 0, 0, 1, 0, 0)),
+    (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 1, 0)),
+    (_SWEEP, (1, 145, 3626, 0, 1, 129)),
+    (_ANNUAL, (3, 307, 8266, 0, 3, 0)),
+    (_ENVELOPE, (1, 155, 4408, 0, 31, 0)),
+], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
+        "analyze-2000", "optimize-echo", "readme-sweep", "readme-annual", "readme-envelope"])
+def test_command_counts(counts, capsys, argv, want):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tuple(counts.values()) == want

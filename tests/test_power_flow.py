@@ -8,6 +8,7 @@ this implementation).
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cableopt import (
@@ -19,10 +20,14 @@ from cableopt import (
     efficiency_of_scaling,
     farm_power_coefficient,
     grid_power_coefficient,
+    exact_pi_two_port,
+    optimizer,
     solve_flow,
 )
+from cableopt.power_flow import two_port_flow
 
 from conftest import random_cable, random_scaling, ref_cable
+from oracle import complex_two_port_flow
 
 # eta(200 km, alpha=1.025, beta=4.25 deg), mpmath
 ETA_PAPER_POINT = 0.94002481104338039
@@ -158,3 +163,32 @@ def test_beta_sweep_peak_regression(cable200):
         beta += 1e-4
     assert math.degrees(best_beta) == pytest.approx(BETA_PEAK_DEG, abs=0.01)
     assert best_eta == pytest.approx(ETA_PEAK_ALPHA1, abs=1e-7)
+
+
+def test_flow_in_real_parts_is_the_complex_flow_bit_for_bit():
+    # two_port_flow on one point, the array pass the solves finish with and
+    # a one-row solve's winner give the bits of the complex-arithmetic flow,
+    # signed zeros included
+    rng = random.Random(97)
+    specs, points = [], []
+    for _ in range(300):
+        spec = random_cable(rng)
+        for _ in range(5):
+            specs.append(spec)
+            points.append(OperatingPoint(rng.uniform(0.3, 1.2), VoltageScaling(
+                rng.uniform(0.8, 1.2), rng.uniform(-math.pi / 2, math.pi / 2))))
+    assert min(op.scaling.beta for op in points) < 0.0 < max(op.scaling.beta for op in points)
+    cables = optimizer._Rows(specs, optimizer.Constraints())
+    best = np.array([[0.0, op.scaling.alpha, op.scaling.beta, op.v2] for op in points]).T
+    won = optimizer._Winners(cables, best[3], best[3], best)
+    for r, (spec, op, point, eta) in enumerate(zip(specs, points, won.points(), won.eta.tolist())):
+        want = complex_two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op)
+        one = optimizer._Winners(optimizer._Rows([spec], optimizer.Constraints()),
+                                 best[3, r:r + 1], best[3, r:r + 1], best[:, r:r + 1]).points()[0]
+        for flow in (two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op), point.flow,
+                     one.flow):
+            got = (flow.i1, flow.i2, flow.p_farm, flow.q_farm, flow.p_grid, flow.q_grid,
+                   flow.p_loss, flow.eta)
+            assert repr(got) == repr(want)
+        assert point.operating_point == op
+        assert repr(eta) == repr(math.nan if want[-1] is None else want[-1])
