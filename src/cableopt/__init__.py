@@ -42,6 +42,7 @@ from .optimizer import (
     Constraints,
     CurvePoint,
     EnvelopePoint,
+    Optima,
     OptimumPoint,
     TransferEnvelope,
     max_feasible_power,
@@ -68,7 +69,7 @@ __all__ = [
     "AnnualResult", "BinOutcome", "BindingConstraint", "CableOptError",
     "CableSpec", "ConfigError", "Constraints", "CurvePoint",
     "DEFAULT_PROFILE_SEGMENTS", "DurationCurve", "EnvelopePoint", "FixedVoltage",
-    "FlowSolution", "Infeasible", "OperatingPoint", "OptimumPoint", "PulParameters",
+    "FlowSolution", "Infeasible", "OperatingPoint", "Optima", "OptimumPoint", "PulParameters",
     "SegmentProfile", "StrategyOutcome", "TransferEnvelope", "TwoPort",
     "VoltageRange", "VoltageScaling", "VoltageStrategy",
     "annual_efficiency", "characteristic_impedance",

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .cable_model import CableSpec
+from .cable_model import MAX_POINTS, CableSpec
 from .errors import ConfigError, Infeasible
-from .optimizer import Constraints, _delivery_winners, _production_winners, inoperable
+from .optimizer import Constraints, inoperable, max_feasible_power_rows, optimize_at_production_rows
 
 _UF_BISECT_ITERS = 80
 
@@ -83,8 +83,6 @@ def _curve_for_scale(scale: float, shape: float, cut_in: float, rated: float,
     # Cubic power curve p(v) = (v^3 - ci^3)/(vr^3 - ci^3) on [ci, vr]; its
     # inverse maps power-bin edges to wind-speed edges, so each bin weight
     # is an exact Weibull probability mass rather than a sampled estimate.
-    span3 = rated**3 - cut_in**3
-
     def v_of_p(p: float) -> float:
         return (cut_in**3 + p * span3) ** (1.0 / 3.0)
 
@@ -93,16 +91,21 @@ def _curve_for_scale(scale: float, shape: float, cut_in: float, rated: float,
     cdf = lambda v: _weibull_cdf(v, shape, scale)
 
     weights = []
-    for k in range(n_bins):
-        if k == 0:
-            # calm below the first midpoint plus storm shut-down
-            w = cdf(v_of_p(edges[1])) + (1.0 - cdf(cut_out))
-        elif k == n_bins - 1:
-            # band just below rated plus the rated plateau
-            w = cdf(cut_out) - cdf(v_of_p(edges[k]))
-        else:
-            w = cdf(v_of_p(edges[k + 1])) - cdf(v_of_p(edges[k]))
-        weights.append(max(w, 0.0))
+    try:
+        span3 = rated**3 - cut_in**3
+        for k in range(n_bins):
+            if k == 0:
+                # calm below the first midpoint plus storm shut-down
+                w = cdf(v_of_p(edges[1])) + (1.0 - cdf(cut_out))
+            elif k == n_bins - 1:
+                # band just below rated plus the rated plateau
+                w = cdf(cut_out) - cdf(v_of_p(edges[k]))
+            else:
+                w = cdf(v_of_p(edges[k + 1])) - cdf(v_of_p(edges[k]))
+            weights.append(max(w, 0.0))
+    except OverflowError as exc:
+        raise ConfigError(f"synthetic curve of Weibull shape {shape} and speeds {cut_in}, "
+                          f"{rated}, {cut_out} overflows: {exc}") from exc
     return load_duration_curve(list(zip(levels, weights)))
 
 
@@ -122,8 +125,8 @@ def synth_duration_curve(
     branch, scale < cut_out) until the utilization factor matches within
     uf_tolerance; the given weibull_scale is then only a formality.
     """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
+    if not 2 <= n_bins <= MAX_POINTS:
+        raise ValueError(f"n_bins must be in [2, {MAX_POINTS}], got {n_bins}")
     if not (0.0 < cut_in < rated <= cut_out):
         raise ValueError(f"need 0 < cut_in < rated <= cut_out, got {cut_in}, {rated}, {cut_out}")
     if not (weibull_shape > 0.0 and weibull_scale > 0.0):
@@ -317,29 +320,30 @@ def _annual_results(
     base = constraints if constraints is not None else Constraints()
     boxes = [base.with_v2_range(*strategy.v2_bounds()) for strategy in strategies]
 
-    # a strategy whose voltage window cannot even carry the charging current
-    # is infeasible as a whole, not merely curtailed
-    operable = _delivery_winners([(spec, box, None) for box in boxes]).found.tolist()
-    for strategy, box, ok in zip(strategies, boxes, operable):
-        if not ok:
-            exc = inoperable(spec, box)
-            raise Infeasible(
-                f"strategy {strategy.label} cannot operate this cable at all: {exc}") from exc
-
     # every strategy's positive bins in one production solve; those it cannot
     # serve (sensibly) in one capped delivery solve: (p_farm, p_grid, v2) each
     levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
     live = [(s, k) for s in range(len(strategies)) for k, p in enumerate(levels) if p > 0.0]
-    served, capped = {}, {}
+    served = {}
     if live:
-        won = _production_winners([(spec, levels[k], boxes[s]) for s, k in live])
+        won = optimize_at_production_rows([(spec, levels[k], boxes[s]) for s, k in live])
         served = {row: (pg, v2, eta) for row, good, pg, v2, eta in zip(live, *(x.tolist() for x in (
             won.found & (won.eta > 0.0), won.p_grid, won.v2, won.eta))) if good}
     short = [row for row in live if row not in served]
-    if short:
-        won = _delivery_winners([(spec, boxes[s], levels[k]) for s, k in short])
-        capped = {row: (pf, pg, v2) for row, found, pf, pg, v2 in zip(short, *(x.tolist() for x in (
-            won.found, won.p_farm, won.p_grid, won.v2))) if found and pg > 0.0}
+    # the capped solve ends with one row per strategy capped at inf, which
+    # caps nothing: a strategy whose voltage window cannot even carry the
+    # charging current finds no point there and is infeasible as a whole,
+    # not merely curtailed
+    won = max_feasible_power_rows([(spec, boxes[s], levels[k]) for s, k in short]
+                                  + [(spec, box, math.inf) for box in boxes])
+    found = won.found.tolist()
+    for strategy, box, ok in zip(strategies, boxes, found[len(short):]):
+        if not ok:
+            exc = inoperable(spec, box)
+            raise Infeasible(
+                f"strategy {strategy.label} cannot operate this cable at all: {exc}") from exc
+    capped = {row: (pf, pg, v2) for row, ok, pf, pg, v2 in zip(short, found, *(x.tolist() for x in (
+        won.p_farm, won.p_grid, won.v2))) if ok and pg > 0.0}
 
     results = []
     for s in range(len(strategies)):

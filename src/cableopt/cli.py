@@ -236,15 +236,13 @@ def _cmd_sweep(args, cfg: StudyConfig) -> int:
         ["-", "MW", "flag", "-", "pu", "-", "deg"],
     )
     rows = [(label, level * 1e6, cons) for label, cons in policies for level in levels]
-    points = optimize_at_production_rows([(spec, p, cons) for _, p, cons in rows])
-    for (label, p, _), point in zip(rows, points):
-        if point is None:
+    won = optimize_at_production_rows([(spec, p, cons) for _, p, cons in rows])
+    for (label, p, _), found, p_farm, eta, v2, alpha, beta in zip(rows, *(x.tolist() for x in (
+            won.found, won.p_farm, won.eta, won.v2, won.alpha, won.beta))):
+        if not found:
             table.add(label, p / 1e6, False, 0.0, 0.0, 0.0, 0.0)
             continue
-        op = point.operating_point
-        table.add(label, p / 1e6, True,
-                  point.eta if point.eta is not None else 0.0,
-                  op.v2, op.scaling.alpha, op.scaling.beta_deg)
+        table.add(label, p / 1e6, True, eta if p_farm > 0.0 else 0.0, v2, alpha, math.degrees(beta))
     return _emit(args, cfg, [table])
 
 

@@ -20,16 +20,16 @@ production level or a farm cap, and a v2 box), and the cable numbers,
 the circles, their sinusoids, roots, eigenvectors and candidates are
 numpy arrays over rows, NaN where one does not exist.  Each distinct
 cable computes its numbers as Python numbers once (_Rows), so a row does
-the same floating-point work as its one-row call.  The winners come out
-as arrays too (_Winners): a row with a clear winner takes it in one array
-comparison, the rows with near-ties walk their candidates as floats, and
-each winner's flow is one array pass of power_flow.flow_parts, the real
-arithmetic two_port_flow runs on one point.  compare_strategies and
-transfer_envelope read those arrays; only the list API,
-optimize_at_production_rows and max_feasible_power_rows and through them
-the one-row optimize_at_production and max_feasible_power and the sweep
-command, builds OptimumPoints from them.  optimize_scaling_unconstrained
-is a one-row solve too.  A command makes one solve per kind:
+the same floating-point work as its one-row call.  The row API,
+optimize_at_production_rows and max_feasible_power_rows, returns the
+winners as arrays (Optima): a row with a clear winner takes it in one
+array comparison, the rows with near-ties walk their candidates as
+floats, and each winner's flow is one array pass of
+power_flow.flow_parts, the real arithmetic two_port_flow runs on one
+point.  Optima.point(r) builds row r's OptimumPoint and the limits that
+bind on it; the one-row optimize_at_production and max_feasible_power
+are that point of a one-row solve.  optimize_scaling_unconstrained is a
+one-row solve too.  A command makes one solve per kind:
 transfer_envelope over every (length, policy), compare_strategies over
 every strategy's bins and the sweep command over every (policy, level).
 """
@@ -405,24 +405,34 @@ class _Cable:
 
 
 class _Rows:
-    """The cables of a solve's rows, one _Cable per distinct spec.
+    """The (spec, constraints) rows of a solve: one _Cable per distinct spec, and each row's v2 box.
 
-    The numbers the array solve reads per cable are gathered into arrays
-    over rows: each distinct cable computes them as Python numbers, as a
-    one-row solve does, so every row does the same floating-point work
-    whatever its batch.
+    The rows may differ in their cable and v2 box only: not in their alpha
+    bounds, rating override or internal checks.  The numbers the array
+    solve reads per cable are gathered into arrays over rows: each distinct
+    cable computes them as Python numbers, as a one-row solve does, so
+    every row does the same floating-point work whatever its batch.
     """
 
-    def __init__(self, specs: list[CableSpec], constraints: Constraints):
+    def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
+        if not rows:
+            raise ValueError("a solve needs at least one row")
+        specs, boxes = zip(*rows)
+        first = boxes[0]
+        for box in {id(box): box for box in boxes}.values():
+            if box is not first and box.with_v2_range(first.v2_min, first.v2_max) != first:
+                raise ValueError("the rows of one solve may differ in their cable and v2 box only")
+        self.lo = np.array([box.v2_min for box in boxes])
+        self.hi = np.array([box.v2_max for box in boxes])
         # rows mostly share spec objects: hash each object once, not each row
         by_id = dict(zip(map(id, specs), specs))
         distinct = {}
         index = {key: distinct.setdefault(spec, len(distinct)) for key, spec in by_id.items()}
         which = list(map(index.__getitem__, map(id, specs)))
-        self.distinct = [_Cable(spec, constraints) for spec in distinct]
+        self.distinct = [_Cable(spec, first) for spec in distinct]
         self.per_row = list(map(self.distinct.__getitem__, which))
         self.which = np.array(which)
-        self.cons = constraints
+        self.cons = first
         # each cable's admittances, voltage base, its square and rating, then
         # the four forms' parts, real but for each middle one; a part 0 on
         # every cable stays 0
@@ -600,7 +610,7 @@ def optimize_scaling_unconstrained(
     at a stationary point along the circle or ray, all in closed form.
     """
     a_lo, a_hi = alpha_range
-    cables = _Rows([spec], Constraints(alpha_min=a_lo, alpha_max=a_hi))
+    cables = _Rows([(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))])
 
     def point(alpha, beta, r):
         eta = cables.at(alpha, beta, r)[2]
@@ -647,32 +657,19 @@ def optimal_voltage_curve(
 # ---------------------------------------------------------------------------
 # rows: one (cable, power, v2 box) problem each
 
-def _row_cables(rows: list[tuple[CableSpec, Constraints]]):
-    """The _Rows of a batch and its v2 bounds per row.
-
-    The rows may differ in their cable and v2 box only: not in their alpha
-    bounds, rating override or internal checks.
-    """
-    first = rows[0][1]
-    for box in {id(box): box for _, box in rows}.values():
-        if box is not first and box.with_v2_range(first.v2_min, first.v2_max) != first:
-            raise ValueError("the rows of one solve may differ in their cable and v2 box only")
-    return (_Rows([spec for spec, _ in rows], first), np.array([box.v2_min for _, box in rows]),
-            np.array([box.v2_max for _, box in rows]))
-
-
-class _Winners:
+class Optima:
     """Each row's winner and its flow, as arrays over rows, NaN where found is False.
 
-    The flow is power_flow.flow_parts at the winner's (alpha, beta, v2), with
-    cos(beta) and sin(beta) from math: the bits of two_port_flow, so of the
-    row's OptimumPoint.  i1 and i2 are the end currents' (real, imag)
-    parts, and eta is NaN where p_farm <= 0.
+    alpha, beta and v2 are the winner's operating point.  The flow is
+    power_flow.flow_parts there, with cos(beta) and sin(beta) from math:
+    the bits of two_port_flow, so of the row's OptimumPoint.  i1 and i2
+    are the end currents' (real, imag) parts, and eta is NaN where
+    p_farm <= 0.
     """
 
-    def __init__(self, cables: _Rows, lo, hi, best):
-        """The winners best of _solve on rows with v2 boxes [lo, hi], under np.errstate(all="ignore")."""
-        self.cables, self.lo, self.hi = cables, lo, hi
+    def __init__(self, cables: _Rows, best):
+        """The winners best of _solve on the rows cables, under np.errstate(all="ignore")."""
+        self.cables = cables
         score, self.alpha, self.beta, self.v2 = best
         self.found = ~np.isnan(score)
         beta = self.beta.tolist()
@@ -691,55 +688,51 @@ class _Winners:
         self.i1, self.i2 = (i1r, i1i), (i2r, i2i)
         self.eta = np.where(self.p_farm > 0.0, self.p_grid / self.p_farm, np.nan)
 
-    @cached_property
-    def binding(self) -> dict[BindingConstraint, np.ndarray]:
-        """The rows on which each limit binds, to 1e-6 relative; none binds on a row without a winner."""
-        cables, cons, rel = self.cables, self.cables.cons, 1e-6
-        alpha, v2 = self.alpha, self.v2
+    def point(self, r: int) -> OptimumPoint | None:
+        """Row r's OptimumPoint, None where it has no winner.
+
+        Its binding constraints are the limits the point meets to 1e-6 relative.
+        """
+        if not self.found[r]:
+            return None
+        cables, cons, cab, rel = self.cables, self.cables.cons, self.cables.per_row[r], 1e-6
+        alpha, beta, v2, lo, hi = (x[r].item() for x in (self.alpha, self.beta, self.v2,
+                                                          cables.lo, cables.hi))
+        i1r, i1i, i2r, i2i, *powers = (x[r].item() for x in (*self.i1, *self.i2, self.p_farm,
+                                                             self.q_farm, self.p_grid, self.q_grid))
+        flow = flow_solution((i1r, i1i), (i2r, i2i), *powers)
+        current = max(abs(flow.i1), abs(flow.i2))
         a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
-        current = np.maximum(np.hypot(*self.i1), np.hypot(*self.i2))
-        masks = {
-            BindingConstraint.V2_MAX: v2 >= self.hi * (1 - rel),
-            BindingConstraint.V2_MIN: v2 <= self.lo * (1 + rel),
-            BindingConstraint.CURRENT_LIMIT: current >= cables.i_rated * (1 - rel),
+        meets = {
+            BindingConstraint.V2_MAX: v2 >= hi * (1 - rel),
+            BindingConstraint.V2_MIN: v2 <= lo * (1 + rel),
+            BindingConstraint.CURRENT_LIMIT: current >= cab.i_rated * (1 - rel),
             BindingConstraint.ALPHA_MAX: cons.alpha_max - alpha <= rel * a_span,
             BindingConstraint.ALPHA_MIN: alpha - cons.alpha_min <= rel * a_span,
         }
         if (v_cap := cons.check_internal_voltage_max) is not None:
-            peak = np.full(len(v2), np.nan)
-            point = zip(alpha.tolist(), self.beta.tolist(), v2.tolist())
-            for r, (found, at) in enumerate(zip(self.found.tolist(), point)):
-                if found:
-                    peak[r] = cables.per_row[r].profile(*at).max_voltage
-            masks[BindingConstraint.INTERNAL_VOLTAGE] = peak >= v_cap * cables.vph * (1 - rel)
-        return masks
-
-    def points(self) -> list[OptimumPoint | None]:
-        """Each row's OptimumPoint, None where it has no winner."""
-        names, masks = zip(*self.binding.items())
-        out = []
-        for found, (alpha, beta, v2, i1r, i1i, i2r, i2i, *powers), meets in zip(
-                self.found.tolist(),
-                np.array([self.alpha, self.beta, self.v2, *self.i1, *self.i2,
-                          self.p_farm, self.q_farm, self.p_grid, self.q_grid]).T.tolist(),
-                np.array(masks).T.tolist()):
-            out.append(OptimumPoint(
-                OperatingPoint(v2, VoltageScaling(alpha, beta)),
-                flow_solution((i1r, i1i), (i2r, i2i), *powers),
-                frozenset(c for c, m in zip(names, meets) if m)) if found else None)
-        return out
+            peak = cab.profile(alpha, beta, v2).max_voltage
+            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= v_cap * cab.vph * (1 - rel)
+        return OptimumPoint(OperatingPoint(v2, VoltageScaling(alpha, beta)), flow,
+                            frozenset(c for c, m in meets.items() if m))
 
 
 # ---------------------------------------------------------------------------
 # constrained optimum at a required production level
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
-def _production_winners(rows: list[tuple[CableSpec, float, Constraints]]) -> _Winners:
-    """optimize_at_production_rows on at least one row, its winners as arrays."""
+def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]) -> Optima:
+    """optimize_at_production for every (spec, p_farm, constraints) row in one array solve.
+
+    A row without a winner is one that optimize_at_production reports
+    Infeasible.  There is at least one row, and the rows may differ in
+    their cable and in their constraints' v2 box only.
+    """
     for _, p, _ in rows:
         if not (p > 0.0 and math.isfinite(p)):
             raise ValueError(f"p_farm must be > 0 W, got {p}")
-    cables, lo, hi = _row_cables([(spec, cons) for spec, _, cons in rows])
+    cables = _Rows([(spec, cons) for spec, _, cons in rows])
+    lo, hi = cables.lo, cables.hi
     p = np.array([p for _, p, _ in rows])
 
     k = p / (3.0 * cables.vph2)      # v2^2 = k/farm
@@ -755,19 +748,8 @@ def _production_winners(rows: list[tuple[CableSpec, float, Constraints]]) -> _Wi
         return np.where(fits, eta, np.nan), v2
 
     window = cables.gather(lambda cab: (cab.beta_floor, cab.beta_cap))
-    return _Winners(cables, lo, hi, _solve(cables, window, bounds, [(cables.grid, cables.farm)],
-                                          point, [(k, cables.farm)]))
-
-
-def optimize_at_production_rows(
-    rows: list[tuple[CableSpec, float, Constraints]],
-) -> list[OptimumPoint | None]:
-    """optimize_at_production for every (spec, p_farm, constraints) row in one array solve.
-
-    None marks a row that optimize_at_production reports Infeasible.  The
-    rows may differ in their cable and in their constraints' v2 box only.
-    """
-    return _production_winners(rows).points() if rows else []
+    return Optima(cables, _solve(cables, window, bounds, [(cables.grid, cables.farm)],
+                                 point, [(k, cables.farm)]))
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -780,7 +762,7 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
     treat the shortfall.
     """
     cons = constraints if constraints is not None else Constraints()
-    point = optimize_at_production_rows([(spec, p_farm, cons)])[0]
+    point = optimize_at_production_rows([(spec, p_farm, cons)]).point(0)
     if point is None:
         raise Infeasible(
             f"no operating point in the box transmits {p_farm/1e6:.3f} MW "
@@ -794,15 +776,22 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
 # maximum deliverable power
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
-def _delivery_winners(rows: list[tuple[CableSpec, Constraints, float | None]]) -> _Winners:
-    """max_feasible_power_rows on at least one row, its winners as arrays."""
+def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | None]]) -> Optima:
+    """max_feasible_power for every (spec, constraints, p_farm_cap) row in one array solve.
+
+    A row without a winner is one that max_feasible_power reports
+    Infeasible.  There is at least one row, the rows may differ in their
+    cable and in their constraints' v2 box only, and either every row has
+    a farm cap or none has; a cap of inf caps nothing.
+    """
     capped = {cap is not None for _, _, cap in rows}
     if len(capped) > 1:
         raise ValueError("p_farm_cap must be set on every row of a solve or on none")
     for _, _, cap in rows:
         if cap is not None and not cap > 0.0:
             raise ValueError(f"p_farm_cap must be > 0 W, got {cap}")
-    cables, lo, hi = _row_cables([(spec, cons) for spec, cons, _ in rows])
+    cables = _Rows([(spec, cons) for spec, cons, _ in rows])
+    lo, hi = cables.lo, cables.hi
     cap = np.array([cap for _, _, cap in rows]) if capped == {True} else None
 
     curs = (cables.cur1, cables.cur2)
@@ -833,19 +822,7 @@ def _delivery_winners(rows: list[tuple[CableSpec, Constraints, float | None]]) -
         return np.where(fits, g * v2 * v2, np.nan), v2
 
     window = cables.gather(lambda cab: cab.delivery_window)
-    return _Winners(cables, lo, hi, _solve(cables, window, bounds, ratios, point, pieces))
-
-
-def max_feasible_power_rows(
-    rows: list[tuple[CableSpec, Constraints, float | None]],
-) -> list[OptimumPoint | None]:
-    """max_feasible_power for every (spec, constraints, p_farm_cap) row in one array solve.
-
-    None marks a row that max_feasible_power reports Infeasible.  The rows
-    may differ in their cable and in their constraints' v2 box only, and
-    either every row has a farm cap or none has.
-    """
-    return _delivery_winners(rows).points() if rows else []
+    return Optima(cables, _solve(cables, window, bounds, ratios, point, pieces))
 
 
 def max_feasible_power(
@@ -865,7 +842,7 @@ def max_feasible_power(
     are candidates too, so a box with a feasible point is never Infeasible.
     """
     cons = constraints if constraints is not None else Constraints()
-    point = max_feasible_power_rows([(spec, cons, p_farm_cap)])[0]
+    point = max_feasible_power_rows([(spec, cons, p_farm_cap)]).point(0)
     if point is None:
         raise inoperable(spec, cons)
     return point.flow.p_farm, point.flow.p_grid, point
@@ -897,7 +874,7 @@ def transfer_envelope(
     cons = constraints if constraints is not None else Constraints()
     boxes = [cons.fixed_v2(v2) for v2 in v2_values] + [cons]
     rows = [(spec, box, None) for spec in map(spec_template.with_length, lengths) for box in boxes]
-    won = _delivery_winners(rows)
+    won = max_feasible_power_rows(rows)
     out = []
     for (spec, box, _), found, v2, pf, pg in zip(rows, *(x.tolist() for x in (
             won.found, won.v2, won.p_farm, won.p_grid))):

@@ -28,6 +28,7 @@ from cableopt import (
 )
 from cableopt import annual_energy
 from cableopt.annual_energy import REFERENCE_CURVE_PARAMS
+from cableopt.cable_model import MAX_POINTS
 
 from conftest import random_cable, ref_cable
 from oracle import bisected_duration_curve
@@ -115,6 +116,13 @@ def test_synth_validates_inputs():
         synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=1)
     with pytest.raises(ValueError):
         synth_duration_curve(9.0, 8.0, 12.0, 11.0, 25.0)
+    with pytest.raises(ValueError):
+        synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=MAX_POINTS + 1)
+    # arithmetic that overflows a float is a configuration error, not a crash
+    with pytest.raises(ConfigError):
+        synth_duration_curve(9.0, 1e300, 3.0, 11.0, 25.0, target_uf=0.4)
+    with pytest.raises(ConfigError):
+        synth_duration_curve(9.0, 8.0, 1e-300, 1e300, 1e300, target_uf=0.4)
 
 
 def test_synth_bisection_stops_at_its_fixed_point(monkeypatch):
@@ -274,12 +282,12 @@ def test_compare_strategies_reference_is_zero(cable200):
     assert out[2].loss_reduction_pct > 0.0
 
 
-def test_compare_strategies_is_three_solves_with_the_one_strategy_results(solve_calls):
+def test_compare_strategies_is_two_solves_with_the_one_strategy_results(solve_calls):
     spec, curve = ref_cable(230.0), small_curve()
     strategies = [FixedVoltage(1.0), VoltageRange(0.4, 1.0), tap_range(0.9, 0.1)]
     out = compare_strategies(spec, 340e6, curve, strategies)
-    # the up-front check, the production solve and the capped solve
-    assert len(solve_calls) == 3
+    # the production solve and the capped solve, which also checks that each strategy operates
+    assert len(solve_calls) == 2
     for o, strategy in zip(out, strategies):
         alone = annual_efficiency(spec, 340e6, curve, strategy)
         assert o.strategy == strategy and o.result == alone

@@ -380,7 +380,10 @@ _ANNUAL_INPUTS = {
                st.sampled_from([("--synth-uf", repr(uf)) for uf in
                                 (math.nan, -1.0, 0.0, 1e-300, 0.95, 1.0, 1e300)]
                                + [("--curve", text) for text in _BAD_CURVES] + [None])),
-    "n_bins": (st.sampled_from([2, 10]), st.sampled_from([-1, 0, 1])),
+    "n_bins": (st.sampled_from([2, 10]), st.sampled_from([MAX_POINTS + 1, 10**8, -1, 0, 1])),
+    # turbines whose synthetic curve overflows a float; they act on a --synth-uf source
+    "turbine": (st.just([]), st.sampled_from([["--weibull-shape=1e300"], [
+        "--cut-in=1e-300", "--rated-speed=1e300", "--cut-out=1e300"]])),
     "strategies": (st.lists(st.sampled_from(["fixed:1.0", "fixed:0.6", "range:0.4:1.0",
                                              "range:0.9:0.9", "tap:0.87:0.15"]),
                             min_size=1, max_size=3),
@@ -407,7 +410,7 @@ def test_fuzzed_annual_exits_0_2_or_3(data, fault, json_mode):
     rated, source, strategies = drawn["rated"], drawn["source"], drawn["strategies"]
     argv = ["annual", f"--n-bins={drawn['n_bins']}"] + ["--json"] * json_mode
     argv += [] if rated is None else [f"--rated-mw={rated!r}"]
-    argv += [f"--strategy={text}" for text in strategies]
+    argv += [f"--strategy={text}" for text in strategies] + drawn["turbine"]
     with tempfile.TemporaryDirectory() as tmp:
         if source is not None:
             option, value = source

@@ -22,8 +22,10 @@ _ANALYZE = ["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--p
 @pytest.fixture
 def counts(monkeypatch) -> dict:
     """Counters of the candidate solve and of what the commands build, through wrappers."""
-    c = dict.fromkeys(("solves", "rows", "candidates", "profiles", "cables", "optimum_points"), 0)
-    solve, cable, optimum = optimizer._solve, optimizer._Cable, optimizer.OptimumPoint
+    c = dict.fromkeys(("solves", "rows", "candidates", "walked", "profiles", "cables",
+                       "optimum_points"), 0)
+    solve, better = optimizer._solve, optimizer._better
+    cable, optimum = optimizer._Cable, optimizer.OptimumPoint
     profile = cable_model.segment_profile
 
     def counted_solve(cables, window, bounds, ratios, point, *rest):
@@ -42,6 +44,7 @@ def counts(monkeypatch) -> dict:
         return wrapper
 
     monkeypatch.setattr(optimizer, "_solve", counted_solve)
+    monkeypatch.setattr(optimizer, "_better", counted("walked", better))
     monkeypatch.setattr(optimizer, "_Cable", counted("cables", cable))
     monkeypatch.setattr(optimizer, "OptimumPoint", counted("optimum_points", optimum))
     for module in (cable_model, optimizer, cli):
@@ -49,20 +52,22 @@ def counts(monkeypatch) -> dict:
     return c
 
 
-# (solves, rows, candidates scored, segment profiles, _Cable builds, OptimumPoint builds)
+# (solves, rows, candidates scored, candidates walked in the row loop, segment profiles,
+#  _Cable builds, OptimumPoint builds)
 @pytest.mark.parametrize("argv,want", [
     (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
-      "--voltages", "0.6", "--optimal-range", "0.4", "1.0"], (1, 8, 183, 0, 1, 6)),
-    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"], (1, 9, 220, 0, 3, 0)),
+      "--voltages", "0.6", "--optimal-range", "0.4", "1.0"], (1, 8, 183, 6, 0, 1, 0)),
+    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"],
+     (1, 9, 220, 10, 0, 3, 0)),
     (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
-      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"], (3, 22, 691, 0, 3, 0)),
-    (_ANALYZE + ["50"], (0, 0, 0, 1, 0, 0)),
-    (_ANALYZE + ["50", "--json"], (0, 0, 0, 1, 0, 0)),
-    (_ANALYZE + ["2000"], (0, 0, 0, 1, 0, 0)),
-    (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 1, 0)),
-    (_SWEEP, (1, 145, 3626, 0, 1, 129)),
-    (_ANNUAL, (3, 307, 8266, 0, 3, 0)),
-    (_ENVELOPE, (1, 155, 4408, 0, 31, 0)),
+      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"], (2, 22, 707, 28, 0, 2, 0)),
+    (_ANALYZE + ["50"], (0, 0, 0, 0, 1, 0, 0)),
+    (_ANALYZE + ["50", "--json"], (0, 0, 0, 0, 1, 0, 0)),
+    (_ANALYZE + ["2000"], (0, 0, 0, 0, 1, 0, 0)),
+    (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 0, 1, 0)),
+    (_SWEEP, (1, 145, 3626, 200, 0, 1, 0)),
+    (_ANNUAL, (2, 307, 8290, 218, 0, 2, 0)),
+    (_ENVELOPE, (1, 155, 4408, 312, 0, 31, 0)),
 ], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
         "analyze-2000", "optimize-echo", "readme-sweep", "readme-annual", "readme-envelope"])
 def test_command_counts(counts, capsys, argv, want):

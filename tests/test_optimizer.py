@@ -596,13 +596,15 @@ def test_rows_on_different_cables_match_one_row_calls(internal):
             rows.append((spec, cons.with_v2_range(lo, rng.choice([lo, rng.uniform(lo, 1.0), 1.0])),
                          10.0 ** rng.uniform(5.0, 9.0)))
     rng.shuffle(rows)
-    batched = optimize_at_production_rows([(spec, p, box) for spec, box, p in rows])
+    won = optimize_at_production_rows([(spec, p, box) for spec, box, p in rows])
+    batched = [won.point(r) for r in range(len(rows))]
     for (spec, box, p), point in zip(rows, batched):
-        _same_point(point, optimize_at_production_rows([(spec, p, box)])[0])
+        _same_point(point, optimize_at_production_rows([(spec, p, box)]).point(0))
     assert any(point is None for point in batched) and any(point is not None for point in batched)
-    batched = max_feasible_power_rows(rows)
+    won = max_feasible_power_rows(rows)
+    batched = [won.point(r) for r in range(len(rows))]
     for (spec, box, cap), point in zip(rows, batched):
-        _same_point(point, max_feasible_power_rows([(spec, box, cap)])[0])
+        _same_point(point, max_feasible_power_rows([(spec, box, cap)]).point(0))
     assert any(point is None for point in batched) and any(point is not None for point in batched)
 
 
@@ -622,8 +624,8 @@ def test_clear_winner_pick_is_the_candidate_walk(monkeypatch):
 
     def winners():
         return [np.array([w.found, w.alpha, w.beta, w.v2]) for w in (
-            optimizer._production_winners([(spec, p, box) for spec, box, p in rows]),
-            optimizer._delivery_winners(rows))]
+            optimize_at_production_rows([(spec, p, box) for spec, box, p in rows]),
+            max_feasible_power_rows(rows))]
 
     picked = winners()
 
@@ -638,17 +640,39 @@ def test_clear_winner_pick_is_the_candidate_walk(monkeypatch):
     assert all(found.any() and not found.all() for found, *_ in picked)
 
 
+@pytest.mark.parametrize("internal", [False, True])
+def test_infinite_farm_cap_finds_what_no_cap_finds(internal):
+    # a cap of inf caps nothing: its capped rows have a winner exactly where
+    # the uncapped rows do, which is how compare_strategies tells an
+    # inoperable strategy from its capped solve
+    rng = random.Random(61 + internal)
+    cons = Constraints(check_internal_current=internal,
+                       check_internal_voltage_max=1.02 if internal else None, n_profile_segments=8)
+    rows = []
+    for _ in range(40 if internal else 160):
+        spec = random_cable(rng).with_length(rng.uniform(1.0, 450.0))
+        lo = rng.uniform(0.3, 1.0)
+        rows.append((spec, cons.with_v2_range(lo, rng.choice([lo, rng.uniform(lo, 1.0), 1.0]))))
+    capped = max_feasible_power_rows([(spec, box, math.inf) for spec, box in rows]).found
+    uncapped = max_feasible_power_rows([(spec, box, None) for spec, box in rows]).found
+    assert capped.tolist() == uncapped.tolist()
+    assert uncapped.any() and not uncapped.all()
+
+
 def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
     rows = [(cable200, 100e6, Constraints()), (cable200, 100e6, Constraints(alpha_max=1.05))]
     with pytest.raises(ValueError):
         optimize_at_production_rows(rows)
     with pytest.raises(ValueError):
         max_feasible_power_rows([(cable200, Constraints(), None), (cable200, Constraints(), 50e6)])
-    assert optimize_at_production_rows([]) == []
+    with pytest.raises(ValueError):
+        optimize_at_production_rows([])
+    with pytest.raises(ValueError):
+        max_feasible_power_rows([])
     # a different cable, v2 box or cable rating is fine; a different override is not
     rows = [(cable200, 100e6, Constraints()), (ref_cable(80.0), 100e6, Constraints(v2_min=0.9)),
             (replace(cable200, rated_current=700.0), 100e6, Constraints())]
-    assert None not in optimize_at_production_rows(rows)
+    assert optimize_at_production_rows(rows).found.all()
     with pytest.raises(ValueError):
         optimize_at_production_rows(rows + [(cable200, 100e6, Constraints(i_rated=900.0))])
     with pytest.raises(ValueError):

@@ -178,13 +178,13 @@ def test_flow_in_real_parts_is_the_complex_flow_bit_for_bit():
             points.append(OperatingPoint(rng.uniform(0.3, 1.2), VoltageScaling(
                 rng.uniform(0.8, 1.2), rng.uniform(-math.pi / 2, math.pi / 2))))
     assert min(op.scaling.beta for op in points) < 0.0 < max(op.scaling.beta for op in points)
-    cables = optimizer._Rows(specs, optimizer.Constraints())
+    rows = [(spec, optimizer.Constraints().fixed_v2(op.v2)) for spec, op in zip(specs, points)]
     best = np.array([[0.0, op.scaling.alpha, op.scaling.beta, op.v2] for op in points]).T
-    won = optimizer._Winners(cables, best[3], best[3], best)
-    for r, (spec, op, point, eta) in enumerate(zip(specs, points, won.points(), won.eta.tolist())):
+    won = optimizer.Optima(optimizer._Rows(rows), best)
+    for r, (spec, op, eta) in enumerate(zip(specs, points, won.eta.tolist())):
         want = complex_two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op)
-        one = optimizer._Winners(optimizer._Rows([spec], optimizer.Constraints()),
-                                 best[3, r:r + 1], best[3, r:r + 1], best[:, r:r + 1]).points()[0]
+        point = won.point(r)
+        one = optimizer.Optima(optimizer._Rows(rows[r:r + 1]), best[:, r:r + 1]).point(0)
         for flow in (two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op), point.flow,
                      one.flow):
             got = (flow.i1, flow.i2, flow.p_farm, flow.q_farm, flow.p_grid, flow.q_grid,
