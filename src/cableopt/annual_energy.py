@@ -27,6 +27,8 @@ from .errors import ConfigError, Infeasible
 from .optimizer import Constraints, inoperable, max_feasible_power_rows, optimize_at_production_rows
 
 _UF_BISECT_ITERS = 80
+#: how close a synthetic curve's utilization factor must come to its target
+_UF_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -117,13 +119,12 @@ def synth_duration_curve(
     cut_out: float,
     n_bins: int = 100,
     target_uf: float | None = None,
-    uf_tolerance: float = 1e-3,
 ) -> DurationCurve:
     """Deterministic duration curve from a Weibull wind-speed distribution.
 
     With target_uf set, the scale parameter is bisected (on the rising
     branch, scale < cut_out) until the utilization factor matches within
-    uf_tolerance; the given weibull_scale is then only a formality.
+    _UF_TOLERANCE (1e-3); the given weibull_scale is then only a formality.
     """
     if not 2 <= n_bins <= MAX_POINTS:
         raise ValueError(f"n_bins must be in [2, {MAX_POINTS}], got {n_bins}")
@@ -139,7 +140,7 @@ def synth_duration_curve(
         raise Infeasible(f"target utilization factor must be in (0, 1), got {target_uf}")
     lo, hi = 0.05, 0.98 * cut_out
     uf_hi = utilization_factor(_curve_for_scale(hi, weibull_shape, cut_in, rated, cut_out, n_bins))
-    if uf_hi < target_uf - uf_tolerance:
+    if uf_hi < target_uf - _UF_TOLERANCE:
         raise Infeasible(
             f"utilization factor {target_uf} unreachable; maximum on the rising "
             f"branch is {uf_hi:.4f} for this turbine"
@@ -153,7 +154,7 @@ def synth_duration_curve(
         lo, hi = bracket
     scale = 0.5 * (lo + hi)
     curve = _curve_for_scale(scale, weibull_shape, cut_in, rated, cut_out, n_bins)
-    if abs(utilization_factor(curve) - target_uf) > uf_tolerance:
+    if abs(utilization_factor(curve) - target_uf) > _UF_TOLERANCE:
         raise Infeasible(
             f"bisection stalled at UF {utilization_factor(curve):.5f} for target {target_uf}"
         )

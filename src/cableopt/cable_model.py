@@ -78,6 +78,14 @@ class CableSpec:
             raise ValueError(f"rated current must be > 0 A, got {self.rated_current}")
         if not (self.frequency > 0.0 and math.isfinite(self.frequency)):
             raise ValueError(f"frequency must be > 0 Hz, got {self.frequency}")
+        # the solves square the phase voltage and the rating as Python floats,
+        # which raise OverflowError where numpy would give inf
+        if not math.isfinite(self.phase_voltage * self.phase_voltage):
+            raise ValueError(f"nominal voltage {self.nominal_voltage} V is too large: "
+                             f"its phase voltage squared overflows")
+        if not math.isfinite(self.rated_current * self.rated_current):
+            raise ValueError(f"rated current {self.rated_current} A is too large: "
+                             f"its square overflows")
 
     @property
     def omega(self) -> float:

@@ -81,7 +81,7 @@ def _resolve_curve(cfg: StudyConfig, args):
         return reference_duration_curve(args.builtin_curve), f"builtin:{args.builtin_curve}"
     if args.synth_uf is not None:
         curve = synth_duration_curve(
-            weibull_scale=args.weibull_scale,
+            weibull_scale=9.0,      # a formality: target_uf sets the scale
             weibull_shape=args.weibull_shape,
             cut_in=args.cut_in,
             rated=args.rated_speed,
@@ -114,7 +114,10 @@ def _emit(args, cfg: StudyConfig, tables: list[ResultTable],
     echo = normalized_si(cfg) if args.echo_config else None
     with ExitStack() as stack:
         if args.out:
-            fh = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+            try:
+                fh = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {args.out}: {exc}") from exc
         else:
             fh = sys.stdout
         write_tables(fh, tables, provenance, json_mode=args.json, config_echo=echo)
@@ -355,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use a committed reference curve")
     p.add_argument("--synth-uf", type=float, default=None,
                    help="synthesize a curve tuned to this utilization factor")
-    p.add_argument("--weibull-scale", type=float, default=9.0)
     p.add_argument("--weibull-shape", type=float, default=8.0)
     p.add_argument("--cut-in", type=float, default=3.0)
     p.add_argument("--rated-speed", type=float, default=11.0)

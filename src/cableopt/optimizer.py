@@ -16,22 +16,23 @@ fails adds the worst node's limit as one more circle per v2 piece, and the
 solve repeats.  Ties go to lower v2, then lower alpha.
 
 The solve has a leading row axis: a row is one problem (a cable, a
-production level or a farm cap, and a v2 box), and the cable numbers,
-the circles, their sinusoids, roots, eigenvectors and candidates are
-numpy arrays over rows, NaN where one does not exist.  Each distinct
-cable computes its numbers as Python numbers once (_Rows), so a row does
-the same floating-point work as its one-row call.  The row API,
-optimize_at_production_rows and max_feasible_power_rows, returns the
-winners as arrays (Optima): a row with a clear winner takes it in one
-array comparison, the rows with near-ties walk their candidates as
-floats, and each winner's flow is one array pass of
-power_flow.flow_parts, the real arithmetic two_port_flow runs on one
-point.  Optima.point(r) builds row r's OptimumPoint and the limits that
-bind on it; the one-row optimize_at_production and max_feasible_power
-are that point of a one-row solve.  optimize_scaling_unconstrained is a
-one-row solve too.  A command makes one solve per kind:
-transfer_envelope over every (length, policy), compare_strategies over
-every strategy's bins and the sweep command over every (policy, level).
+production level or a farm cap, and a v2 box).  It reads every cable
+number from one table of columns over rows (_Rows), which each distinct
+cable fills with Python numbers once, so a row does the same
+floating-point work as its one-row call; its circles, their sinusoids,
+roots, eigenvectors and candidates are arrays over rows, NaN where one
+does not exist.  The row API, optimize_at_production_rows and
+max_feasible_power_rows, returns the winners as arrays (Optima): a row
+with a clear winner takes it in one array comparison, the rows with
+near-ties walk their candidates as floats, and each winner's flow is one
+array pass of power_flow.flow_parts, the real arithmetic two_port_flow
+runs on one point.  Optima.point(r) builds row r's OptimumPoint and the
+limits that bind on it; the one-row optimize_at_production and
+max_feasible_power are that point of a one-row solve.
+optimize_scaling_unconstrained is a one-row solve too.  A command makes
+one solve per kind: transfer_envelope over every (length, policy),
+compare_strategies over every strategy's bins and the sweep command over
+every (policy, level).
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ class Constraints:
                              f"got [{self.alpha_min}, {self.alpha_max}]")
         if self.i_rated is not None and not self.i_rated > 0.0:
             raise ValueError(f"i_rated must be > 0, got {self.i_rated}")
+        # the solves square the rating as a Python float, which raises on overflow
+        if self.i_rated is not None and not math.isfinite(self.i_rated * self.i_rated):
+            raise ValueError(f"i_rated {self.i_rated} is too large: its square overflows")
         if not 1 <= self.n_profile_segments <= MAX_POINTS:
             raise ValueError(f"n_profile_segments must be in [1, {MAX_POINTS}]")
 
@@ -152,10 +156,9 @@ class CurvePoint:
 # ---------------------------------------------------------------------------
 # Hermitian forms of x = (x1, x2), xi = x1/x2: (q2, w, q0) is the matrix
 # [[q2, conj(w)/2], [w/2, q0]], valued q2*|x1|^2 + Re(w*x1*conj(x2)) + q0*|x2|^2.
-# A part is a number or an array over rows; the arrays below carry NaN where
-# a circle, root or candidate does not exist.
+# A part of a form of the solve is an array over rows; the arrays below carry
+# NaN where a circle, root or candidate does not exist.
 
-_ONE = (0.0, 0j, 1.0)
 _ID = (1.0, 0j, 1.0)
 
 
@@ -165,8 +168,8 @@ def _abs2(p: complex, q: complex):
 
 
 def _sub(f, g, k=1.0):
-    """The form f - k*g; a part of g that is the number 0 subtracts nothing, even k = inf times it."""
-    return tuple(x - k * y if isinstance(y, np.ndarray) or y else x for x, y in zip(f, g))
+    """The form f - k*g."""
+    return tuple(x - k * y for x, y in zip(f, g))
 
 
 def _stack(forms, rows: int):
@@ -336,39 +339,32 @@ def _points(forms, n: int, lo, hi):
 # the cable and the candidate solve
 
 class _Cable:
-    """Precomputed quantities of one cable for the solves, as Python numbers."""
+    """One cable of a solve: its numbers for _Rows, and the opt-in internal checks."""
 
     def __init__(self, spec: CableSpec, constraints: Constraints):
-        self.spec = spec
-        self.cons = constraints
-        self.tp: TwoPort = exact_pi_two_port(spec)
-        a, b = self.tp.a, self.tp.b
+        self.spec, self.cons = spec, constraints
+        tp = exact_pi_two_port(spec)
+        a, b = tp.a, tp.b
         # the forms square the admittances, which overflows on a cable short
         # enough: it has no operating point the solves can represent
         size = abs(a) + abs(b)
         if not math.isfinite(size * size):
             raise Infeasible(f"a {spec.length_km:g} km cable is too short: "
                              f"its admittances overflow when squared")
-        self.vph = spec.phase_voltage
-        self.vph2 = self.vph**2
-        self.i_rated = constraints.rated_current(spec)
         self.internal = (constraints.check_internal_current
                          or constraints.check_internal_voltage_max is not None)
-        # farm and grid power and |i1|^2, |i2|^2 per phase at v1 = xi V and
-        # v2 = 1 V, as in power_flow.unit_flow: i1 = a*xi + b, i2 = b*xi + a
-        self.farm = (a.real, b.conjugate(), 0.0)
-        self.grid = (0.0, -b, -a.real)
-        self.cur1, self.cur2 = _abs2(a, b), _abs2(b, a)
-        # c = 3*V_ph^2*farm rises with beta from arg(b) - pi to arg(b); the
-        # windows stay on that branch, within +-90 deg.  The production
-        # window takes all of it: negative beta is what the lowest
-        # injections need.  The delivery search keeps to beta >= 1e-9.
-        self.beta_cap = min(math.pi / 2, cmath.phase(b) - 1e-9)
-        self.beta_floor = max(-math.pi / 2, cmath.phase(b) - math.pi + 1e-9)
-        self.delivery_window = (1e-9, max(1e-9, self.beta_cap))
+        vph, i_rated, phase = spec.phase_voltage, constraints.rated_current(spec), cmath.phase(b)
+        # the columns of _Rows.  c = 3*V_ph^2*farm rises with beta from arg(b) - pi
+        # to arg(b); the windows stay on that branch, within +-90 deg.  The forms
+        # are farm and grid power and |i1|^2, |i2|^2 per phase at v1 = xi V and
+        # v2 = 1 V, as in power_flow.unit_flow (i1 = a*xi + b, i2 = b*xi + a), and 1.
+        self.numbers = (a, b, vph, vph**2, i_rated, i_rated**2, (i_rated * (1.0 - _EDGE)) ** 2,
+                        max(-math.pi / 2, phase - math.pi + 1e-9), min(math.pi / 2, phase - 1e-9),
+                        a.real, b.conjugate(), 0.0, 0.0, -b, -a.real, *_abs2(a, b), *_abs2(b, a),
+                        0.0, 0j, 1.0)
 
     def profile(self, alpha: float, beta: float, v2: float) -> SegmentProfile:
-        v2_volts = v2 * self.vph
+        v2_volts = v2 * self.spec.phase_voltage
         return segment_profile(self.spec, alpha * cmath.exp(1j * beta) * v2_volts, v2_volts,
                                self.cons.n_profile_segments)
 
@@ -379,8 +375,9 @@ class _Cable:
         The profile is linear in the terminal voltages: node k is xi*P_k + Q_k
         with P and Q the profiles at (V_ph, 0) and (0, V_ph).
         """
+        vph = self.spec.phase_voltage
         p, q = (segment_profile(self.spec, v1, v2, self.cons.n_profile_segments)
-                for v1, v2 in ((self.vph, 0.0), (0.0, self.vph)))
+                for v1, v2 in ((vph, 0.0), (0.0, vph)))
         return ([_abs2(x, y) for x, y in zip(p.node_voltages, q.node_voltages)],
                 [_abs2(x, y) for x, y in zip(p.node_currents + (p.grid_end_current,),
                                              q.node_currents + (q.grid_end_current,))])
@@ -389,13 +386,14 @@ class _Cable:
         """(node form, limit) of the worst node of each opt-in internal check the point fails."""
         if not self.internal:
             return []
-        cons, prof = self.cons, self.profile(alpha, beta, v2)
+        cons, spec, prof = self.cons, self.spec, self.profile(alpha, beta, v2)
         v_forms, i_forms = self.node_forms
         checks = []
         if cons.check_internal_current:
-            checks.append((prof.node_currents + (prof.grid_end_current,), i_forms, self.i_rated))
-        if cons.check_internal_voltage_max is not None:
-            checks.append((prof.node_voltages, v_forms, cons.check_internal_voltage_max * self.vph))
+            currents = prof.node_currents + (prof.grid_end_current,)
+            checks.append((currents, i_forms, cons.rated_current(spec)))
+        if (v_cap := cons.check_internal_voltage_max) is not None:
+            checks.append((prof.node_voltages, v_forms, v_cap * spec.phase_voltage))
         out = []
         for values, forms, limit in checks:
             k = max(range(len(values)), key=lambda j: abs(values[j]))
@@ -405,13 +403,15 @@ class _Cable:
 
 
 class _Rows:
-    """The (spec, constraints) rows of a solve: one _Cable per distinct spec, and each row's v2 box.
+    """The (spec, constraints) rows of a solve: a table of cable numbers by row, and each row's v2 box.
 
     The rows may differ in their cable and v2 box only: not in their alpha
-    bounds, rating override or internal checks.  The numbers the array
-    solve reads per cable are gathered into arrays over rows: each distinct
-    cable computes them as Python numbers, as a one-row solve does, so
-    every row does the same floating-point work whatever its batch.
+    bounds, rating override or internal checks.  Each distinct cable
+    computes its numbers as Python numbers once (_Cable.numbers), so every
+    row does the same floating-point work whatever its batch.  The columns:
+    tp, vph, vph2, i_rated, i_rated2, edge_rated2 (the rating drawn _EDGE
+    inside, squared), the beta branch ends beta_floor and beta_cap, and the
+    forms farm, grid, cur1, cur2 and one, the constant form 1.
     """
 
     def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
@@ -422,35 +422,25 @@ class _Rows:
         for box in {id(box): box for box in boxes}.values():
             if box is not first and box.with_v2_range(first.v2_min, first.v2_max) != first:
                 raise ValueError("the rows of one solve may differ in their cable and v2 box only")
-        self.lo = np.array([box.v2_min for box in boxes])
-        self.hi = np.array([box.v2_max for box in boxes])
+        self.lo, self.hi = np.array([(box.v2_min, box.v2_max) for box in boxes]).T
         # rows mostly share spec objects: hash each object once, not each row
         by_id = dict(zip(map(id, specs), specs))
         distinct = {}
         index = {key: distinct.setdefault(spec, len(distinct)) for key, spec in by_id.items()}
         which = list(map(index.__getitem__, map(id, specs)))
-        self.distinct = [_Cable(spec, first) for spec in distinct]
-        self.per_row = list(map(self.distinct.__getitem__, which))
-        self.which = np.array(which)
+        cables = [_Cable(spec, first) for spec in distinct]
+        self.per_row = list(map(cables.__getitem__, which))
         self.cons = first
-        # each cable's admittances, voltage base, its square and rating, then
-        # the four forms' parts, real but for each middle one; a part 0 on
-        # every cable stays 0
-        table = np.array([(cab.tp.a, cab.tp.b, cab.vph, cab.vph2, cab.i_rated)
-                          + cab.farm + cab.grid + cab.cur1 + cab.cur2 for cab in self.distinct]).T
-        zero = ~table.any(axis=1)
-        table = table[:, self.which]
+        table = np.array([cab.numbers for cab in cables]).T[:, which]
         self.tp = TwoPort(table[0], table[1])
-        self.vph, self.vph2, self.i_rated = table[2:5].real
-        parts = [0.0 if zero[j] else table[j] if j % 3 == 0 else table[j].real for j in range(5, 17)]
-        self.farm, self.grid, self.cur1, self.cur2 = (tuple(parts[j:j + 3]) for j in range(0, 12, 3))
+        (self.vph, self.vph2, self.i_rated, self.i_rated2, self.edge_rated2,
+         self.beta_floor, self.beta_cap) = table[2:9].real
+        # each form's parts are real but for its middle one
+        self.farm, self.grid, self.cur1, self.cur2, self.one = (
+            (table[j].real, table[j + 1], table[j + 2].real) for j in range(9, 24, 3))
 
     def __len__(self):
         return len(self.per_row)
-
-    def gather(self, numbers):
-        """numbers(cab) of each row's cable, as an array over rows, or one per number of a tuple."""
-        return np.array([numbers(cab) for cab in self.distinct])[self.which].T
 
     def at(self, alpha, beta, r):
         """(c, g, eta, i) at xi = alpha*e^{j*beta} on rows r, from power_flow.unit_flow, elementwise.
@@ -520,7 +510,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
     best = np.full((4, rows), np.nan)
     cuts = [[] for _ in range(rows)]
     extra = [[] for _ in range(rows)]
-    internal = cables.distinct[0].internal
+    internal = cables.per_row[0].internal
     todo = np.arange(rows)
     while todo.size:
         width = max([len(extra[r]) for r in todo.tolist()])
@@ -581,8 +571,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
                             break
                 if new:
                     cuts[r] += new
-                    extra[r] += [_sub(tuple(float(np.broadcast_to(k, (rows,))[r]) * x for x in form),
-                                      tuple(x[r] if isinstance(x, np.ndarray) else x for x in den),
+                    extra[r] += [_sub(tuple(float(k[r]) * x for x in form), tuple(x[r] for x in den),
                                       (limit * (1 - _EDGE)) ** 2)
                                  for form, limit in new for k, den in pieces]
                     again.append(r)
@@ -616,7 +605,7 @@ def optimize_scaling_unconstrained(
         eta = cables.at(alpha, beta, r)[2]
         return np.where(np.isfinite(eta), eta, np.nan), np.zeros_like(eta)
 
-    window = cables.gather(lambda cab: (1e-6, cab.beta_cap))
+    window = (np.full(len(cables), 1e-6), cables.beta_cap)
     eta, alpha, beta, _ = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[:, 0].tolist()
     if math.isnan(eta):
         raise Infeasible("no scaling in range yields positive farm power")
@@ -695,9 +684,9 @@ class Optima:
         """
         if not self.found[r]:
             return None
-        cables, cons, cab, rel = self.cables, self.cables.cons, self.cables.per_row[r], 1e-6
-        alpha, beta, v2, lo, hi = (x[r].item() for x in (self.alpha, self.beta, self.v2,
-                                                          cables.lo, cables.hi))
+        cables, cons, rel = self.cables, self.cables.cons, 1e-6
+        alpha, beta, v2, lo, hi, i_rated, vph = (x[r].item() for x in (
+            self.alpha, self.beta, self.v2, cables.lo, cables.hi, cables.i_rated, cables.vph))
         i1r, i1i, i2r, i2i, *powers = (x[r].item() for x in (*self.i1, *self.i2, self.p_farm,
                                                              self.q_farm, self.p_grid, self.q_grid))
         flow = flow_solution((i1r, i1i), (i2r, i2i), *powers)
@@ -706,13 +695,13 @@ class Optima:
         meets = {
             BindingConstraint.V2_MAX: v2 >= hi * (1 - rel),
             BindingConstraint.V2_MIN: v2 <= lo * (1 + rel),
-            BindingConstraint.CURRENT_LIMIT: current >= cab.i_rated * (1 - rel),
+            BindingConstraint.CURRENT_LIMIT: current >= i_rated * (1 - rel),
             BindingConstraint.ALPHA_MAX: cons.alpha_max - alpha <= rel * a_span,
             BindingConstraint.ALPHA_MIN: alpha - cons.alpha_min <= rel * a_span,
         }
         if (v_cap := cons.check_internal_voltage_max) is not None:
-            peak = cab.profile(alpha, beta, v2).max_voltage
-            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= v_cap * cab.vph * (1 - rel)
+            peak = cables.per_row[r].profile(alpha, beta, v2).max_voltage
+            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= v_cap * vph * (1 - rel)
         return OptimumPoint(OperatingPoint(v2, VoltageScaling(alpha, beta)), flow,
                             frozenset(c for c, m in meets.items() if m))
 
@@ -736,8 +725,8 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
     p = np.array([p for _, p, _ in rows])
 
     k = p / (3.0 * cables.vph2)      # v2^2 = k/farm
-    shrunk = cables.gather(lambda cab: 3.0 * (cab.i_rated * (1.0 - _EDGE)) ** 2) / p
-    bounds = [_sub(cables.farm, _ONE, k / (v2 * v2)) for v2 in (lo, hi)]
+    shrunk = 3.0 * cables.edge_rated2 / p
+    bounds = [_sub(cables.farm, cables.one, k / (v2 * v2)) for v2 in (lo, hi)]
     bounds += [_sub(cur, cables.farm, shrunk) for cur in (cables.cur1, cables.cur2)]
 
     def point(alpha, beta, r):
@@ -747,7 +736,7 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
         fits &= ~(i * v2 > cables.i_rated[r])
         return np.where(fits, eta, np.nan), v2
 
-    window = cables.gather(lambda cab: (cab.beta_floor, cab.beta_cap))
+    window = (cables.beta_floor, cables.beta_cap)    # negative beta serves the lowest injections
     return Optima(cables, _solve(cables, window, bounds, [(cables.grid, cables.farm)],
                                  point, [(k, cables.farm)]))
 
@@ -794,19 +783,18 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
     lo, hi = cables.lo, cables.hi
     cap = np.array([cap for _, _, cap in rows]) if capped == {True} else None
 
-    curs = (cables.cur1, cables.cur2)
-    i_rated2 = cables.gather(lambda cab: cab.i_rated**2)
+    curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
     # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
     # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
     levels = [r * r for v2 in (lo, hi) for r in (cables.i_rated / (cables.vph * v2),)]
-    bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, _ONE, q) for cur in curs for q in levels]
-    ratios = [(cables.grid, _ONE)] + [(num, den) for cur in curs for num, den in
-                                   ((cables.grid, cur), (cur, _ONE))]
-    pieces = [(v2 * v2, _ONE) for v2 in (lo, hi)]
+    bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
+    ratios = [(cables.grid, one)] + [(num, den) for cur in curs for num, den in
+                                  ((cables.grid, cur), (cur, one))]
+    pieces = [(v2 * v2, one) for v2 in (lo, hi)]
     pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
     if cap is not None:
         k = 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
-        bounds += [_sub(cables.farm, _ONE, q / k) for q in levels]
+        bounds += [_sub(cables.farm, one, q / k) for q in levels]
         bounds += [_sub(cur, cables.farm, k) for cur in curs]
         ratios.append((cables.grid, cables.farm))
         pieces.append((cap / (3.0 * cables.vph2), cables.farm))
@@ -821,7 +809,7 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
         v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
         return np.where(fits, g * v2 * v2, np.nan), v2
 
-    window = cables.gather(lambda cab: cab.delivery_window)
+    window = (np.full(len(cables), 1e-9), np.maximum(1e-9, cables.beta_cap))
     return Optima(cables, _solve(cables, window, bounds, ratios, point, pieces))
 
 

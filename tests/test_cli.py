@@ -201,6 +201,14 @@ def test_round_trip_reload(tmp_path, capsys):
     assert row["alpha"] == 1.05
 
 
+@pytest.mark.parametrize("where", ["missing/result.csv", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, where):
+    path = tmp_path / where
+    code, out, err = run(capsys, "optimize", "--p-farm-mw", "150", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: cannot write output {path}:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -319,6 +327,27 @@ def test_very_short_cable_is_degenerate(tmp_path, capsys, length, argv):
     assert err.startswith("infeasible:") and "too short" in err
 
 
+@pytest.mark.parametrize("value", [1e151, 1e152, 1e153, 1e154, 1e155, 1e300])
+@pytest.mark.parametrize("block,key", [("cable", "nominal_voltage_kv"),
+                                       ("cable", "rated_current_a"), ("constraints", "i_rated_a")])
+@pytest.mark.parametrize("argv", [
+    ["optimize"],
+    ["optimize", "--p-farm-mw", "100"],
+    _SWEEP + ["--p-min-mw", "50", "--p-max-mw", "250", "--voltages", "0.6"],
+    ["envelope", "--lengths-km", "100,200", "--voltages", "1.0,0.6"],
+    _ANNUAL + ["--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
+], ids=["optimize", "optimize-p", "sweep", "envelope", "annual"])
+def test_huge_voltage_or_rating_exits_0_2_or_3(tmp_path, argv, block, key, value):
+    # the solves square V_ph and the rating as Python floats: a value whose
+    # square overflows is a configuration error, not an OverflowError
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({block: {key: value}}), encoding="utf-8")
+    code, _, err, runtime_warnings = run_fuzzed(argv + ["--config", str(cfg)])
+    assert_exit_policy(code, err, runtime_warnings)
+    if value >= (1e152 if key == "nominal_voltage_kv" else 1e155):
+        assert code == 2 and "overflows" in err, err
+
+
 _LOG_KM = st.floats(-300.0, 9.0).map(lambda e: 10.0 ** e)
 _VOLTAGE = st.floats(0.0, 1.5) | st.floats(-160.0, 0.0).map(lambda e: 10.0 ** e)
 _LEVEL_MW = st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e)
@@ -370,6 +399,9 @@ def _constraints(values):
         lambda keys: st.fixed_dictionaries({k: values(k) for k in keys}))
 
 
+_BAD_SOURCES = ([("--synth-uf", repr(uf)) for uf in (math.nan, -1.0, 0.0, 1e-300, 0.95, 1.0, 1e300)]
+                + [("--curve", text) for text in _BAD_CURVES] + [None])
+
 # one input per call is drawn from its faulty values, the rest from valid ones
 _ANNUAL_INPUTS = {
     "rated": (st.floats(50.0, 500.0),
@@ -377,9 +409,7 @@ _ANNUAL_INPUTS = {
     "source": (st.sampled_from([("--builtin-curve", "high-uf"), ("--builtin-curve", "low-uf"),
                                 ("--synth-uf", "0.3"), ("--synth-uf", "0.46"),
                                 ("--curve", _GOOD_CURVE)]),
-               st.sampled_from([("--synth-uf", repr(uf)) for uf in
-                                (math.nan, -1.0, 0.0, 1e-300, 0.95, 1.0, 1e300)]
-                               + [("--curve", text) for text in _BAD_CURVES] + [None])),
+               st.sampled_from(_BAD_SOURCES)),
     "n_bins": (st.sampled_from([2, 10]), st.sampled_from([MAX_POINTS + 1, 10**8, -1, 0, 1])),
     # turbines whose synthetic curve overflows a float; they act on a --synth-uf source
     "turbine": (st.just([]), st.sampled_from([["--weibull-shape=1e300"], [
@@ -402,11 +432,8 @@ _ANNUAL_INPUTS = {
 }
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(data=st.data(), fault=st.sampled_from([None, *_ANNUAL_INPUTS]), json_mode=st.booleans())
-def test_fuzzed_annual_exits_0_2_or_3(data, fault, json_mode):
-    drawn = {name: data.draw(pair[name == fault], label=name)
-             for name, pair in _ANNUAL_INPUTS.items()}
+def _run_annual(drawn, json_mode=False):
+    """run_fuzzed of an annual call on the inputs drawn, its curve file and config in a temp dir."""
     rated, source, strategies = drawn["rated"], drawn["source"], drawn["strategies"]
     argv = ["annual", f"--n-bins={drawn['n_bins']}"] + ["--json"] * json_mode
     argv += [] if rated is None else [f"--rated-mw={rated!r}"]
@@ -422,12 +449,36 @@ def test_fuzzed_annual_exits_0_2_or_3(data, fault, json_mode):
         cfg = Path(tmp) / "study.json"
         cfg.write_text(json.dumps({"cable": {"length_km": drawn["length_km"]},
                                    "constraints": drawn["constraints"]}), encoding="utf-8")
-        code, out, err, runtime_warnings = run_fuzzed(argv + ["--config", str(cfg)])
+        return run_fuzzed(argv + ["--config", str(cfg)])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data(), fault=st.sampled_from([None, *_ANNUAL_INPUTS]), json_mode=st.booleans())
+def test_fuzzed_annual_exits_0_2_or_3(data, fault, json_mode):
+    drawn = {name: data.draw(pair[name == fault], label=name)
+             for name, pair in _ANNUAL_INPUTS.items()}
+    code, out, err, runtime_warnings = _run_annual(drawn, json_mode)
     assert_exit_policy(code, err, runtime_warnings)
     if code == 0:
         rows = (json.loads(out)["sections"]["annual"]["rows"] if json_mode
                 else parse(out)["annual"].rows)
-        assert len(rows) == len(strategies)
+        assert len(rows) == len(drawn["strategies"])
+
+
+def _source_id(source):
+    if source is None:
+        return "no-source"
+    option, value = source
+    return f"synth-uf={value}" if option == "--synth-uf" else f"curve-{_BAD_CURVES.index(value)}"
+
+
+@pytest.mark.parametrize("source", _BAD_SOURCES, ids=_source_id)
+def test_each_faulty_annual_source_exits_0_2_or_3(source):
+    # the fuzzed test draws few of these: each runs here once, with valid other inputs
+    drawn = {"rated": 300.0, "source": source, "n_bins": 10, "turbine": [],
+             "strategies": ["fixed:1.0", "range:0.4:1.0"], "constraints": {}, "length_km": 200.0}
+    code, _, err, runtime_warnings = _run_annual(drawn)
+    assert_exit_policy(code, err, runtime_warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +635,14 @@ def test_profile_size_is_capped(tmp_path, capsys, argv, constraints):
     assert out == ""
 
 
+def test_stalled_uf_bisection_exits_3(capsys):
+    # on this turbine the smallest scale the bisection tries still gives a UF near 0.79
+    code, out, err = run(capsys, "annual", "--rated-mw", "300", "--synth-uf", "0.001",
+                         "--cut-in", "0.01", "--rated-speed", "0.05", "--strategy", "fixed:1.0")
+    assert code == 3 and out == ""
+    assert err.startswith("infeasible: bisection stalled at UF 0.78908 for target 0.001")
+
+
 def test_strategy_parse_errors(capsys):
     code, _, err = run(capsys, "annual", "--rated-mw", "100", "--synth-uf", "0.4",
                        "--strategy", "sawtooth:0.5")
@@ -671,7 +730,8 @@ def test_arguments_do_not_leak_between_calls(capsys):
     assert _build_parser().parse_args(["analyze"]).v2 == 1.0
 
 
-@pytest.mark.parametrize("bad", [["analyze", "--v2", "abc"], ["analyse"], ["annual", "--bogus"]])
+@pytest.mark.parametrize("bad", [["analyze", "--v2", "abc"], ["analyse"], ["annual", "--bogus"],
+                                 ["annual", "--weibull-scale", "9"]])
 def test_usage_error_leaves_the_parser_working(capsys, bad):
     with pytest.raises(SystemExit) as exc:
         main(bad)
@@ -704,6 +764,17 @@ def test_usage_error_leaves_the_parser_working(capsys, bad):
      "d416fbec5fd466a108e33d9400f79684c88ee84c77048c8b2598291c8ff1ee0c"),
     (["optimize", "--echo-config", "--json"],
      "027c8f505d0849c07f4affe4f005ba892c167dfd0a47a8ca134d19d51955bd42"),
+    # the README's optimize at 150 MW, sweep, annual and envelope runs
+    (["optimize", "--p-farm-mw", "150"],
+     "6b25e4805c107bf41f038a25755b97ff1b63f3e54e4b2c8cbc42028221e46c4f"),
+    (["sweep", "--p-min-mw", "20", "--p-max-mw", "300", "--p-step-mw", "10",
+      "--voltages", "0.4,0.6,0.8,1.0", "--optimal-range", "0.4", "1.0"],
+     "f688e685a9aa6e5fced7e14e084df8075d68f92636f634a6945102be2db61e2b"),
+    (["annual", "--rated-mw", "320", "--builtin-curve", "high-uf", "--strategy", "fixed:1.0",
+      "--strategy", "range:0.4:1.0", "--strategy", "tap:0.87:0.15"],
+     "5c6374bd0804278c8feace351c68da1068c373aae702860711c9e45dece4f4ba"),
+    (["envelope", "--lengths-km", "100:400:10", "--voltages", "1.0,0.8,0.6,0.4"],
+     "f6ebd3361fd072bcf19eb1f90271802de7ddd3d53a21a24f5eb64f8a9c205bee"),
 ])
 def test_golden_output_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -3,8 +3,9 @@
 Counts do not depend on the hardware, so they show a change in the work a
 command does where wall time cannot.  A change that raises a count updates
 it here and says why in CHANGES.md; one that lowers it has evidence of its
-speed-up.  The commands are the seven golden-digest commands of
-test_cli.py and the README's sweep, annual and envelope runs.
+speed-up.  The commands are the eleven golden-digest commands of
+test_cli.py: seven of its own, then the README's optimize at 150 MW,
+sweep, annual and envelope runs.
 """
 
 import pytest
@@ -65,11 +66,13 @@ def counts(monkeypatch) -> dict:
     (_ANALYZE + ["50", "--json"], (0, 0, 0, 0, 1, 0, 0)),
     (_ANALYZE + ["2000"], (0, 0, 0, 0, 1, 0, 0)),
     (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 0, 1, 0)),
+    (["optimize", "--p-farm-mw", "150"], (1, 1, 25, 0, 0, 1, 1)),
     (_SWEEP, (1, 145, 3626, 200, 0, 1, 0)),
     (_ANNUAL, (2, 307, 8290, 218, 0, 2, 0)),
     (_ENVELOPE, (1, 155, 4408, 312, 0, 31, 0)),
 ], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
-        "analyze-2000", "optimize-echo", "readme-sweep", "readme-annual", "readme-envelope"])
+        "analyze-2000", "optimize-echo", "readme-optimize-p", "readme-sweep", "readme-annual",
+        "readme-envelope"])
 def test_command_counts(counts, capsys, argv, want):
     assert cli.main(argv) == 0
     capsys.readouterr()

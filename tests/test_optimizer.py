@@ -30,7 +30,7 @@ from cableopt import (
 
 from cableopt import optimizer
 from cableopt.cli import main
-from cableopt.optimizer import _Cable, _points
+from cableopt.optimizer import _points, _Rows
 from cableopt.power_flow import unit_flow
 from conftest import random_cable, ref_cable
 from oracle import best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage
@@ -214,13 +214,13 @@ def test_forms_match_kernel_and_profile():
     for _ in range(300):
         spec = random_cable(rng).with_length(rng.uniform(1.0, 600.0))
         cons = Constraints(check_internal_current=True, n_profile_segments=rng.choice([1, 2, 7, 40]))
-        cab = _Cable(spec, cons)
+        cables, vph = _Rows([(spec, cons)]), spec.phase_voltage
         xi = cmath.rect(rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi))
-        farm, grid, i1, i2 = unit_flow(cab.tp, xi)
-        forms = [cab.farm, cab.grid, cab.cur1, cab.cur2]
+        farm, grid, i1, i2 = unit_flow(exact_pi_two_port(spec), xi)
+        forms = [[x[0] for x in form] for form in (cables.farm, cables.grid, cables.cur1, cables.cur2)]
         wants = [farm, grid, abs(i1) ** 2, abs(i2) ** 2]
-        prof = segment_profile(spec, xi * cab.vph, cab.vph, cons.n_profile_segments)
-        v_forms, i_forms = cab.node_forms
+        prof = segment_profile(spec, xi * vph, vph, cons.n_profile_segments)
+        v_forms, i_forms = cables.per_row[0].node_forms
         forms += v_forms + i_forms
         wants += [abs(v) ** 2 for v in prof.node_voltages]
         wants += [abs(i) ** 2 for i in prof.node_currents + (prof.grid_end_current,)]
@@ -507,18 +507,19 @@ def _grid(lo, hi, n=41):
 def test_solves_beat_every_feasible_sample(seed, length, v2_lo, v2_span, a_lo, a_span, p, cap):
     spec = random_cable(random.Random(seed)).with_length(length)
     cons = Constraints(v2_min=v2_lo, v2_max=v2_lo + v2_span, alpha_min=a_lo, alpha_max=a_lo + a_span)
-    cab = _Cable(spec, cons)
+    cables, tp = _Rows([(spec, cons)]), exact_pi_two_port(spec)
+    beta_floor, beta_cap = cables.beta_floor.item(), cables.beta_cap.item()
     i_max, vph = cons.rated_current(spec), spec.phase_voltage
     etas, delivered = [], []
     for alpha in _grid(cons.alpha_min, cons.alpha_max):
-        for beta in _grid(cab.beta_floor, cab.beta_cap):
-            farm, grid, i1, i2 = unit_flow(cab.tp, cmath.rect(alpha, beta))
+        for beta in _grid(beta_floor, beta_cap):
+            farm, grid, i1, i2 = unit_flow(tp, cmath.rect(alpha, beta))
             if farm > 0.0:
                 v2 = math.sqrt(p / (3.0 * vph**2 * farm))
                 if cons.v2_min <= v2 <= cons.v2_max and max(abs(i1), abs(i2)) * vph * v2 <= i_max:
                     etas.append(grid / farm)
-        for beta in _grid(*cab.delivery_window):
-            farm, grid, i1, i2 = unit_flow(cab.tp, cmath.rect(alpha, beta))
+        for beta in _grid(1e-9, max(1e-9, beta_cap)):
+            farm, grid, i1, i2 = unit_flow(tp, cmath.rect(alpha, beta))
             v2 = min(cons.v2_max, i_max / (vph * max(abs(i1), abs(i2))))
             if cap is not None and farm > 0.0:
                 v2 = min(v2, math.sqrt(cap / (3.0 * vph**2 * farm)))
