@@ -112,25 +112,28 @@ def _curve_for_scale(scale: float, shape: float, cut_in: float, rated: float,
 
 
 def synth_duration_curve(
-    weibull_scale: float,
     weibull_shape: float,
     cut_in: float,
     rated: float,
     cut_out: float,
     n_bins: int = 100,
+    *,
+    weibull_scale: float | None = None,
     target_uf: float | None = None,
 ) -> DurationCurve:
     """Deterministic duration curve from a Weibull wind-speed distribution.
 
-    With target_uf set, the scale parameter is bisected (on the rising
-    branch, scale < cut_out) until the utilization factor matches within
-    _UF_TOLERANCE (1e-3); the given weibull_scale is then only a formality.
+    Exactly one of weibull_scale and target_uf sets the scale: with
+    target_uf it is bisected (on the rising branch, scale < cut_out) until
+    the utilization factor matches within _UF_TOLERANCE (1e-3).
     """
+    if (weibull_scale is None) == (target_uf is None):
+        raise ValueError("give exactly one of weibull_scale and target_uf")
     if not 2 <= n_bins <= MAX_POINTS:
         raise ValueError(f"n_bins must be in [2, {MAX_POINTS}], got {n_bins}")
     if not (0.0 < cut_in < rated <= cut_out):
         raise ValueError(f"need 0 < cut_in < rated <= cut_out, got {cut_in}, {rated}, {cut_out}")
-    if not (weibull_shape > 0.0 and weibull_scale > 0.0):
+    if not (weibull_shape > 0.0 and (weibull_scale is None or weibull_scale > 0.0)):
         raise ValueError("Weibull parameters must be > 0")
 
     if target_uf is None:
@@ -208,10 +211,10 @@ def write_duration_csv(curve: DurationCurve, path: str | Path, comment: str | No
 
 #: Generator settings of the two committed reference curves.
 REFERENCE_CURVE_PARAMS = {
-    "high-uf": dict(weibull_scale=9.0, weibull_shape=8.0, cut_in=3.0, rated=11.0,
-                    cut_out=25.0, n_bins=100, target_uf=0.46),
-    "low-uf": dict(weibull_scale=8.0, weibull_shape=8.0, cut_in=3.0, rated=11.0,
-                   cut_out=25.0, n_bins=100, target_uf=0.35),
+    "high-uf": dict(weibull_shape=8.0, cut_in=3.0, rated=11.0, cut_out=25.0, n_bins=100,
+                    target_uf=0.46),
+    "low-uf": dict(weibull_shape=8.0, cut_in=3.0, rated=11.0, cut_out=25.0, n_bins=100,
+                   target_uf=0.35),
 }
 
 _REFERENCE_FILES = {"high-uf": "duration_high_uf.csv", "low-uf": "duration_low_uf.csv"}

@@ -81,7 +81,6 @@ def _resolve_curve(cfg: StudyConfig, args):
         return reference_duration_curve(args.builtin_curve), f"builtin:{args.builtin_curve}"
     if args.synth_uf is not None:
         curve = synth_duration_curve(
-            weibull_scale=9.0,      # a formality: target_uf sets the scale
             weibull_shape=args.weibull_shape,
             cut_in=args.cut_in,
             rated=args.rated_speed,
@@ -353,11 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annual", parents=[common],
                        help="annual efficiency of strategies over a duration curve")
     p.add_argument("--rated-mw", type=float, default=None, help="rated farm power [MW]")
-    p.add_argument("--curve", metavar="PATH", help="duration-curve CSV (power_pu,weight)")
-    p.add_argument("--builtin-curve", choices=["high-uf", "low-uf"],
-                   help="use a committed reference curve")
-    p.add_argument("--synth-uf", type=float, default=None,
-                   help="synthesize a curve tuned to this utilization factor")
+    source = p.add_mutually_exclusive_group()     # one duration curve; a flag beats annual.curve
+    source.add_argument("--curve", metavar="PATH", help="duration-curve CSV (power_pu,weight)")
+    source.add_argument("--builtin-curve", choices=["high-uf", "low-uf"],
+                        help="use a committed reference curve")
+    source.add_argument("--synth-uf", type=float, default=None,
+                        help="synthesize a curve tuned to this utilization factor")
     p.add_argument("--weibull-shape", type=float, default=8.0)
     p.add_argument("--cut-in", type=float, default=3.0)
     p.add_argument("--rated-speed", type=float, default=11.0)

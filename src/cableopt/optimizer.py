@@ -21,18 +21,17 @@ number from one table of columns over rows (_Rows), which each distinct
 cable fills with Python numbers once, so a row does the same
 floating-point work as its one-row call; its circles, their sinusoids,
 roots, eigenvectors and candidates are arrays over rows, NaN where one
-does not exist.  The row API, optimize_at_production_rows and
-max_feasible_power_rows, returns the winners as arrays (Optima): a row
-with a clear winner takes it in one array comparison, the rows with
-near-ties walk their candidates as floats, and each winner's flow is one
-array pass of power_flow.flow_parts, the real arithmetic two_port_flow
-runs on one point.  Optima.point(r) builds row r's OptimumPoint and the
-limits that bind on it; the one-row optimize_at_production and
-max_feasible_power are that point of a one-row solve.
-optimize_scaling_unconstrained is a one-row solve too.  A command makes
-one solve per kind: transfer_envelope over every (length, policy),
-compare_strategies over every strategy's bins and the sweep command over
-every (policy, level).
+does not exist, and one array walk over all rows' ranked candidates picks
+the winners (_walk).  The row API, optimize_at_production_rows and
+max_feasible_power_rows, returns them as arrays (Optima), each winner's
+flow one array pass of power_flow.flow_parts, the real arithmetic
+two_port_flow runs on one point.  Optima.point(r) builds row r's
+OptimumPoint and the limits that bind on it; the one-row
+optimize_at_production and max_feasible_power are that point of a one-row
+solve, and optimize_scaling_unconstrained is a one-row solve too.  A
+command makes one solve per kind: transfer_envelope over every (length,
+policy), compare_strategies over every strategy's bins and the sweep
+command over every (policy, level).
 """
 
 from __future__ import annotations
@@ -454,21 +453,36 @@ class _Rows:
         return 3.0 * farm * vph2, 3.0 * grid * vph2, eta, np.maximum(abs(i1), abs(i2)) * self.vph[r]
 
 
-def _better(cand: tuple, best: tuple | None) -> bool:
-    """Deterministic comparison of (score, alpha, beta, v2): score, then lower v2, then lower alpha."""
-    if best is None:
-        return True
+def _better(cand, best):
+    """Where (4, n) cand beats best (NaN score: none yet) by score, then lower v2, then lower alpha."""
     score, alpha, _, v2 = cand
     best_score, best_alpha, _, best_v2 = best
-    if score > best_score + TIE_TOL:
-        return True
-    if score < best_score - TIE_TOL:
-        return False
-    if v2 < best_v2 - TIE_TOL:
-        return True
-    if v2 > best_v2 + TIE_TOL:
-        return False
-    return alpha < best_alpha - TIE_TOL
+    return np.isnan(best_score) | (score > best_score + TIE_TOL) | ~(score < best_score - TIE_TOL) & (
+        (v2 < best_v2 - TIE_TOL) | ~(v2 > best_v2 + TIE_TOL) & (alpha < best_alpha - TIE_TOL))
+
+
+def _walk(ranked, count, check=None):
+    """Each row's best candidate by _better, a (4, rows) array, NaN for none.
+
+    ranked holds each row's count[r] candidates (score, alpha, beta, v2) in
+    turn.  Step j takes each live row's j-th one, the first without a
+    comparison; a row stops at one that trails its best by over TIE_TOL.
+    check(live, cand, held, wins) sees a step's rows, their candidates and
+    bests so far; it clears wins a row may not take and says where the
+    rows walk on.
+    """
+    won = np.full((4, count.size), np.nan)
+    first, live, j = count.cumsum() - count, count.nonzero()[0], 0
+    while live.size:
+        at = first[live] + j
+        cand, held = ranked.take(at, 1), won.take(live, 1)
+        wins = _better(cand, held) if j else np.ones(live.size, bool)
+        going = check(live, cand, held, wins) if check else True
+        won[:, live[wins]] = cand.compress(wins, 1)
+        j += 1
+        live = live[going & (count[live] > j)]
+        live = live[~(ranked[0, first[live] + j] < won[0, live] - TIE_TOL)]
+    return won
 
 
 def _cut_out(cuts, alpha, beta, v2):
@@ -491,15 +505,13 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
     ratios the (num, den) forms it is made of, and
     point(alpha, beta, r) scores candidates, r their rows: (score, v2)
     arrays, NaN score where infeasible.  Returns the winners' (score,
-    alpha, beta, v2), a (4, rows) array, NaN on a row without one.  Each
-    row visits its candidates by descending score and stops where none is
-    left within TIE_TOL of its best, so a row whose runner-up trails by more
-    takes its first.  The internal checks run in that order until one
-    passes; pieces lists (k, den) with v2^2 = k/den on each piece of v2, and
-    a candidate above every passing one that fails at a new node n, limit L,
-    adds the circle k*n - L^2*den per piece, and its row is solved again;
-    there, a candidate that a node already cut rules out is dropped by the
-    node's form before any profile is built.
+    alpha, beta, v2), a (4, rows) array, NaN on a row without one.  The
+    rows walk their candidates by descending score, then rank (_walk); a
+    candidate that would win and fails an internal check does not.  pieces
+    lists (k, den) with v2^2 = k/den on each piece of v2; a row without a
+    winner yet whose candidate fails at a new node n, limit L, adds the
+    circle k*n - L^2*den per piece and is solved again, where a candidate a
+    cut node rules out is dropped by its form before any profile is built.
     """
     rows = len(cables)
     a_lo, a_hi = cables.cons.alpha_min, cables.cons.alpha_max
@@ -509,11 +521,9 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
                   + [num for num, _ in ratios] + [den for _, den in ratios], rows)
     best = np.full((4, rows), np.nan)
     cuts = [[] for _ in range(rows)]
-    extra = [[] for _ in range(rows)]
-    internal = cables.per_row[0].internal
     todo = np.arange(rows)
     while todo.size:
-        width = max([len(extra[r]) for r in todo.tolist()])
+        width = len(pieces) * max([len(cuts[r]) for r in todo.tolist()])
         n = n_base + width
         step = max(1, _CELLS // ((n + 2) * (n + 2 * len(ratios))))
         again = []
@@ -523,7 +533,10 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
                 # each row's cut circles after the others, padded with NaN to the longest list
                 ext = [np.full((block.size, width), np.nan, dtype) for dtype in (float, complex, float)]
                 for j, r in enumerate(block):
-                    for part, x in zip(ext, _stack(extra[r], 1)):
+                    circles = [_sub(tuple(float(k[r]) * x for x in form), tuple(x[r] for x in den),
+                                    (limit * (1 - _EDGE)) ** 2)
+                               for form, limit in cuts[r] for k, den in pieces]
+                    for part, x in zip(ext, _stack(circles, 1)):
                         part[j, :x.shape[1]] = x[0]
                 forms = [np.concatenate([part[:, :n_base], x, part[:, n_base:]], axis=1)
                          for part, x in zip(forms, ext)]
@@ -540,47 +553,19 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
                     valid[mine] &= ~_cut_out(cuts[r], alpha[mine], beta[mine], v2[mine])
             pick = np.flatnonzero(valid)
             pick = pick[np.lexsort((rank[pick], -score[pick], row[pick]))]
-            ranked = np.array([score, alpha, beta, v2])[:, pick]
-            edges = np.searchsorted(row[pick], np.arange(block.size + 1))
-            first, count = edges[:-1], edges[1:] - edges[:-1]
-            walk = count > 0
-            if not internal:
-                # the loop's break rule on every row at once: a row with one
-                # candidate, or whose runner-up trails by more than TIE_TOL, takes its first
-                top = np.concatenate((ranked[0], [np.nan]))
-                runner_up = top[np.minimum(first + 1, pick.size)]
-                clear = walk & ((count == 1) | (runner_up < top[first] - TIE_TOL))
-                best[:, block[clear]] = ranked[:, first[clear]]
-                walk &= ~clear
-            if not walk.any():
-                continue
-            # the other rows walk their candidates as floats
-            ends = np.cumsum(count[walk]).tolist()
-            cands = ranked[:, np.repeat(walk, count)].tolist()
-            won, won_rows = [], []
-            for r, start, end in zip(block[walk].tolist(), [0] + ends, ends):
-                row_best, new, cable = None, [], cables.per_row[r]
-                for cand in zip(*(x[start:end] for x in cands)):
-                    if row_best is not None and cand[0] < row_best[0] - TIE_TOL:
-                        break
-                    if _better(cand, row_best):
-                        fails = cable.violations(*cand[1:])
-                        if not fails:
-                            row_best = cand
-                        elif row_best is None and (new := [cut for cut in fails if cut not in cuts[r]]):
-                            break
-                if new:
-                    cuts[r] += new
-                    extra[r] += [_sub(tuple(float(k[r]) * x for x in form), tuple(x[r] for x in den),
-                                      (limit * (1 - _EDGE)) ** 2)
-                                 for form, limit in new for k, den in pieces]
-                    again.append(r)
-                elif row_best is not None:
-                    won.append(row_best)
-                    won_rows.append(r)
-            if won:
-                best[:, won_rows] = np.array(won).T
-        todo = np.array(again, dtype=int)
+
+            def check(live, cand, held, wins):      # the internal checks
+                for i, r in zip(np.flatnonzero(wins).tolist(), block[live[wins]].tolist()):
+                    if fails := cables.per_row[r].violations(*cand[1:, i].tolist()):
+                        wins[i] = False
+                        if math.isnan(held[0, i]) and (new := [cut for cut in fails if cut not in cuts[r]]):
+                            cuts[r] += new
+                            again.append(r)
+                return ~np.isin(block[live], again)     # a row solved again walks no further
+            best[:, block] = _walk(np.array([score, alpha, beta, v2])[:, pick],
+                                   np.bincount(row[pick], minlength=block.size),
+                                   check if cables.per_row[0].internal else None)
+        todo = np.array(sorted(again), dtype=int)   # in row order, however the walk found them
     return best
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -45,3 +46,12 @@ def random_cable(rng: random.Random) -> CableSpec:
 
 def random_scaling(rng: random.Random) -> VoltageScaling:
     return VoltageScaling.from_degrees(rng.uniform(1.0, 1.1), rng.uniform(0.5, 10.0))
+
+
+def with_config(argv: list, tmp_path) -> list[str]:
+    """argv, where a trailing dict is a study configuration: written to tmp_path, passed as --config."""
+    if not argv or not isinstance(argv[-1], dict):
+        return argv
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(argv[-1]), encoding="utf-8")
+    return argv[:-1] + ["--config", str(path)]

@@ -6,13 +6,16 @@ with the package.  Boundary candidates (voltage box and current rating
 crossings along the power-equality manifold) are added by bisection of
 the gridded sign changes, since a finite grid cannot land exactly on an
 active constraint.  The line profile reference integrates the telegrapher
-equations and uses no hyperbolic function at all.
+equations and uses no hyperbolic function at all.  The tie rule's
+reference walks each row's ranked candidates one float tuple at a time.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from cableopt.optimizer import TIE_TOL
 
 
 def oracle_two_port(spec):
@@ -321,3 +324,51 @@ def bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, target_uf, it
         else:
             hi = mid
     return _curve_for_scale(0.5 * (lo + hi), shape, cut_in, rated, cut_out, n_bins)
+
+
+def better(cand, best):
+    """Whether cand beats best, both (score, alpha, beta, v2) floats or best None.
+
+    The optimizer's tie rule as it was written for one candidate at a time:
+    higher score, then lower v2, then lower alpha, each beyond TIE_TOL.
+    """
+    if best is None:
+        return True
+    score, alpha, _, v2 = cand
+    best_score, best_alpha, _, best_v2 = best
+    if score > best_score + TIE_TOL:
+        return True
+    if score < best_score - TIE_TOL:
+        return False
+    if v2 < best_v2 - TIE_TOL:
+        return True
+    if v2 > best_v2 + TIE_TOL:
+        return False
+    return alpha < best_alpha - TIE_TOL
+
+
+def walked_winners(ranked, count, fails=None, stops=None):
+    """Each row's winner from walking its candidates as floats, a (4, rows) array, NaN for none.
+
+    ranked holds the (score, alpha, beta, v2) of every row's candidates, by
+    row, count[r] of them for row r.  A row stops at its first candidate
+    that trails its best by more than TIE_TOL.  A candidate for which
+    fails(cand) holds does not win, and a row without a best stops there
+    when stops(cand) holds too: the optimizer's internal checks.
+    """
+    out = np.full((4, len(count)), np.nan)
+    start = 0
+    for r, n in enumerate(count.tolist()):
+        row_best = None
+        for cand in zip(*ranked[:, start:start + n].tolist()):
+            if row_best is not None and cand[0] < row_best[0] - TIE_TOL:
+                break
+            if better(cand, row_best):
+                if fails is None or not fails(cand):
+                    row_best = cand
+                elif row_best is None and stops(cand):
+                    break
+        if row_best is not None:
+            out[:, r] = row_best
+        start += n
+    return out

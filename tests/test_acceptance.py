@@ -225,7 +225,7 @@ def test_criterion_8_structural_property_suite():
 
     # strategy identities on a coarse synthetic curve
     from cableopt import synth_duration_curve
-    curve = synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=12, target_uf=0.46)
+    curve = synth_duration_curve(8.0, 3.0, 11.0, 25.0, n_bins=12, target_uf=0.46)
     fixed = annual_efficiency(spec, 300e6, curve, FixedVoltage(0.8))
     degenerate_range = annual_efficiency(spec, 300e6, curve, VoltageRange(0.8, 0.8))
     assert fixed.eta_annual == degenerate_range.eta_annual

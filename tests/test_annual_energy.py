@@ -36,8 +36,7 @@ from oracle import bisected_duration_curve
 
 def small_curve(n_bins=12, target_uf=0.46):
     """Coarse synthetic curve: keeps annual evaluations fast in unit tests."""
-    return synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0,
-                                n_bins=n_bins, target_uf=target_uf)
+    return synth_duration_curve(8.0, 3.0, 11.0, 25.0, n_bins=n_bins, target_uf=target_uf)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ def test_curve_validation(rows, fault):
 
 @pytest.mark.parametrize("target", [0.46, 0.35])
 def test_synth_hits_target_utilization(target):
-    curve = synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=100, target_uf=target)
+    curve = synth_duration_curve(8.0, 3.0, 11.0, 25.0, n_bins=100, target_uf=target)
     assert utilization_factor(curve) == pytest.approx(target, abs=1e-3)
 
 
@@ -101,28 +100,32 @@ def test_synth_round_trips_through_csv(tmp_path):
 
 def test_synth_rated_everywhere_degenerate_shape():
     # an extremely narrow wind distribution centred inside the rated band
-    curve = synth_duration_curve(15.0, 80.0, 3.0, 11.0, 25.0, n_bins=50)
+    curve = synth_duration_curve(80.0, 3.0, 11.0, 25.0, n_bins=50, weibull_scale=15.0)
     assert curve.bins[-1][1] == pytest.approx(1.0, abs=1e-6)
     assert utilization_factor(curve) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_synth_unreachable_target():
     with pytest.raises(Infeasible, match="^utilization factor 0.95 unreachable; maximum"):
-        synth_duration_curve(9.0, 2.0, 10.0, 24.0, 25.0, n_bins=50, target_uf=0.95)
+        synth_duration_curve(2.0, 10.0, 24.0, 25.0, n_bins=50, target_uf=0.95)
 
 
 def test_synth_validates_inputs():
     with pytest.raises(ValueError):
-        synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=1)
+        synth_duration_curve(8.0, 3.0, 11.0, 25.0, n_bins=1, weibull_scale=9.0)
     with pytest.raises(ValueError):
-        synth_duration_curve(9.0, 8.0, 12.0, 11.0, 25.0)
+        synth_duration_curve(8.0, 12.0, 11.0, 25.0, weibull_scale=9.0)
     with pytest.raises(ValueError):
-        synth_duration_curve(9.0, 8.0, 3.0, 11.0, 25.0, n_bins=MAX_POINTS + 1)
+        synth_duration_curve(8.0, 3.0, 11.0, 25.0, n_bins=MAX_POINTS + 1, weibull_scale=9.0)
+    # the scale comes from exactly one of weibull_scale and target_uf
+    for scale, target in ((None, None), (9.0, 0.46)):
+        with pytest.raises(ValueError, match="^give exactly one of weibull_scale and target_uf$"):
+            synth_duration_curve(8.0, 3.0, 11.0, 25.0, weibull_scale=scale, target_uf=target)
     # arithmetic that overflows a float is a configuration error, not a crash
     with pytest.raises(ConfigError):
-        synth_duration_curve(9.0, 1e300, 3.0, 11.0, 25.0, target_uf=0.4)
+        synth_duration_curve(1e300, 3.0, 11.0, 25.0, target_uf=0.4)
     with pytest.raises(ConfigError):
-        synth_duration_curve(9.0, 8.0, 1e-300, 1e300, 1e300, target_uf=0.4)
+        synth_duration_curve(8.0, 1e-300, 1e300, 1e300, target_uf=0.4)
 
 
 def test_synth_bisection_stops_at_its_fixed_point(monkeypatch):
@@ -141,8 +144,7 @@ def test_synth_bisection_stops_at_its_fixed_point(monkeypatch):
         shape, n_bins, target = rng.uniform(1.2, 10.0), rng.randint(2, 24), rng.uniform(0.05, 0.7)
         builds.clear()
         try:
-            curve = synth_duration_curve(9.0, shape, cut_in, rated, cut_out, n_bins=n_bins,
-                                         target_uf=target)
+            curve = synth_duration_curve(shape, cut_in, rated, cut_out, n_bins=n_bins, target_uf=target)
         except Infeasible:
             continue
         # the bisection plus the curves at the upper end and at the result

@@ -18,6 +18,8 @@ from cableopt.cli import MAX_POINTS, _build_parser, _parse_float_list, main
 from cableopt.errors import ConfigError
 from cableopt.results import read_tables
 
+from conftest import with_config
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -731,7 +733,11 @@ def test_arguments_do_not_leak_between_calls(capsys):
 
 
 @pytest.mark.parametrize("bad", [["analyze", "--v2", "abc"], ["analyse"], ["annual", "--bogus"],
-                                 ["annual", "--weibull-scale", "9"]])
+                                 ["annual", "--weibull-scale", "9"],
+                                 # one duration curve at a time
+                                 ["annual", "--curve", "c.csv", "--builtin-curve", "high-uf"],
+                                 ["annual", "--curve", "c.csv", "--synth-uf", "0.3"],
+                                 ["annual", "--builtin-curve", "high-uf", "--synth-uf", "0.3"]])
 def test_usage_error_leaves_the_parser_working(capsys, bad):
     with pytest.raises(SystemExit) as exc:
         main(bad)
@@ -775,8 +781,26 @@ def test_usage_error_leaves_the_parser_working(capsys, bad):
      "5c6374bd0804278c8feace351c68da1068c373aae702860711c9e45dece4f4ba"),
     (["envelope", "--lengths-km", "100:400:10", "--voltages", "1.0,0.8,0.6,0.4"],
      "f6ebd3361fd072bcf19eb1f90271802de7ddd3d53a21a24f5eb64f8a9c205bee"),
+    # internal checks on, from the study configuration in the trailing dict
+    (["optimize", "--p-farm-mw", "150", {"cable": {"length_km": 250.0},
+                                         "constraints": {"check_internal_voltage_max": 0.75}}],
+     "c819ab42b55dd72fb830c0abb2deeb8115de0a466b99ece9ab67dd10a01eadea"),
+    (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
+      "--voltages", "0.6", "--optimal-range", "0.4", "1.0",
+      {"cable": {"length_km": 150.0}, "constraints": {"check_internal_current": True}}],
+     "1e1eaf39a5cdd125a7b8f9dade23bfa47ebbd888822ff4c490cd0d6a8bdd384d"),
+    (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
+      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0",
+      {"constraints": {"check_internal_current": True}}],
+     "131ad1fedd5d182716fad7c28b45c9eeb83093bcee8d5013e0d65a90df0e8327"),
+    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6",
+      {"constraints": {"check_internal_current": True}}],
+     "3bbd367ea6215e7bed9a4a4240bf05ef84ffbe68d221e26c238bc1d9af209a1f"),
+    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6",
+      {"constraints": {"check_internal_voltage_max": 0.9}}],
+     "d17e15b263f431fbe5d4362deee3e0a603a45ffd7903ae959c4b3a535498e180"),
 ])
-def test_golden_output_digest(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
+def test_golden_output_digest(capsys, tmp_path, argv, digest):
+    code, out, _ = run(capsys, *with_config(argv, tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

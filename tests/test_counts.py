@@ -3,21 +3,29 @@
 Counts do not depend on the hardware, so they show a change in the work a
 command does where wall time cannot.  A change that raises a count updates
 it here and says why in CHANGES.md; one that lowers it has evidence of its
-speed-up.  The commands are the eleven golden-digest commands of
-test_cli.py: seven of its own, then the README's optimize at 150 MW,
-sweep, annual and envelope runs.
+speed-up.  The commands are the sixteen golden-digest commands of
+test_cli.py: seven of its own, the README's optimize at 150 MW, sweep,
+annual and envelope runs, then five runs with an internal check on.
 """
 
 import pytest
 
 from cableopt import cable_model, cli, optimizer
 
+from conftest import with_config
+
 _SWEEP = ["sweep", "--p-min-mw", "20", "--p-max-mw", "300", "--p-step-mw", "10",
           "--voltages", "0.4,0.6,0.8,1.0", "--optimal-range", "0.4", "1.0"]
 _ANNUAL = ["annual", "--rated-mw", "320", "--builtin-curve", "high-uf", "--strategy", "fixed:1.0",
            "--strategy", "range:0.4:1.0", "--strategy", "tap:0.87:0.15"]
 _ENVELOPE = ["envelope", "--lengths-km", "100:400:10", "--voltages", "1.0,0.8,0.6,0.4"]
+_GOLDEN_SWEEP = ["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
+                 "--voltages", "0.6", "--optimal-range", "0.4", "1.0"]
+_GOLDEN_ENVELOPE = ["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"]
+_GOLDEN_ANNUAL = ["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
+                  "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"]
 _ANALYZE = ["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile"]
+_CURRENT = {"constraints": {"check_internal_current": True}}
 
 
 @pytest.fixture
@@ -38,6 +46,10 @@ def counts(monkeypatch) -> dict:
         c["rows"] += len(cables)
         return solve(cables, window, bounds, ratios, counted_point, *rest)
 
+    def counted_better(cand, best):
+        c["walked"] += len(cand[0])
+        return better(cand, best)
+
     def counted(key, fun):
         def wrapper(*args, **kwargs):
             c[key] += 1
@@ -45,7 +57,7 @@ def counts(monkeypatch) -> dict:
         return wrapper
 
     monkeypatch.setattr(optimizer, "_solve", counted_solve)
-    monkeypatch.setattr(optimizer, "_better", counted("walked", better))
+    monkeypatch.setattr(optimizer, "_better", counted_better)
     monkeypatch.setattr(optimizer, "_Cable", counted("cables", cable))
     monkeypatch.setattr(optimizer, "OptimumPoint", counted("optimum_points", optimum))
     for module in (cable_model, optimizer, cli):
@@ -53,27 +65,34 @@ def counts(monkeypatch) -> dict:
     return c
 
 
-# (solves, rows, candidates scored, candidates walked in the row loop, segment profiles,
-#  _Cable builds, OptimumPoint builds)
+# (solves, rows, candidates scored, candidates compared with their row's best in the
+#  walk, segment profiles, _Cable builds, OptimumPoint builds); a trailing dict is the
+#  study configuration
 @pytest.mark.parametrize("argv,want", [
-    (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
-      "--voltages", "0.6", "--optimal-range", "0.4", "1.0"], (1, 8, 183, 6, 0, 1, 0)),
-    (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6"],
-     (1, 9, 220, 10, 0, 3, 0)),
-    (["annual", "--rated-mw", "320", "--synth-uf", "0.46", "--n-bins", "10",
-      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"], (2, 22, 707, 28, 0, 2, 0)),
+    (_GOLDEN_SWEEP, (1, 8, 183, 3, 0, 1, 0)),
+    (_GOLDEN_ENVELOPE, (1, 9, 220, 7, 0, 3, 0)),
+    (_GOLDEN_ANNUAL, (2, 22, 707, 16, 0, 2, 0)),
     (_ANALYZE + ["50"], (0, 0, 0, 0, 1, 0, 0)),
     (_ANALYZE + ["50", "--json"], (0, 0, 0, 0, 1, 0, 0)),
     (_ANALYZE + ["2000"], (0, 0, 0, 0, 1, 0, 0)),
     (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 0, 1, 0)),
     (["optimize", "--p-farm-mw", "150"], (1, 1, 25, 0, 0, 1, 1)),
-    (_SWEEP, (1, 145, 3626, 200, 0, 1, 0)),
-    (_ANNUAL, (2, 307, 8290, 218, 0, 2, 0)),
-    (_ENVELOPE, (1, 155, 4408, 312, 0, 31, 0)),
+    (_SWEEP, (1, 145, 3626, 100, 0, 1, 0)),
+    (_ANNUAL, (2, 307, 8290, 113, 0, 2, 0)),
+    (_ENVELOPE, (1, 155, 4408, 203, 0, 31, 0)),
+    (["optimize", "--p-farm-mw", "150", {"cable": {"length_km": 250.0},
+                                         "constraints": {"check_internal_voltage_max": 0.75}}],
+     (1, 1, 91, 0, 6, 1, 1)),
+    (_GOLDEN_SWEEP + [{"cable": {"length_km": 150.0}, **_CURRENT}], (1, 8, 208, 3, 9, 1, 0)),
+    (_GOLDEN_ANNUAL + [_CURRENT], (2, 22, 707, 16, 24, 2, 0)),
+    (_GOLDEN_ENVELOPE + [_CURRENT], (1, 9, 220, 7, 12, 3, 0)),
+    (_GOLDEN_ENVELOPE + [{"constraints": {"check_internal_voltage_max": 0.9}}],
+     (1, 9, 379, 5, 14, 3, 0)),
 ], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
         "analyze-2000", "optimize-echo", "readme-optimize-p", "readme-sweep", "readme-annual",
-        "readme-envelope"])
-def test_command_counts(counts, capsys, argv, want):
-    assert cli.main(argv) == 0
+        "readme-envelope", "optimize-voltage-check", "sweep-current-check",
+        "annual-current-check", "envelope-current-check", "envelope-voltage-check"])
+def test_command_counts(counts, capsys, tmp_path, argv, want):
+    assert cli.main(with_config(argv, tmp_path)) == 0
     capsys.readouterr()
     assert tuple(counts.values()) == want

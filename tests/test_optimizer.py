@@ -33,7 +33,8 @@ from cableopt.cli import main
 from cableopt.optimizer import _points, _Rows
 from cableopt.power_flow import unit_flow
 from conftest import random_cable, ref_cable
-from oracle import best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage
+from oracle import (best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage,
+                    walked_winners)
 
 # 2-D optimum for the 200 km reference cable: the stationary point of eta,
 # solved with 40-digit mpmath (beta in rad)
@@ -609,10 +610,78 @@ def test_rows_on_different_cables_match_one_row_calls(internal):
     assert any(point is None for point in batched) and any(point is not None for point in batched)
 
 
-def test_clear_winner_pick_is_the_candidate_walk(monkeypatch):
-    # the array pick of rows whose runner-up trails by more than TIE_TOL
-    # gives what walking every row's candidates through _better gives, as
-    # the solve does when an internal check is on; one production row here
+def _ranked_tables(rng):
+    """A random ranked candidate table: (ranked, count), each row's candidates by descending score.
+
+    Its rows hold none, one or several candidates; a row's candidates mix
+    ulp-level duplicates, chains of scores within TIE_TOL whose v2 or
+    alpha falls or rises by about TIE_TOL, steps just past TIE_TOL and far
+    drops.  beta, which the test's checks read, is drawn afresh for each.
+    """
+    tol = optimizer.TIE_TOL
+    count = rng.choice([0, 1, 2, 3, 5, 8, 13], size=rng.integers(1, 30))
+    rows = []
+    for n in count.tolist():
+        cand = [rng.uniform(0.9, 1.0), rng.choice([1.0, 1.05, 1.1]), 0.0, rng.uniform(0.4, 1.0)]
+        row = []
+        for _ in range(n):
+            cand[2] = rng.uniform()
+            row.append(list(cand))
+            kind = rng.integers(4)
+            if kind == 0:       # ulp-level duplicate, or the same point
+                cand = [x if rng.integers(2) else np.nextafter(x, x + rng.choice([-1, 1]))
+                        for x in cand]
+            elif kind == 1:     # within TIE_TOL: a lower v2 or alpha may take over
+                cand[0] -= rng.uniform(0.0, 1.2) * tol
+                for j in (1, 3):
+                    step = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]) * rng.uniform(0.5, 1.5)
+                    cand[j] += step * tol
+            elif kind == 2:     # just past TIE_TOL
+                cand[0] -= rng.uniform(0.9, 1.1) * tol
+            else:
+                cand[0] -= rng.uniform(0.0, 1e-3)
+        row.sort(key=lambda c: -c[0])    # stable: the rank keeps the order of equal scores
+        rows += row
+    return np.array(rows, dtype=float).reshape(-1, 4).T.copy(), count
+
+
+def test_walk_is_the_float_walk():
+    # the array walk over random ranked tables gives, bit for bit, what
+    # walking each row's candidates as floats through the scalar tie rule
+    # gives, with and without checks that reject candidates and stop rows
+    def fails(cand):
+        return cand[2] < 0.3
+
+    def stops(cand):
+        return cand[2] < 0.1
+
+    def check(live, cand, held, wins):
+        going = np.ones(live.size, bool)
+        for i in np.flatnonzero(wins).tolist():
+            if fails(cand[:, i]):
+                wins[i] = False
+                going[i] = not (math.isnan(held[0, i]) and stops(cand[:, i]))
+        return going
+
+    rng = np.random.default_rng(2026)
+    later = several = empty = 0
+    for _ in range(400):
+        ranked, count = _ranked_tables(rng)
+        won = optimizer._walk(ranked, count)
+        assert won.tobytes() == walked_winners(ranked, count).tobytes()
+        assert (optimizer._walk(ranked, count, check).tobytes()
+                == walked_winners(ranked, count, fails, stops).tobytes())
+        first, has = np.cumsum(count) - count, count > 0
+        later += int((won[:, has] != ranked[:, first[has]]).any(axis=0).sum())
+        several += int((count > 1).sum())
+        empty += int((count == 0).sum())
+    # rows whose winner is a later candidate than their first, and rows with none
+    assert later > 100 and several > 1000 and empty > 100
+
+
+def test_passing_internal_checks_keep_the_walk_winners(monkeypatch):
+    # the walk with the internal-check bookkeeping on, where every check
+    # passes, picks what the walk without it picks; one production row here
     # has a tie that the walk settles on a later candidate than the first
     rng = random.Random(42)
     specs = [random_cable(rng).with_length(rng.uniform(1.0, 400.0)) for _ in range(12)]
