@@ -269,8 +269,10 @@ def segment_profile(
     g_series = -b.real
     g_shunt = _shunt_conductance(spec, spec.length_km / n_segments)
     dv = voltages[:-1] - voltages[1:]
-    # huge terminal voltages overflow to inf losses, which the callers report
-    with np.errstate(over="ignore"):
+    # huge terminal voltages overflow to inf losses, which the callers report;
+    # numpy's baseline complex multiply also forms the discarded imaginary
+    # part of v*conj(v), which is inf - inf there
+    with np.errstate(over="ignore", invalid="ignore"):
         losses = 3.0 * (
             g_series * (dv * np.conj(dv)).real
             + g_shunt * ((voltages[:-1] * np.conj(voltages[:-1])).real

@@ -11,9 +11,10 @@ eta = g/c at a given production, delivered power g*v2^2 with v2 at its
 lowest limit in max_feasible_power.  Its maximum lies at a stationary
 point of one ratio (a 2x2 pencil eigenvector), at a stationary point along
 one circle or window ray, or where two meet; _solve checks every such
-candidate and keeps the best feasible one.  An opt-in internal check that
-fails adds the worst node's limit as one more circle per v2 piece, and the
-solve repeats.  Ties go to lower v2, then lower alpha.
+candidate and keeps the best feasible one.  The opt-in internal checks
+evaluate the node forms, which each cable builds once from two segment
+profiles; one that fails adds the worst node's limit as one more circle
+per v2 piece, and the solve repeats.  Ties go to lower v2, then lower alpha.
 
 The solve has a leading row axis: a row is one problem (a cable, a
 production level or a farm cap, and a v2 box).  It reads every cable
@@ -44,8 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cable_model import (MAX_POINTS, CableSpec, SegmentProfile, TwoPort, exact_pi_two_port,
-                          segment_profile)
+from .cable_model import MAX_POINTS, CableSpec, TwoPort, exact_pi_two_port, segment_profile
 from .errors import Infeasible
 from .power_flow import (FlowSolution, OperatingPoint, VoltageScaling, flow_parts, flow_solution,
                          unit_flow)
@@ -74,8 +74,8 @@ class Constraints:
     """Operating box and ratings for the optimizer.
 
     i_rated of None means "use the cable's own rated current".  The
-    internal checks run a segment profile per candidate and are off by
-    default; check_internal_voltage_max is a phase-voltage cap in p.u.
+    internal checks bound every node's form (_Cable.checks) and are off
+    by default; check_internal_voltage_max is a phase-voltage cap in p.u.
     """
 
     v2_min: float = 0.4
@@ -164,6 +164,12 @@ _ID = (1.0, 0j, 1.0)
 def _abs2(p: complex, q: complex):
     """The form |p*xi + q|^2."""
     return abs(p) ** 2, 2.0 * p * q.conjugate(), abs(q) ** 2
+
+
+def _value(form, alpha, xi, v2):
+    """Value at xi = alpha*e^{j*beta} and v2 of a form (q2, w, q0) taken at v2 = 1 p.u."""
+    q2, w, q0 = form
+    return (q2 * alpha * alpha + (w * xi).real + q0) * v2 * v2
 
 
 def _sub(f, g, k=1.0):
@@ -350,8 +356,6 @@ class _Cable:
         if not math.isfinite(size * size):
             raise Infeasible(f"a {spec.length_km:g} km cable is too short: "
                              f"its admittances overflow when squared")
-        self.internal = (constraints.check_internal_current
-                         or constraints.check_internal_voltage_max is not None)
         vph, i_rated, phase = spec.phase_voltage, constraints.rated_current(spec), cmath.phase(b)
         # the columns of _Rows.  c = 3*V_ph^2*farm rises with beta from arg(b) - pi
         # to arg(b); the windows stay on that branch, within +-90 deg.  The forms
@@ -362,42 +366,33 @@ class _Cable:
                         a.real, b.conjugate(), 0.0, 0.0, -b, -a.real, *_abs2(a, b), *_abs2(b, a),
                         0.0, 0j, 1.0)
 
-    def profile(self, alpha: float, beta: float, v2: float) -> SegmentProfile:
-        v2_volts = v2 * self.spec.phase_voltage
-        return segment_profile(self.spec, alpha * cmath.exp(1j * beta) * v2_volts, v2_volts,
-                               self.cons.n_profile_segments)
-
     @cached_property
-    def node_forms(self):
-        """(|V_k|^2, |I_k|^2) forms of the profile nodes at v2 = 1 p.u., grid-end current last.
+    def checks(self) -> list[tuple[list[tuple], float]]:
+        """(node forms, limit) of each opt-in internal check, the current check first.
 
-        The profile is linear in the terminal voltages: node k is xi*P_k + Q_k
-        with P and Q the profiles at (V_ph, 0) and (0, V_ph).
+        A form is |I_k|^2 or |V_k|^2 at v2 = 1 p.u., grid-end current last: node
+        k is xi*P_k + Q_k with P and Q the profiles at (V_ph, 0) and (0, V_ph).
         """
-        vph = self.spec.phase_voltage
-        p, q = (segment_profile(self.spec, v1, v2, self.cons.n_profile_segments)
+        cons, spec, vph, out = self.cons, self.spec, self.spec.phase_voltage, []
+        p, q = (segment_profile(spec, v1, v2, cons.n_profile_segments)
                 for v1, v2 in ((vph, 0.0), (0.0, vph)))
-        return ([_abs2(x, y) for x, y in zip(p.node_voltages, q.node_voltages)],
-                [_abs2(x, y) for x, y in zip(p.node_currents + (p.grid_end_current,),
-                                             q.node_currents + (q.grid_end_current,))])
+        if cons.check_internal_current:
+            out.append(([_abs2(x, y) for x, y in zip(p.node_currents + (p.grid_end_current,),
+                                                     q.node_currents + (q.grid_end_current,))],
+                        cons.rated_current(spec)))
+        if (v_cap := cons.check_internal_voltage_max) is not None:
+            out.append(([_abs2(x, y) for x, y in zip(p.node_voltages, q.node_voltages)],
+                        v_cap * vph))
+        return out
 
     def violations(self, alpha: float, beta: float, v2: float) -> list[tuple[tuple, float]]:
-        """(node form, limit) of the worst node of each opt-in internal check the point fails."""
-        if not self.internal:
-            return []
-        cons, spec, prof = self.cons, self.spec, self.profile(alpha, beta, v2)
-        v_forms, i_forms = self.node_forms
-        checks = []
-        if cons.check_internal_current:
-            currents = prof.node_currents + (prof.grid_end_current,)
-            checks.append((currents, i_forms, cons.rated_current(spec)))
-        if (v_cap := cons.check_internal_voltage_max) is not None:
-            checks.append((prof.node_voltages, v_forms, v_cap * spec.phase_voltage))
-        out = []
-        for values, forms, limit in checks:
-            k = max(range(len(values)), key=lambda j: abs(values[j]))
-            if abs(values[k]) > limit * (1 + _EDGE):
-                out.append((forms[k], limit))
+        """(node form, limit) of the worst node, the first on ties, of each check the point fails."""
+        xi, out = cmath.rect(alpha, beta), []
+        for forms, limit in self.checks:
+            values = [_value(form, alpha, xi, v2) for form in forms]
+            worst = max(values)
+            if worst > (limit * (1 + _EDGE)) ** 2:
+                out.append((forms[values.index(worst)], limit))
         return out
 
 
@@ -488,12 +483,12 @@ def _walk(ranked, count, check=None):
 def _cut_out(cuts, alpha, beta, v2):
     """Candidates at least one cut node already rules out, from its form alone.
 
-    The 1e-9 margin covers the form's rounding; what it lets through, the
-    profile check rejects.
+    The 1e-9 margin covers the form's rounding; what it lets through,
+    _Cable.violations rejects with the 1 + _EDGE margin.
     """
     xi, out = alpha * np.exp(1j * beta), np.zeros(alpha.shape, bool)
-    for (q2, w, q0), limit in cuts:
-        out |= (q2 * alpha * alpha + (w * xi).real + q0) * v2 * v2 > (1 + 1e-9) * limit * limit
+    for form, limit in cuts:
+        out |= _value(form, alpha, xi, v2) > (1 + 1e-9) * limit * limit
     return out
 
 
@@ -511,10 +506,11 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
     lists (k, den) with v2^2 = k/den on each piece of v2; a row without a
     winner yet whose candidate fails at a new node n, limit L, adds the
     circle k*n - L^2*den per piece and is solved again, where a candidate a
-    cut node rules out is dropped by its form before any profile is built.
+    cut node rules out is dropped before the walk (_cut_out).
     """
-    rows = len(cables)
-    a_lo, a_hi = cables.cons.alpha_min, cables.cons.alpha_max
+    rows, cons = len(cables), cables.cons
+    a_lo, a_hi = cons.alpha_min, cons.alpha_max
+    internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
     # the alpha circles and the bounds, then the ratios' numerators and denominators
     n_base = 2 + len(bounds)
     base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds)
@@ -564,7 +560,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
                 return ~np.isin(block[live], again)     # a row solved again walks no further
             best[:, block] = _walk(np.array([score, alpha, beta, v2])[:, pick],
                                    np.bincount(row[pick], minlength=block.size),
-                                   check if cables.per_row[0].internal else None)
+                                   check if internal else None)
         todo = np.array(sorted(again), dtype=int)   # in row order, however the walk found them
     return best
 
@@ -670,8 +666,8 @@ class Optima:
         if not self.found[r]:
             return None
         cables, cons, rel = self.cables, self.cables.cons, 1e-6
-        alpha, beta, v2, lo, hi, i_rated, vph = (x[r].item() for x in (
-            self.alpha, self.beta, self.v2, cables.lo, cables.hi, cables.i_rated, cables.vph))
+        alpha, beta, v2, lo, hi, i_rated = (x[r].item() for x in (
+            self.alpha, self.beta, self.v2, cables.lo, cables.hi, cables.i_rated))
         i1r, i1i, i2r, i2i, *powers = (x[r].item() for x in (*self.i1, *self.i2, self.p_farm,
                                                              self.q_farm, self.p_grid, self.q_grid))
         flow = flow_solution((i1r, i1i), (i2r, i2i), *powers)
@@ -684,9 +680,10 @@ class Optima:
             BindingConstraint.ALPHA_MAX: cons.alpha_max - alpha <= rel * a_span,
             BindingConstraint.ALPHA_MIN: alpha - cons.alpha_min <= rel * a_span,
         }
-        if (v_cap := cons.check_internal_voltage_max) is not None:
-            peak = cables.per_row[r].profile(alpha, beta, v2).max_voltage
-            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= v_cap * vph * (1 - rel)
+        if cons.check_internal_voltage_max is not None:
+            forms, limit = cables.per_row[r].checks[-1]     # the voltage check's, squared
+            peak = max(_value(form, alpha, cmath.rect(alpha, beta), v2) for form in forms)
+            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= (limit * (1 - rel)) ** 2
         return OptimumPoint(OperatingPoint(v2, VoltageScaling(alpha, beta)), flow,
                             frozenset(c for c, m in meets.items() if m))
 

@@ -8,6 +8,7 @@ the gridded sign changes, since a finite grid cannot land exactly on an
 active constraint.  The line profile reference integrates the telegrapher
 equations and uses no hyperbolic function at all.  The tie rule's
 reference walks each row's ranked candidates one float tuple at a time.
+The internal checks' reference builds a full segment profile per point.
 """
 
 import cmath
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from cableopt.cable_model import segment_profile
 from cableopt.optimizer import TIE_TOL
 
 
@@ -371,4 +373,28 @@ def walked_winners(ranked, count, fails=None, stops=None):
         if row_best is not None:
             out[:, r] = row_best
         start += n
+    return out
+
+
+def profile_worst_nodes(spec, cons, alpha, beta, v2):
+    """(node, |value|, limit) of the worst node of each opt-in internal check, current first.
+
+    From a segment profile of the point (alpha, beta, v2 in p.u.), the first
+    node on ties, grid-end current last: the profile-based check that
+    _Cable.violations replaced, which failed a check where |value| >
+    limit*(1 + 1e-12).
+    """
+    vph = spec.phase_voltage
+    v2_volts = v2 * vph
+    prof = segment_profile(spec, alpha * cmath.exp(1j * beta) * v2_volts, v2_volts,
+                           cons.n_profile_segments)
+    checks = []
+    if cons.check_internal_current:
+        checks.append((prof.node_currents + (prof.grid_end_current,), cons.rated_current(spec)))
+    if cons.check_internal_voltage_max is not None:
+        checks.append((prof.node_voltages, cons.check_internal_voltage_max * vph))
+    out = []
+    for values, limit in checks:
+        k = max(range(len(values)), key=lambda j: abs(values[j]))
+        out.append((k, abs(values[k]), limit))
     return out

@@ -6,6 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -89,6 +93,30 @@ def test_analyze_huge_voltage_exits_3_without_warnings(capsys):
                            "--beta-deg", "5", "--profile", "10")
     assert code == 3
     assert err.startswith("infeasible:")
+
+
+# numpy with its AVX2 and AVX-512 loops off: the x86-64-v2 baseline dispatch
+_BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch names are x86 ones")
+@pytest.mark.parametrize("profile", [["10"], ["2"], ["2", "--json"]], ids=["10", "2", "2-json"])
+def test_huge_voltage_exits_3_without_warnings_under_baseline_dispatch(profile):
+    # the baseline complex multiply forms the discarded imaginary part of
+    # v*conj(v) in the profile's losses, inf - inf at v2 = 1e150; -W error
+    # turns any numpy warning into a traceback
+    env = {**os.environ, **_BASELINE_DISPATCH,
+           "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys; from cableopt.cli import main; sys.exit(main(sys.argv[1:]))",
+         "analyze", "--v2", "1e150", "--alpha", "1.03", "--beta-deg", "5", "--profile", *profile],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("infeasible:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["csv", "json"])

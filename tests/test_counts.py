@@ -1,9 +1,14 @@
 """Solver work per CLI command, pinned exactly.
 
-Counts do not depend on the hardware, so they show a change in the work a
-command does where wall time cannot.  A change that raises a count updates
-it here and says why in CHANGES.md; one that lowers it has evidence of its
-speed-up.  The commands are the sixteen golden-digest commands of
+Counts do not depend on the host's speed or load, so they show a change in
+the work a command does where wall time cannot.  A change that raises a
+count updates it here and says why in CHANGES.md; one that lowers it has
+evidence of its speed-up.  They do depend on numpy's SIMD dispatch, whose
+loops round a few ulps apart, and are pinned for its AVX2/AVX-512 loops.
+Under the x86-64-v2 baseline (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
+AVX512_ICL AVX512_SPR") the candidates scored read 705, not 707, for the
+golden annual and annual-current-check, 3627, not 3626, for the README
+sweep and 4401, not 4408, for the README envelope.  The commands are the sixteen golden-digest commands of
 test_cli.py: seven of its own, the README's optimize at 150 MW, sweep,
 annual and envelope runs, then five runs with an internal check on.
 """
@@ -82,12 +87,12 @@ def counts(monkeypatch) -> dict:
     (_ENVELOPE, (1, 155, 4408, 203, 0, 31, 0)),
     (["optimize", "--p-farm-mw", "150", {"cable": {"length_km": 250.0},
                                          "constraints": {"check_internal_voltage_max": 0.75}}],
-     (1, 1, 91, 0, 6, 1, 1)),
-    (_GOLDEN_SWEEP + [{"cable": {"length_km": 150.0}, **_CURRENT}], (1, 8, 208, 3, 9, 1, 0)),
-    (_GOLDEN_ANNUAL + [_CURRENT], (2, 22, 707, 16, 24, 2, 0)),
-    (_GOLDEN_ENVELOPE + [_CURRENT], (1, 9, 220, 7, 12, 3, 0)),
+     (1, 1, 91, 0, 2, 1, 1)),
+    (_GOLDEN_SWEEP + [{"cable": {"length_km": 150.0}, **_CURRENT}], (1, 8, 208, 3, 2, 1, 0)),
+    (_GOLDEN_ANNUAL + [_CURRENT], (2, 22, 707, 16, 4, 2, 0)),
+    (_GOLDEN_ENVELOPE + [_CURRENT], (1, 9, 220, 7, 6, 3, 0)),
     (_GOLDEN_ENVELOPE + [{"constraints": {"check_internal_voltage_max": 0.9}}],
-     (1, 9, 379, 5, 14, 3, 0)),
+     (1, 9, 379, 5, 6, 3, 0)),
 ], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
         "analyze-2000", "optimize-echo", "readme-optimize-p", "readme-sweep", "readme-annual",
         "readme-envelope", "optimize-voltage-check", "sweep-current-check",

@@ -34,7 +34,7 @@ from cableopt.optimizer import _points, _Rows
 from cableopt.power_flow import unit_flow
 from conftest import random_cable, ref_cable
 from oracle import (best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage,
-                    walked_winners)
+                    profile_worst_nodes, walked_winners)
 
 # 2-D optimum for the 200 km reference cable: the stationary point of eta,
 # solved with 40-digit mpmath (beta in rad)
@@ -214,14 +214,15 @@ def test_forms_match_kernel_and_profile():
     rng = random.Random(17)
     for _ in range(300):
         spec = random_cable(rng).with_length(rng.uniform(1.0, 600.0))
-        cons = Constraints(check_internal_current=True, n_profile_segments=rng.choice([1, 2, 7, 40]))
+        cons = Constraints(check_internal_current=True, check_internal_voltage_max=1.0,
+                           n_profile_segments=rng.choice([1, 2, 7, 40]))
         cables, vph = _Rows([(spec, cons)]), spec.phase_voltage
         xi = cmath.rect(rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi))
         farm, grid, i1, i2 = unit_flow(exact_pi_two_port(spec), xi)
         forms = [[x[0] for x in form] for form in (cables.farm, cables.grid, cables.cur1, cables.cur2)]
         wants = [farm, grid, abs(i1) ** 2, abs(i2) ** 2]
         prof = segment_profile(spec, xi * vph, vph, cons.n_profile_segments)
-        v_forms, i_forms = cables.per_row[0].node_forms
+        (i_forms, _), (v_forms, _) = cables.per_row[0].checks
         forms += v_forms + i_forms
         wants += [abs(v) ** 2 for v in prof.node_voltages]
         wants += [abs(i) ** 2 for i in prof.node_currents + (prof.grid_end_current,)]
@@ -229,6 +230,44 @@ def test_forms_match_kernel_and_profile():
         for form, want in zip(forms, wants):
             got = form[0] * abs(xi) ** 2 + (form[1] * xi).real + form[2]
             assert abs(got - want) <= 1e-12 * _scale(form, xi)
+
+
+def test_node_form_checks_match_the_profile_checks():
+    # _Cable.violations reads the node forms; the profile check it replaced
+    # must fail the same checks at the same worst nodes, but where a worst node
+    # lies within 1e-11 relative of limit*(1 + _EDGE), where rounding may tip either.
+    # A third of the points put the worst node 0, 1e-10 or 1e-8 off it.
+    rng = random.Random(29)
+    compared = near = failed = 0
+    for _ in range(200):
+        spec = random_cable(rng).with_length(rng.uniform(1.0, 600.0))
+        current, v_cap = rng.choice([(True, None), (False, 1.0), (True, rng.uniform(0.9, 1.2))])
+        cons = Constraints(check_internal_current=current, check_internal_voltage_max=v_cap,
+                           n_profile_segments=rng.choice([1, 2, 3, 7, 40, 100]))
+        cable = optimizer._Cable(spec, cons)
+        for _ in range(25):
+            alpha, beta = rng.uniform(0.8, 1.25), rng.uniform(-math.pi / 2, math.pi / 2)
+            v2 = rng.uniform(0.3, 1.1)
+            if rng.random() < 1 / 3:
+                # every node scales with v2^2: put one check's worst node on its threshold
+                forms, limit = rng.choice(cable.checks)
+                xi = cmath.rect(alpha, beta)
+                worst = max(optimizer._value(form, alpha, xi, 1.0) for form in forms)
+                off = rng.choice([0.0, 1e-10, -1e-10, 1e-8, -1e-8])
+                v2 = limit * (1 + optimizer._EDGE) * (1 + off) / math.sqrt(worst)
+            ref = profile_worst_nodes(spec, cons, alpha, beta, v2)
+            got = cable.violations(alpha, beta, v2)
+            edges = [limit * (1 + optimizer._EDGE) for _, _, limit in ref]
+            if any(abs(value - edge) <= 1e-11 * edge for (_, value, _), edge in zip(ref, edges)):
+                near += 1
+                continue
+            want = [(forms[k], limit) for (forms, _), (k, value, limit), edge in
+                    zip(cable.checks, ref, edges) if value > edge]
+            assert got == want, (spec, cons, alpha, beta, v2)
+            compared += 1
+            failed += bool(want)
+    assert compared > 4500 and near < 400
+    assert 1000 < failed < compared - 1000
 
 
 def test_production_transmits_p_to_the_conditioning_of_the_farm_power():
@@ -347,9 +386,8 @@ def test_max_power_internal_limits_take_several_cuts(monkeypatch):
                        n_profile_segments=40)
     _, pg, point = max_feasible_power(spec, cons)
     assert len(solves) > 2
-    # the candidates a cut node already rules out get no profile: two for the
-    # node forms, one check per round, one for the binding internal voltage
-    assert len(profiles) == 2 + len(solves) + 1
+    # the checks read the node forms, so the two profiles that build them are all
+    assert len(profiles) == 2
     assert pg >= 355.917174e6      # reached by the earlier alpha search with beta bisection
     op = point.operating_point
     vph = spec.phase_voltage
@@ -679,7 +717,7 @@ def test_walk_is_the_float_walk():
     assert later > 100 and several > 1000 and empty > 100
 
 
-def test_passing_internal_checks_keep_the_walk_winners(monkeypatch):
+def test_passing_internal_checks_keep_the_walk_winners():
     # the walk with the internal-check bookkeeping on, where every check
     # passes, picks what the walk without it picks; one production row here
     # has a tie that the walk settles on a later candidate than the first
@@ -692,20 +730,15 @@ def test_passing_internal_checks_keep_the_walk_winners(monkeypatch):
             rows.append((spec, Constraints(v2_min=lo, v2_max=rng.choice([lo, 1.0])),
                          10.0 ** rng.uniform(5.0, 9.0)))
 
-    def winners():
+    def winners(**checks):
+        boxed = [(spec, replace(box, **checks), p) for spec, box, p in rows]
         return [np.array([w.found, w.alpha, w.beta, w.v2]) for w in (
-            optimize_at_production_rows([(spec, p, box) for spec, box, p in rows]),
-            max_feasible_power_rows(rows))]
+            optimize_at_production_rows([(spec, p, box) for spec, box, p in boxed]),
+            max_feasible_power_rows(boxed))]
 
     picked = winners()
-
-    class Walked(optimizer._Cable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.internal = True     # no check is set, so every profile passes
-
-    monkeypatch.setattr(optimizer, "_Cable", Walked)
-    for got, want in zip(picked, winners()):
+    # a cap of 1000 p.u. no node reaches: every check passes
+    for got, want in zip(picked, winners(check_internal_voltage_max=1000.0)):
         assert got.tobytes() == want.tobytes()
     assert all(found.any() and not found.all() for found, *_ in picked)
 
