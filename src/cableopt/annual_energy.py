@@ -74,43 +74,6 @@ def utilization_factor(curve: DurationCurve) -> float:
 # ---------------------------------------------------------------------------
 # synthetic curves
 
-def _weibull_cdf(v: float, shape: float, scale: float) -> float:
-    if v <= 0.0:
-        return 0.0
-    return 1.0 - math.exp(-((v / scale) ** shape))
-
-
-def _curve_for_scale(scale: float, shape: float, cut_in: float, rated: float,
-                     cut_out: float, n_bins: int) -> DurationCurve:
-    # Cubic power curve p(v) = (v^3 - ci^3)/(vr^3 - ci^3) on [ci, vr]; its
-    # inverse maps power-bin edges to wind-speed edges, so each bin weight
-    # is an exact Weibull probability mass rather than a sampled estimate.
-    def v_of_p(p: float) -> float:
-        return (cut_in**3 + p * span3) ** (1.0 / 3.0)
-
-    levels = [k / (n_bins - 1) for k in range(n_bins)]
-    edges = [0.0] + [0.5 * (levels[k] + levels[k + 1]) for k in range(n_bins - 1)] + [1.0]
-    cdf = lambda v: _weibull_cdf(v, shape, scale)
-
-    weights = []
-    try:
-        span3 = rated**3 - cut_in**3
-        for k in range(n_bins):
-            if k == 0:
-                # calm below the first midpoint plus storm shut-down
-                w = cdf(v_of_p(edges[1])) + (1.0 - cdf(cut_out))
-            elif k == n_bins - 1:
-                # band just below rated plus the rated plateau
-                w = cdf(cut_out) - cdf(v_of_p(edges[k]))
-            else:
-                w = cdf(v_of_p(edges[k + 1])) - cdf(v_of_p(edges[k]))
-            weights.append(max(w, 0.0))
-    except OverflowError as exc:
-        raise ConfigError(f"synthetic curve of Weibull shape {shape} and speeds {cut_in}, "
-                          f"{rated}, {cut_out} overflows: {exc}") from exc
-    return load_duration_curve(list(zip(levels, weights)))
-
-
 def synth_duration_curve(
     weibull_shape: float,
     cut_in: float,
@@ -135,14 +98,41 @@ def synth_duration_curve(
         raise ValueError(f"need 0 < cut_in < rated <= cut_out, got {cut_in}, {rated}, {cut_out}")
     if not (weibull_shape > 0.0 and (weibull_scale is None or weibull_scale > 0.0)):
         raise ValueError("Weibull parameters must be > 0")
+    # ahead of any arithmetic that can overflow: an out-of-range target is Infeasible
+    if target_uf is not None and not (0.0 < target_uf < 1.0):
+        raise Infeasible(f"target utilization factor must be in (0, 1), got {target_uf}")
+
+    def overflow(exc: OverflowError) -> ConfigError:
+        return ConfigError(f"synthetic curve of Weibull shape {weibull_shape} and speeds {cut_in}, "
+                           f"{rated}, {cut_out} overflows: {exc}")
+
+    # Cubic power curve p(v) = (v^3 - ci^3)/(vr^3 - ci^3) on [ci, vr]; its
+    # inverse maps power-bin edges to wind-speed edges, so each bin weight
+    # is an exact Weibull probability mass rather than a sampled estimate.
+    # The edge speeds, the interior ones and then cut-out, fit every scale.
+    levels = [k / (n_bins - 1) for k in range(n_bins)]
+    try:
+        span3 = rated**3 - cut_in**3
+        speeds = [(cut_in**3 + 0.5 * (levels[k] + levels[k + 1]) * span3) ** (1.0 / 3.0)
+                  for k in range(n_bins - 1)] + [cut_out]
+    except OverflowError as exc:
+        raise overflow(exc) from exc
+
+    def curve_at(scale: float) -> DurationCurve:
+        try:
+            cdf = [1.0 - math.exp(-((v / scale) ** weibull_shape)) for v in speeds]
+        except OverflowError as exc:
+            raise overflow(exc) from exc
+        # bin 0: calm below the first edge plus storm shut-down; the last bin:
+        # the band just below rated plus the rated plateau
+        weights = [cdf[0] + (1.0 - cdf[-1])] + [cdf[k] - cdf[k - 1] for k in range(1, n_bins)]
+        return load_duration_curve([(p, max(w, 0.0)) for p, w in zip(levels, weights)])
 
     if target_uf is None:
-        return _curve_for_scale(weibull_scale, weibull_shape, cut_in, rated, cut_out, n_bins)
+        return curve_at(weibull_scale)
 
-    if not (0.0 < target_uf < 1.0):
-        raise Infeasible(f"target utilization factor must be in (0, 1), got {target_uf}")
     lo, hi = 0.05, 0.98 * cut_out
-    uf_hi = utilization_factor(_curve_for_scale(hi, weibull_shape, cut_in, rated, cut_out, n_bins))
+    uf_hi = utilization_factor(curve_at(hi))
     if uf_hi < target_uf - _UF_TOLERANCE:
         raise Infeasible(
             f"utilization factor {target_uf} unreachable; maximum on the rising "
@@ -150,13 +140,11 @@ def synth_duration_curve(
         )
     for _ in range(_UF_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        u = utilization_factor(_curve_for_scale(mid, weibull_shape, cut_in, rated, cut_out, n_bins))
-        bracket = (mid, hi) if u < target_uf else (lo, mid)
+        bracket = (mid, hi) if utilization_factor(curve_at(mid)) < target_uf else (lo, mid)
         if bracket == (lo, hi):
             break       # a fixed point: every later step would repeat this one
         lo, hi = bracket
-    scale = 0.5 * (lo + hi)
-    curve = _curve_for_scale(scale, weibull_shape, cut_in, rated, cut_out, n_bins)
+    curve = curve_at(0.5 * (lo + hi))
     if abs(utilization_factor(curve) - target_uf) > _UF_TOLERANCE:
         raise Infeasible(
             f"bisection stalled at UF {utilization_factor(curve):.5f} for target {target_uf}"
@@ -209,7 +197,8 @@ def write_duration_csv(curve: DurationCurve, path: str | Path, comment: str | No
             fh.write(f"{p!r},{w!r}\n")  # repr round-trips float64 exactly
 
 
-#: Generator settings of the two committed reference curves.
+#: Generator settings of the committed reference curves, by name; the curve
+#: named "high-uf" ships as data/duration_high_uf.csv.
 REFERENCE_CURVE_PARAMS = {
     "high-uf": dict(weibull_shape=8.0, cut_in=3.0, rated=11.0, cut_out=25.0, n_bins=100,
                     target_uf=0.46),
@@ -217,15 +206,15 @@ REFERENCE_CURVE_PARAMS = {
                    target_uf=0.35),
 }
 
-_REFERENCE_FILES = {"high-uf": "duration_high_uf.csv", "low-uf": "duration_low_uf.csv"}
-
 
 def reference_duration_curve(name: str) -> DurationCurve:
     """One of the committed reference curves, 'high-uf' (0.46) or 'low-uf' (0.35)."""
-    if name not in _REFERENCE_FILES:
-        raise KeyError(f"unknown reference curve {name!r}; choose from {sorted(_REFERENCE_FILES)}")
-    text = (resources.files("cableopt.data") / _REFERENCE_FILES[name]).read_text(encoding="utf-8")
-    return _parse_duration_lines(text.splitlines(), _REFERENCE_FILES[name])
+    if name not in REFERENCE_CURVE_PARAMS:
+        raise KeyError(f"unknown reference curve {name!r}; "
+                       f"choose from {sorted(REFERENCE_CURVE_PARAMS)}")
+    file = f"duration_{name.replace('-', '_')}.csv"
+    text = (resources.files("cableopt.data") / file).read_text(encoding="utf-8")
+    return _parse_duration_lines(text.splitlines(), file)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from contextlib import ExitStack
 
 from . import __version__
 from .annual_energy import (
+    REFERENCE_CURVE_PARAMS,
     compare_strategies,
     read_duration_csv,
     reference_duration_curve,
@@ -92,7 +93,7 @@ def _resolve_curve(cfg: StudyConfig, args):
     block = cfg.annual
     if "curve" in block:
         name = block["curve"]
-        if name in ("high-uf", "low-uf"):
+        if name in REFERENCE_CURVE_PARAMS:
             return reference_duration_curve(name), f"builtin:{name}"
         return read_duration_csv(name), f"file:{name}"
     raise ConfigError("no duration curve given: use --curve, --builtin-curve or --synth-uf")
@@ -354,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rated-mw", type=float, default=None, help="rated farm power [MW]")
     source = p.add_mutually_exclusive_group()     # one duration curve; a flag beats annual.curve
     source.add_argument("--curve", metavar="PATH", help="duration-curve CSV (power_pu,weight)")
-    source.add_argument("--builtin-curve", choices=["high-uf", "low-uf"],
+    source.add_argument("--builtin-curve", choices=list(REFERENCE_CURVE_PARAMS),
                         help="use a committed reference curve")
     source.add_argument("--synth-uf", type=float, default=None,
                         help="synthesize a curve tuned to this utilization factor")

@@ -646,16 +646,7 @@ class Optima:
         a, b = cables.tp.a, cables.tp.b
         args = (a.real, a.imag, b.real, b.imag, cables.vph, self.alpha,
                 np.array([math.cos(x) for x in beta]), np.array([math.sin(x) for x in beta]), self.v2)
-        if len(beta) == 1:
-            # one row runs the same arithmetic on floats, where numpy's cost
-            # per call would be most of a one-row call's flow
-            i1, i2, *powers = flow_parts(*(x.item() for x in args))
-            parts = np.array([[*i1, *i2, *powers]]).T
-        else:
-            i1, i2, *powers = flow_parts(*args)
-            parts = (*i1, *i2, *powers)
-        i1r, i1i, i2r, i2i, self.p_farm, self.q_farm, self.p_grid, self.q_grid = parts
-        self.i1, self.i2 = (i1r, i1i), (i2r, i2i)
+        self.i1, self.i2, self.p_farm, self.q_farm, self.p_grid, self.q_grid = flow_parts(*args)
         self.eta = np.where(self.p_farm > 0.0, self.p_grid / self.p_farm, np.nan)
 
     def point(self, r: int) -> OptimumPoint | None:
@@ -819,7 +810,21 @@ def max_feasible_power(
 
 
 def inoperable(spec: CableSpec, constraints: Constraints) -> Infeasible:
-    """The Infeasible of a box where max_feasible_power finds no operating point at all."""
+    """The Infeasible of a box where max_feasible_power finds no operating point at all.
+
+    With an internal check on, the box is solved again without the checks,
+    on this error path only: where that finds a point, the message names
+    the checks as the cause.
+    """
+    cons, vmax = constraints, constraints.check_internal_voltage_max
+    checks = ([f"current ({cons.rated_current(spec):.0f} A)"] if cons.check_internal_current else []
+              ) + ([f"voltage ({vmax} p.u.)"] if vmax is not None else [])
+    unchecked = replace(cons, check_internal_current=False, check_internal_voltage_max=None)
+    if checks and max_feasible_power_rows([(spec, unchecked, None)]).found[0]:
+        return Infeasible(
+            f"every operating point at v2 in [{cons.v2_min}, {cons.v2_max}] p.u. fails the internal "
+            f"{' or '.join(checks)} check; without the internal checks the box operates"
+        )
     return Infeasible(
         f"charging current alone exceeds {constraints.rated_current(spec):.0f} A at "
         f"v2 = {constraints.v2_min} p.u.; even zero-power operation violates limits"

@@ -9,6 +9,8 @@ active constraint.  The line profile reference integrates the telegrapher
 equations and uses no hyperbolic function at all.  The tie rule's
 reference walks each row's ranked candidates one float tuple at a time.
 The internal checks' reference builds a full segment profile per point.
+The synthetic duration curve's reference builds each curve bin by bin and
+bisects the Weibull scale for a fixed number of steps.
 """
 
 import cmath
@@ -16,7 +18,9 @@ import math
 
 import numpy as np
 
+from cableopt.annual_energy import DurationCurve, load_duration_curve, utilization_factor
 from cableopt.cable_model import segment_profile
+from cableopt.errors import ConfigError, Infeasible
 from cableopt.optimizer import TIE_TOL
 
 
@@ -310,22 +314,72 @@ def complex_two_port_flow(tp, phase_voltage, op):
             p_grid / p_farm if p_farm > 0.0 else None)
 
 
-def bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, target_uf, iters=80):
-    """synth_duration_curve's curve for target_uf from a bisection of the scale run all iters steps.
+def _weibull_cdf(v: float, shape: float, scale: float) -> float:
+    if v <= 0.0:
+        return 0.0
+    return 1.0 - math.exp(-((v / scale) ** shape))
 
-    The curve for a scale and its utilization factor come from the package
-    (annual_energy._curve_for_scale), so only the stopping rule differs.
+
+def _curve_for_scale(scale: float, shape: float, cut_in: float, rated: float,
+                     cut_out: float, n_bins: int) -> DurationCurve:
+    # Cubic power curve p(v) = (v^3 - ci^3)/(vr^3 - ci^3) on [ci, vr]; its
+    # inverse maps power-bin edges to wind-speed edges, so each bin weight
+    # is an exact Weibull probability mass rather than a sampled estimate.
+    def v_of_p(p: float) -> float:
+        return (cut_in**3 + p * span3) ** (1.0 / 3.0)
+
+    levels = [k / (n_bins - 1) for k in range(n_bins)]
+    edges = [0.0] + [0.5 * (levels[k] + levels[k + 1]) for k in range(n_bins - 1)] + [1.0]
+    cdf = lambda v: _weibull_cdf(v, shape, scale)
+
+    weights = []
+    try:
+        span3 = rated**3 - cut_in**3
+        for k in range(n_bins):
+            if k == 0:
+                # calm below the first midpoint plus storm shut-down
+                w = cdf(v_of_p(edges[1])) + (1.0 - cdf(cut_out))
+            elif k == n_bins - 1:
+                # band just below rated plus the rated plateau
+                w = cdf(cut_out) - cdf(v_of_p(edges[k]))
+            else:
+                w = cdf(v_of_p(edges[k + 1])) - cdf(v_of_p(edges[k]))
+            weights.append(max(w, 0.0))
+    except OverflowError as exc:
+        raise ConfigError(f"synthetic curve of Weibull shape {shape} and speeds {cut_in}, "
+                          f"{rated}, {cut_out} overflows: {exc}") from exc
+    return load_duration_curve(list(zip(levels, weights)))
+
+
+def bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, *,
+                            weibull_scale=None, target_uf=None, iters=80):
+    """synth_duration_curve's curve, or its exception, for inputs its argument checks pass.
+
+    Each curve is built bin by bin from scratch (_curve_for_scale): every
+    bin computes its edges' wind speeds and CDFs, so each interior edge's
+    CDF twice.  A target_uf is met by a bisection of the scale run all
+    iters steps.  Only the normalization and the utilization factor come
+    from the package.
     """
-    from cableopt.annual_energy import _curve_for_scale, utilization_factor
-
+    if target_uf is None:
+        return _curve_for_scale(weibull_scale, shape, cut_in, rated, cut_out, n_bins)
+    if not (0.0 < target_uf < 1.0):
+        raise Infeasible(f"target utilization factor must be in (0, 1), got {target_uf}")
     lo, hi = 0.05, 0.98 * cut_out
+    uf_hi = utilization_factor(_curve_for_scale(hi, shape, cut_in, rated, cut_out, n_bins))
+    if uf_hi < target_uf - 1e-3:
+        raise Infeasible(f"utilization factor {target_uf} unreachable; maximum on the rising "
+                         f"branch is {uf_hi:.4f} for this turbine")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if utilization_factor(_curve_for_scale(mid, shape, cut_in, rated, cut_out, n_bins)) < target_uf:
             lo = mid
         else:
             hi = mid
-    return _curve_for_scale(0.5 * (lo + hi), shape, cut_in, rated, cut_out, n_bins)
+    curve = _curve_for_scale(0.5 * (lo + hi), shape, cut_in, rated, cut_out, n_bins)
+    if abs(utilization_factor(curve) - target_uf) > 1e-3:
+        raise Infeasible(f"bisection stalled at UF {utilization_factor(curve):.5f} for target {target_uf}")
+    return curve
 
 
 def better(cand, best):

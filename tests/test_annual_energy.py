@@ -1,5 +1,6 @@
 """Duration curves, synthetic generation and annual strategy evaluation."""
 
+import collections
 import math
 import random
 
@@ -132,9 +133,9 @@ def test_synth_bisection_stops_at_its_fixed_point(monkeypatch):
     # the scale bisection ends where a step leaves its bracket unchanged:
     # the same curve, bit for bit, as running all 80 steps, in about 2/3 of the curve builds
     builds = []
-    curve_for_scale = annual_energy._curve_for_scale
-    monkeypatch.setattr(annual_energy, "_curve_for_scale",
-                        lambda *a: builds.append(1) or curve_for_scale(*a))
+    load = annual_energy.load_duration_curve
+    monkeypatch.setattr(annual_energy, "load_duration_curve",
+                        lambda rows: builds.append(1) or load(rows))
     rng = random.Random(2024)
     cases = 0
     for _ in range(150):
@@ -149,10 +150,51 @@ def test_synth_bisection_stops_at_its_fixed_point(monkeypatch):
             continue
         # the bisection plus the curves at the upper end and at the result
         assert 54 + 2 <= len(builds) <= 56 + 2
-        want = bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, target)
+        want = bisected_duration_curve(shape, cut_in, rated, cut_out, n_bins, target_uf=target)
         assert repr(curve.bins) == repr(want.bins)
         cases += 1
     assert cases == 134
+
+
+def _synth_outcome(build, *args, **kwargs):
+    """repr of build's bins, or (exception type, text) where it raises."""
+    try:
+        return repr(build(*args, **kwargs).bins)
+    except (ConfigError, Infeasible) as exc:
+        return type(exc), str(exc)
+
+
+def test_synth_matches_the_bin_by_bin_reference():
+    # each edge's speed once per call and its CDF once per curve: the same
+    # bins, bit for bit, and the same errors as building every bin from scratch
+    rng = random.Random(16)
+    kinds = collections.Counter()
+    for draw in range(200):
+        cut_in = rng.uniform(0.5, 5.0)
+        rated = rng.uniform(cut_in * 1.05, 20.0)
+        cut_out = rng.uniform(rated, 35.0)
+        shape = rng.uniform(1.0, 12.0)
+        n_bins = (2, 400)[draw] if draw < 2 else round(2.0 ** rng.uniform(1.0, 8.64))
+        if draw % 5 == 4:       # speeds or a CDF that overflow a float
+            shape, cut_in, rated, cut_out = rng.choice([
+                (1e300, cut_in, rated, cut_out), (shape, 1e-300, 1e300, 1e300),
+                (shape, cut_in, rated, 1e300)])
+        if draw % 2:
+            kwargs = dict(weibull_scale=rng.uniform(0.5, 40.0))
+        elif draw % 8:
+            kwargs = dict(target_uf=rng.uniform(0.02, 0.95))
+        else:
+            # out of (0, 1): Infeasible, also where the speeds overflow
+            kwargs = dict(target_uf=rng.choice([0.0, 1.5]))
+        if draw == 2:           # the bisection stalls at UF 0.78908
+            shape, cut_in, rated, cut_out, kwargs = 8.0, 0.01, 0.05, 25.0, dict(target_uf=0.001)
+        got = _synth_outcome(synth_duration_curve, shape, cut_in, rated, cut_out, n_bins, **kwargs)
+        want = _synth_outcome(bisected_duration_curve, shape, cut_in, rated, cut_out, n_bins,
+                              **kwargs)
+        assert got == want, (draw, kwargs)
+        kinds[got[1].split(" ")[0] if isinstance(got, tuple) else "curve"] += 1
+    assert kinds == {"curve": 125, "synthetic": 24, "target": 25, "utilization": 22,
+                     "bisection": 4}
 
 
 def test_reference_curves_load_and_match_generator():

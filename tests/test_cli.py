@@ -665,6 +665,20 @@ def test_profile_size_is_capped(tmp_path, capsys, argv, constraints):
     assert out == ""
 
 
+def test_annual_names_the_internal_check_that_rules_a_strategy_out(tmp_path, capsys):
+    # the README annual with a 0.9 p.u. internal cap: fixed:1.0 has no point
+    # that passes it, though it operates without the internal checks
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"constraints": {"check_internal_voltage_max": 0.9}}), encoding="utf-8")
+    code, out, err = run(capsys, "annual", "--rated-mw", "320", "--builtin-curve", "high-uf",
+                         "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0",
+                         "--strategy", "tap:0.87:0.15", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == ("infeasible: strategy fixed-1.000 cannot operate this cable at all: every "
+                   "operating point at v2 in [1.0, 1.0] p.u. fails the internal voltage (0.9 p.u.) "
+                   "check; without the internal checks the box operates\n")
+
+
 def test_stalled_uf_bisection_exits_3(capsys):
     # on this turbine the smallest scale the bisection tries still gives a UF near 0.79
     code, out, err = run(capsys, "annual", "--rated-mw", "300", "--synth-uf", "0.001",
@@ -721,6 +735,45 @@ def test_wrong_typed_study_block_exits_2(tmp_path, capsys, study):
     code, _, err = run(capsys, *study, "--config", str(cfg))
     assert code == 2
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_config_curve_matches_the_curve_flags(tmp_path, capsys, source):
+    # annual.curve names a reference curve or a CSV path; the flag for the
+    # same curve gives the same bytes, provenance included
+    csv = tmp_path / "curve.csv"
+    csv.write_text(_GOOD_CURVE, encoding="utf-8")
+    curve, flag = ("high-uf", "--builtin-curve") if source == "builtin" else (str(csv), "--curve")
+    argv = ["annual", "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"]
+    code, want, err = run(capsys, *argv, "--rated-mw", "320", flag, curve)
+    assert code == 0 and err == ""
+    study = {"annual": {"rated_mw": 320, "curve": curve}}
+    code, out, err = run(capsys, *with_config(argv + [study], tmp_path))
+    assert code == 0 and err == ""
+    assert out == want
+
+
+@pytest.mark.parametrize("argv,study,message", [
+    (["envelope", "--lengths-km", "1:2:0", "--voltages", "1.0"], None, "step must be > 0"),
+    (["envelope", "--lengths-km", "5:1:1", "--voltages", "1.0"], None, "empty range"),
+    (["envelope", "--lengths-km", ",", "--voltages", "1.0"], None, "empty list"),
+    (["sweep", "--p-min-mw", "0", "--voltages", "1.0"], None, "bad sweep range"),
+    (["envelope", "--voltages", "1.0"], None, "envelope needs --lengths-km"),
+    (["optimize"], [1.0], "config root must be an object"),
+    (["optimize"], {"bogus": {}}, "unknown top-level keys"),
+    (["sweep", "--voltages", "1.0"], {"sweep": [1.0]}, "sweep: expected an object"),
+    (["optimize"], {"cable": {"profile": "no-such-cable"}}, "unknown profile"),
+    (["optimize"], {"constraints": {"check_internal_current": 1}}, "expected true/false"),
+], ids=["zero-step", "empty-range", "empty-list", "zero-p-min", "no-lengths", "root-not-object",
+        "unknown-top-key", "block-not-object", "unknown-profile", "non-bool-check"])
+def test_config_errors_exit_2_with_empty_stdout(tmp_path, capsys, argv, study, message):
+    if study is not None:
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(study), encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and message in err and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------------------

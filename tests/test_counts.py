@@ -15,7 +15,7 @@ annual and envelope runs, then five runs with an internal check on.
 
 import pytest
 
-from cableopt import cable_model, cli, optimizer
+from cableopt import annual_energy, cable_model, cli, optimizer
 
 from conftest import with_config
 
@@ -37,7 +37,7 @@ _CURRENT = {"constraints": {"check_internal_current": True}}
 def counts(monkeypatch) -> dict:
     """Counters of the candidate solve and of what the commands build, through wrappers."""
     c = dict.fromkeys(("solves", "rows", "candidates", "walked", "profiles", "cables",
-                       "optimum_points"), 0)
+                       "optimum_points", "curves"), 0)
     solve, better = optimizer._solve, optimizer._better
     cable, optimum = optimizer._Cable, optimizer.OptimumPoint
     profile = cable_model.segment_profile
@@ -67,32 +67,34 @@ def counts(monkeypatch) -> dict:
     monkeypatch.setattr(optimizer, "OptimumPoint", counted("optimum_points", optimum))
     for module in (cable_model, optimizer, cli):
         monkeypatch.setattr(module, "segment_profile", counted("profiles", profile))
+    monkeypatch.setattr(annual_energy, "load_duration_curve",
+                        counted("curves", annual_energy.load_duration_curve))
     return c
 
 
 # (solves, rows, candidates scored, candidates compared with their row's best in the
-#  walk, segment profiles, _Cable builds, OptimumPoint builds); a trailing dict is the
-#  study configuration
+#  walk, segment profiles, _Cable builds, OptimumPoint builds, duration curves loaded:
+#  the --synth-uf bisection's builds); a trailing dict is the study configuration
 @pytest.mark.parametrize("argv,want", [
-    (_GOLDEN_SWEEP, (1, 8, 183, 3, 0, 1, 0)),
-    (_GOLDEN_ENVELOPE, (1, 9, 220, 7, 0, 3, 0)),
-    (_GOLDEN_ANNUAL, (2, 22, 707, 16, 0, 2, 0)),
-    (_ANALYZE + ["50"], (0, 0, 0, 0, 1, 0, 0)),
-    (_ANALYZE + ["50", "--json"], (0, 0, 0, 0, 1, 0, 0)),
-    (_ANALYZE + ["2000"], (0, 0, 0, 0, 1, 0, 0)),
-    (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 0, 1, 0)),
-    (["optimize", "--p-farm-mw", "150"], (1, 1, 25, 0, 0, 1, 1)),
-    (_SWEEP, (1, 145, 3626, 100, 0, 1, 0)),
-    (_ANNUAL, (2, 307, 8290, 113, 0, 2, 0)),
-    (_ENVELOPE, (1, 155, 4408, 203, 0, 31, 0)),
+    (_GOLDEN_SWEEP, (1, 8, 183, 3, 0, 1, 0, 0)),
+    (_GOLDEN_ENVELOPE, (1, 9, 220, 7, 0, 3, 0, 0)),
+    (_GOLDEN_ANNUAL, (2, 22, 707, 16, 0, 2, 0, 57)),
+    (_ANALYZE + ["50"], (0, 0, 0, 0, 1, 0, 0, 0)),
+    (_ANALYZE + ["50", "--json"], (0, 0, 0, 0, 1, 0, 0, 0)),
+    (_ANALYZE + ["2000"], (0, 0, 0, 0, 1, 0, 0, 0)),
+    (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 0, 1, 0, 0)),
+    (["optimize", "--p-farm-mw", "150"], (1, 1, 25, 0, 0, 1, 1, 0)),
+    (_SWEEP, (1, 145, 3626, 100, 0, 1, 0, 0)),
+    (_ANNUAL, (2, 307, 8290, 113, 0, 2, 0, 1)),
+    (_ENVELOPE, (1, 155, 4408, 203, 0, 31, 0, 0)),
     (["optimize", "--p-farm-mw", "150", {"cable": {"length_km": 250.0},
                                          "constraints": {"check_internal_voltage_max": 0.75}}],
-     (1, 1, 91, 0, 2, 1, 1)),
-    (_GOLDEN_SWEEP + [{"cable": {"length_km": 150.0}, **_CURRENT}], (1, 8, 208, 3, 2, 1, 0)),
-    (_GOLDEN_ANNUAL + [_CURRENT], (2, 22, 707, 16, 4, 2, 0)),
-    (_GOLDEN_ENVELOPE + [_CURRENT], (1, 9, 220, 7, 6, 3, 0)),
+     (1, 1, 91, 0, 2, 1, 1, 0)),
+    (_GOLDEN_SWEEP + [{"cable": {"length_km": 150.0}, **_CURRENT}], (1, 8, 208, 3, 2, 1, 0, 0)),
+    (_GOLDEN_ANNUAL + [_CURRENT], (2, 22, 707, 16, 4, 2, 0, 57)),
+    (_GOLDEN_ENVELOPE + [_CURRENT], (1, 9, 220, 7, 6, 3, 0, 0)),
     (_GOLDEN_ENVELOPE + [{"constraints": {"check_internal_voltage_max": 0.9}}],
-     (1, 9, 379, 5, 6, 3, 0)),
+     (1, 9, 379, 5, 6, 3, 0, 0)),
 ], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
         "analyze-2000", "optimize-echo", "readme-optimize-p", "readme-sweep", "readme-annual",
         "readme-envelope", "optimize-voltage-check", "sweep-current-check",

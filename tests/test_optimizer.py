@@ -397,8 +397,27 @@ def test_max_power_internal_limits_take_several_cuts(monkeypatch):
 
 
 def test_max_power_infeasible_for_overlong_cable_at_full_voltage():
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="^charging current alone exceeds 1055 A at v2 = 1.0 p.u.;"):
         max_feasible_power(ref_cable(300.0), Constraints().fixed_v2(1.0))
+    # an internal check on changes nothing where the box has no point without it
+    with pytest.raises(Infeasible, match="^charging current alone exceeds 1055 A at v2 = 1.0 p.u.;"):
+        max_feasible_power(ref_cable(300.0), Constraints(check_internal_current=True).fixed_v2(1.0))
+
+
+@pytest.mark.parametrize("current,message", [
+    (False, "fails the internal voltage (0.9 p.u.) check"),
+    (True, "fails the internal current (1055 A) or voltage (0.9 p.u.) check"),
+])
+def test_empty_box_names_the_internal_checks_that_empty_it(current, message):
+    # 200 km at 1.0 p.u. delivers 291.9 MW, but at every operating point some
+    # node lies above the 0.9 p.u. internal cap
+    spec, box = ref_cable(200.0), Constraints().fixed_v2(1.0)
+    assert max_feasible_power(spec, box)[1] == pytest.approx(291.94e6, rel=1e-4)
+    capped = replace(box, check_internal_current=current, check_internal_voltage_max=0.9)
+    with pytest.raises(Infeasible) as exc:
+        max_feasible_power(spec, capped)
+    assert str(exc.value) == (f"every operating point at v2 in [1.0, 1.0] p.u. {message}; "
+                              "without the internal checks the box operates")
 
 
 def test_envelope_structure():
