@@ -148,6 +148,23 @@ class SegmentProfile:
         return max(max(abs(i) for i in self.node_currents), abs(self.grid_end_current))
 
 
+def complex_product(xr, xi, yr, yi):
+    """(x*y).real, (x*y).imag as CPython's complex * forms them; a float x is (x, 0.0).
+
+    The parts are floats or numpy float arrays.  numpy's own complex
+    multiply fuses a multiply and an add (FMA) on its AVX2 and AVX-512
+    loops, so its last bits depend on the CPU; these do not.
+    """
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _complex(re, im):
+    """The complex array of parts re and im, bit for bit."""
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def pul_series_impedance(pul: PulParameters, omega: float) -> complex:
     """Series impedance per km, R + j*omega*L [ohm/km]."""
     return complex(pul.r, omega * pul.l)
@@ -252,36 +269,37 @@ def segment_profile(
 
     # V(x) = (v1*sinh(gamma*(l-x)) + v2*sinh(gamma*x)) / sinh(gamma*l) at the
     # interior nodes x = k*l/N, with every exponent's real part <= 0 so long
-    # cables cannot overflow
+    # cables cannot overflow; row 0 holds the v1 term, row 1 the v2 term
     gl = propagation_constant(spec) * spec.length_km
     t = np.arange(1, n_segments) / n_segments
-    gx, gr = gl * t, gl * (1.0 - t)
-    interior = (v1 * np.exp(-gx) * np.expm1(-2.0 * gr)
-                + v2 * np.exp(-gr) * np.expm1(-2.0 * gx)) / np.expm1(-2.0 * gl)
+    g = gl * np.array([t, 1.0 - t])
+    e, m, ends = np.exp(-g), np.expm1(-2.0 * g[::-1]), np.array([[v1], [v2]])
+    re, im = complex_product(*complex_product(ends.real, ends.imag, e.real, e.imag), m.real, m.imag)
+    interior = _complex(re[0] + re[1], im[0] + im[1]) / np.expm1(-2.0 * gl)
     voltages = np.concatenate([[v1], interior, [v2]])
+    vr, vi = voltages.real, voltages.imag
+    nodes = voltages.tolist()
 
-    sending = a * voltages[:-1] + b * voltages[1:]
-    receiving = b * voltages[:-1] + a * voltages[1:]
+    # row 0 is a*V and row 1 b*V at every node; the current entering segment
+    # k is a*V_k + b*V_k+1, and the grid end's b*V_N-1 + a*V_N is formed in
+    # Python complex numbers
+    ab = np.array([[a], [b]])
+    re, im = complex_product(ab.real, ab.imag, vr, vi)
     # Branch-wise quadratic form for the dissipation: algebraically equal to
     # 3*Re{V_k*conj(I_send) + V_{k+1}*conj(I_recv)} but free of the massive
     # cancellation between through-power terms (series conductance is -Re b,
     # end-shunt conductance Re(a+b), both non-negative for a passive cable).
     g_series = -b.real
     g_shunt = _shunt_conductance(spec, spec.length_km / n_segments)
-    dv = voltages[:-1] - voltages[1:]
-    # huge terminal voltages overflow to inf losses, which the callers report;
-    # numpy's baseline complex multiply also forms the discarded imaginary
-    # part of v*conj(v), which is inf - inf there
+    dr, di = vr[:-1] - vr[1:], vi[:-1] - vi[1:]
+    # huge terminal voltages overflow to inf losses, which the callers report
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = 3.0 * (
-            g_series * (dv * np.conj(dv)).real
-            + g_shunt * ((voltages[:-1] * np.conj(voltages[:-1])).real
-                         + (voltages[1:] * np.conj(voltages[1:])).real)
-        )
+        abs2 = vr * vr + vi * vi
+        losses = 3.0 * (g_series * (dr * dr + di * di) + g_shunt * (abs2[:-1] + abs2[1:]))
 
     return SegmentProfile(
-        node_voltages=tuple(voltages.tolist()),
-        node_currents=tuple(sending.tolist()),
-        grid_end_current=complex(receiving[-1]),
+        node_voltages=tuple(nodes),
+        node_currents=tuple(_complex(re[0, :-1] + re[1, 1:], im[0, :-1] + im[1, 1:]).tolist()),
+        grid_end_current=b * nodes[-2] + a * nodes[-1],
         segment_losses=tuple(losses.tolist()),
     )

@@ -9,7 +9,7 @@ keys override profile values.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,18 +38,15 @@ BUILTIN_CABLES: dict[str, dict] = {
 
 DEFAULT_CABLE_PROFILE = "brakelmann-220kV-1000mm2"
 
-_CABLE_KEYS = {
-    "profile", "r_ohm_per_km", "l_mh_per_km", "c_uf_per_km", "g_s_per_km",
-    "length_km", "nominal_voltage_kv", "rated_current_a", "frequency_hz",
-}
-_CONSTRAINT_KEYS = {
-    "v2_min", "v2_max", "alpha_min", "alpha_max", "i_rated_a",
-    "check_internal_current", "check_internal_voltage_max", "n_profile_segments",
-}
-_TOP_KEYS = {"cable", "constraints", "sweep", "annual", "envelope"}
-#: kind of each study-block value the subcommands read: "number", "numbers"
-#: (a list), "pair" (two numbers), "text" (a string) or "texts" (strings)
-_STUDY_KINDS = {
+#: kind of every key of every block of the study file: "number", "number or
+#: null", "numbers" (a list), "pair" (two numbers), "bool", "int", "text"
+#: (a string) or "texts" (strings)
+_KINDS = {
+    "cable": {"profile": "text", **dict.fromkeys(BUILTIN_CABLES[DEFAULT_CABLE_PROFILE], "number")},
+    "constraints": {"v2_min": "number", "v2_max": "number", "alpha_min": "number",
+                    "alpha_max": "number", "i_rated_a": "number or null",
+                    "check_internal_current": "bool", "check_internal_voltage_max": "number or null",
+                    "n_profile_segments": "int"},
     "sweep": {"p_min_mw": "number", "p_max_mw": "number", "p_step_mw": "number",
               "voltages": "numbers", "optimal_range": "pair"},
     "annual": {"rated_mw": "number", "curve": "text", "strategies": "texts"},
@@ -59,7 +56,7 @@ _STUDY_KINDS = {
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Resolved configuration: cable + constraints + raw study blocks."""
+    """Resolved configuration: cable + constraints + the validated study blocks."""
 
     cable: CableSpec
     constraints: Constraints
@@ -68,46 +65,53 @@ class StudyConfig:
     envelope: dict = field(default_factory=dict)
 
 
-def _require_number(block: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{block}.{key}: expected a finite number, got {value!r}")
+def _number(where: str, value) -> float:
+    # a JSON integer is a Python int of any size, which float() may overflow;
+    # the bound also rules out inf and NaN
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _study_block(name: str, d) -> dict:
-    """A copy of the sweep, annual or envelope block with its values type-checked."""
+def _value(where: str, kind: str, value):
+    """value checked against its kind, numbers as floats."""
+    if kind == "number" or (kind == "number or null" and value is not None):
+        return _number(where, value)
+    if kind in ("numbers", "pair"):
+        if not isinstance(value, list) or (kind == "pair" and len(value) != 2):
+            raise ConfigError(f"{where}: expected a list of "
+                              f"{'two ' if kind == 'pair' else ''}numbers, got {value!r}")
+        return [_number(where, v) for v in value]
+    if kind == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true/false")
+    if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{where}: expected an integer")
+    if kind == "text" and not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    if kind == "texts" and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{where}: expected a list of strings, got {value!r}")
+    return value
+
+
+def _block(name: str, d) -> dict:
+    """Block name of the study file: an object of known keys, each value checked by its kind."""
+    kinds = _KINDS[name]
     if not isinstance(d, dict):
         raise ConfigError(f"{name}: expected an object")
-    out = dict(d)
-    for key, kind in _STUDY_KINDS[name].items():
-        if key not in d:
-            continue
-        value = d[key]
-        if kind == "number":
-            out[key] = _require_number(name, key, value)
-        elif kind in ("numbers", "pair"):
-            if not isinstance(value, list) or (kind == "pair" and len(value) != 2):
-                raise ConfigError(f"{name}.{key}: expected a list of "
-                                  f"{'two ' if kind == 'pair' else ''}numbers, got {value!r}")
-            out[key] = [_require_number(name, key, v) for v in value]
-        elif kind == "text" and not isinstance(value, str):
-            raise ConfigError(f"{name}.{key}: expected a string, got {value!r}")
-        elif kind == "texts" and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise ConfigError(f"{name}.{key}: expected a list of strings, got {value!r}")
-    return out
+    unknown = set(d) - set(kinds)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}; accepted: {sorted(kinds)}")
+    return {key: _value(f"{name}.{key}", kinds[key], value) for key, value in d.items()}
 
 
 def cable_from_dict(d: dict) -> CableSpec:
-    unknown = set(d) - _CABLE_KEYS
-    if unknown:
-        raise ConfigError(f"cable: unknown keys {sorted(unknown)}; accepted: {sorted(_CABLE_KEYS)}")
+    """The CableSpec of a validated cable block: its profile, overridden by its keys, in SI."""
     profile = d.get("profile", DEFAULT_CABLE_PROFILE)
     if profile not in BUILTIN_CABLES:
         raise ConfigError(f"cable.profile: unknown profile {profile!r}; "
                           f"available: {sorted(BUILTIN_CABLES)}")
-    merged = dict(BUILTIN_CABLES[profile])
-    merged.update({k: v for k, v in d.items() if k != "profile"})
-    vals = {k: _require_number("cable", k, merged[k]) for k in merged}
+    vals = {**BUILTIN_CABLES[profile], **d}
     try:
         pul = PulParameters(
             r=vals["r_ohm_per_km"],
@@ -127,28 +131,8 @@ def cable_from_dict(d: dict) -> CableSpec:
 
 
 def constraints_from_dict(d: dict) -> Constraints:
-    unknown = set(d) - _CONSTRAINT_KEYS
-    if unknown:
-        raise ConfigError(f"constraints: unknown keys {sorted(unknown)}; "
-                          f"accepted: {sorted(_CONSTRAINT_KEYS)}")
-    kwargs = {}
-    for key in ("v2_min", "v2_max", "alpha_min", "alpha_max"):
-        if key in d:
-            kwargs[key] = _require_number("constraints", key, d[key])
-    if d.get("i_rated_a") is not None:
-        kwargs["i_rated"] = _require_number("constraints", "i_rated_a", d["i_rated_a"])
-    if "check_internal_current" in d:
-        if not isinstance(d["check_internal_current"], bool):
-            raise ConfigError("constraints.check_internal_current: expected true/false")
-        kwargs["check_internal_current"] = d["check_internal_current"]
-    if d.get("check_internal_voltage_max") is not None:
-        kwargs["check_internal_voltage_max"] = _require_number(
-            "constraints", "check_internal_voltage_max", d["check_internal_voltage_max"])
-    if "n_profile_segments" in d:
-        n = d["n_profile_segments"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ConfigError("constraints.n_profile_segments: expected an integer")
-        kwargs["n_profile_segments"] = n
+    """The Constraints of a validated constraints block; a null i_rated_a is the cable's rating."""
+    kwargs = {("i_rated" if k == "i_rated_a" else k): v for k, v in d.items() if v is not None}
     try:
         return Constraints(**kwargs)
     except ValueError as exc:
@@ -158,14 +142,12 @@ def constraints_from_dict(d: dict) -> Constraints:
 def config_from_dict(d: dict) -> StudyConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"config root must be an object, got {type(d).__name__}")
-    unknown = set(d) - _TOP_KEYS
+    unknown = set(d) - set(_KINDS)
     if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}; accepted: {sorted(_TOP_KEYS)}")
-    return StudyConfig(
-        cable=cable_from_dict(d.get("cable", {})),
-        constraints=constraints_from_dict(d.get("constraints", {})),
-        **{name: _study_block(name, d.get(name, {})) for name in _STUDY_KINDS},
-    )
+        raise ConfigError(f"unknown top-level keys {sorted(unknown)}; accepted: {sorted(_KINDS)}")
+    blocks = {name: _block(name, d.get(name, {})) for name in _KINDS}
+    return StudyConfig(cable=cable_from_dict(blocks.pop("cable")),
+                       constraints=constraints_from_dict(blocks.pop("constraints")), **blocks)
 
 
 def load_config(path: str | Path | None) -> StudyConfig:

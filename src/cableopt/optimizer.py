@@ -45,10 +45,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cable_model import MAX_POINTS, CableSpec, TwoPort, exact_pi_two_port, segment_profile
+from .cable_model import (DEFAULT_PROFILE_SEGMENTS, MAX_POINTS, CableSpec, TwoPort, exact_pi_two_port,
+                          segment_profile)
 from .errors import Infeasible
 from .power_flow import (FlowSolution, OperatingPoint, VoltageScaling, flow_parts, flow_solution,
-                         unit_flow)
+                         solve_flow, unit_flow)
 
 TIE_TOL = 1e-9
 # limits checked exactly are drawn this fraction inside, so rounding leaves
@@ -85,7 +86,7 @@ class Constraints:
     i_rated: float | None = None
     check_internal_current: bool = False
     check_internal_voltage_max: float | None = None
-    n_profile_segments: int = 100
+    n_profile_segments: int = DEFAULT_PROFILE_SEGMENTS
 
     def __post_init__(self):
         if not (0.0 < self.v2_min <= self.v2_max):
@@ -578,6 +579,8 @@ def optimize_scaling_unconstrained(
     The interior optimum is the top eigenvector of the pencil of grid and
     farm power; on the alpha bounds and the window ends, eta = g/c peaks
     at a stationary point along the circle or ray, all in closed form.
+    The winner's eta is solve_flow's at v2 = 1 p.u., in real arithmetic,
+    not the score from numpy's complex multiply, whose bits vary by CPU.
     """
     a_lo, a_hi = alpha_range
     cables = _Rows([(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))])
@@ -590,7 +593,8 @@ def optimize_scaling_unconstrained(
     eta, alpha, beta, _ = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[:, 0].tolist()
     if math.isnan(eta):
         raise Infeasible("no scaling in range yields positive farm power")
-    return VoltageScaling(alpha, beta), eta
+    scaling = VoltageScaling(alpha, beta)
+    return scaling, solve_flow(spec, OperatingPoint(1.0, scaling)).eta
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cable_model import CableSpec, TwoPort, exact_pi_two_port
+from .cable_model import CableSpec, TwoPort, complex_product, exact_pi_two_port
 from .errors import Infeasible
 
 
@@ -97,11 +97,6 @@ def two_port_flow(tp: TwoPort, phase_voltage: float, op: OperatingPoint) -> Flow
                                      op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2))
 
 
-def _product(xr, xi, yr, yi):
-    """(x*y).real, (x*y).imag as CPython's complex * forms them; a float x is (x, 0.0)."""
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
 def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):
     """(i1, i2, p_farm, q_farm, p_grid, q_grid) at v2 [p.u.], xi = alpha*e^{j*beta}, in real parts.
 
@@ -117,11 +112,11 @@ def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):
     zeros too, whatever numpy's dispatch.
     """
     v = v2 * phase_voltage
-    v1 = _product(*_product(alpha, 0.0, cos_beta, sin_beta), v, 0.0)
-    i1 = tuple(x + y for x, y in zip(_product(ar, ai, *v1), _product(br, bi, v, 0.0)))
-    i2 = tuple(x + y for x, y in zip(_product(br, bi, *v1), _product(ar, ai, v, 0.0)))
-    s_farm = _product(*_product(3.0, 0.0, *v1), i1[0], -i1[1])
-    s_grid = _product(-3.0 * v, 0.0, i2[0], -i2[1])
+    v1 = complex_product(*complex_product(alpha, 0.0, cos_beta, sin_beta), v, 0.0)
+    i1 = tuple(x + y for x, y in zip(complex_product(ar, ai, *v1), complex_product(br, bi, v, 0.0)))
+    i2 = tuple(x + y for x, y in zip(complex_product(br, bi, *v1), complex_product(ar, ai, v, 0.0)))
+    s_farm = complex_product(*complex_product(3.0, 0.0, *v1), i1[0], -i1[1])
+    s_grid = complex_product(-3.0 * v, 0.0, i2[0], -i2[1])
     return i1, i2, *s_farm, *s_grid
 
 

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cableopt.cli import MAX_POINTS, _build_parser, _parse_float_list, main
@@ -104,9 +104,9 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
                     reason="the dispatch names are x86 ones")
 @pytest.mark.parametrize("profile", [["10"], ["2"], ["2", "--json"]], ids=["10", "2", "2-json"])
 def test_huge_voltage_exits_3_without_warnings_under_baseline_dispatch(profile):
-    # the baseline complex multiply forms the discarded imaginary part of
-    # v*conj(v) in the profile's losses, inf - inf at v2 = 1e150; -W error
-    # turns any numpy warning into a traceback
+    # the profile's losses overflow at v2 = 1e150, and numpy's baseline loops
+    # may warn where its AVX ones do not; -W error turns any numpy warning
+    # into a traceback
     env = {**os.environ, **_BASELINE_DISPATCH,
            "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -776,6 +776,92 @@ def test_config_errors_exit_2_with_empty_stdout(tmp_path, capsys, argv, study, m
     assert err.startswith("config error:") and message in err and err.count("\n") == 1, err
 
 
+# every key of every block of the study file, each with a valid value
+_STUDY = {
+    "cable": {"profile": "brakelmann-220kV-1000mm2", "length_km": 200.0,
+              "nominal_voltage_kv": 240.0, "rated_current_a": 1055.0, "frequency_hz": 50.0,
+              "r_ohm_per_km": 0.048, "l_mh_per_km": 0.37, "c_uf_per_km": 0.18,
+              "g_s_per_km": 0.0},
+    "constraints": {"v2_min": 0.4, "v2_max": 1.0, "alpha_min": 1.0, "alpha_max": 1.1,
+                    "i_rated_a": None, "check_internal_current": False,
+                    "check_internal_voltage_max": None, "n_profile_segments": 100},
+    "sweep": {"p_min_mw": 100.0, "p_max_mw": 300.0, "p_step_mw": 100.0, "voltages": [1.0],
+              "optimal_range": [0.4, 1.0]},
+    "annual": {"rated_mw": 320.0, "curve": "high-uf", "strategies": ["fixed:1.0", "range:0.4:1.0"]},
+    "envelope": {"lengths_km": [200.0], "voltages": [1.0, 0.6]},
+}
+# the command that reads each block; None is the root
+_READER = {None: ["optimize"], "cable": ["optimize", "--p-farm-mw", "150"],
+           "constraints": ["optimize", "--p-farm-mw", "150"], "sweep": ["sweep"],
+           "annual": ["annual"], "envelope": ["envelope"]}
+# a value of each JSON type
+_JSON = {"null": st.none(), "bool": st.booleans(), "int": st.integers(), "float": st.floats(),
+         "string": st.text(max_size=4), "list": st.lists(st.integers() | st.text(max_size=2), max_size=3),
+         "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+# the JSON types a key takes are those of its valid value; null (the
+# default) also takes a number
+_TAKES = {float: {"int", "float"}, int: {"int"}, bool: {"bool"}, str: {"string"}, list: {"list"},
+          type(None): {"null", "int", "float"}}
+
+
+def _study_with(block, key, value):
+    """_STUDY with key of block set to value: (block read, study)."""
+    return block, {**_STUDY, block: {**_STUDY[block], key: value}}
+
+
+def _replaced(block, value):
+    """The root or a block replaced by value: (block read, study, expected message)."""
+    if isinstance(value, dict):
+        message = None
+    else:
+        message = f"{block}: expected an object" if block else "config root must be an object"
+    return block, value if block is None else {**_STUDY, block: value}, message
+
+
+def _changes() -> dict:
+    """Every change to the study file by its label, each a strategy of (block
+    read, study, expected message); the message is None where the study may be valid."""
+    out = {}
+    for block in [None, *_STUDY]:
+        for kind, draw in _JSON.items():
+            out[f"{block or 'root'}={kind}"] = draw.map(lambda value, b=block: _replaced(b, value))
+    for block, keys in _STUDY.items():
+        unknown = st.text(max_size=6).filter(lambda key, keys=keys: key not in keys)
+        out[f"{block}.unknown"] = st.tuples(unknown, st.one_of(*_JSON.values())).map(
+            lambda kv, b=block: (*_study_with(b, *kv), f"{b}: unknown keys"))
+        for key, valid in keys.items():
+            for kind, draw in _JSON.items():
+                if kind not in _TAKES[type(valid)]:
+                    out[f"{block}.{key}={kind}"] = draw.map(
+                        lambda value, b=block, k=key: (*_study_with(b, k, value), f"{b}.{k}: expected"))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(changes=st.fixed_dictionaries(_changes()))
+@example(changes={
+    "constraints=5": ("constraints", {"constraints": 5}, "constraints: expected an object"),
+    "cable=5": ("cable", {"cable": 5}, "cable: expected an object"),
+    "cable.profile=list": ("cable", {"cable": {"profile": ["x"]}}, "cable.profile: expected a string"),
+    "constraints=string": ("constraints", {"constraints": "v2_min"}, "constraints: expected an object"),
+    "sweep.p_max": (*_study_with("sweep", "p_max", 50), "sweep: unknown keys ['p_max']"),
+    # a JSON integer too large for a float
+    "cable.length_km=huge": (*_study_with("cable", "length_km", 10**400),
+                             "cable.length_km: expected a finite number")})
+def test_fuzzed_study_file_exits_0_2_or_3(changes):
+    # each example makes every change once: the root and each block as every
+    # JSON type, an unknown key in each block, each key as each wrong type
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "study.json"
+        for label, (block, study, message) in changes.items():
+            cfg.write_text(json.dumps(study), encoding="utf-8")
+            code, out, err, runtime_warnings = run_fuzzed(_READER[block] + ["--config", str(cfg)])
+            assert_exit_policy(code, err, runtime_warnings)
+            assert code == 0 or out == "", label
+            if message is not None:
+                assert code == 2 and message in err, (label, err)
+
+
 # ---------------------------------------------------------------------------
 # one parser for every main() call
 
@@ -833,7 +919,7 @@ def test_usage_error_leaves_the_parser_working(capsys, bad):
 # golden outputs: a change to these digests changes published numbers and
 # must be explained in CHANGES.md
 
-@pytest.mark.parametrize("argv,digest", [
+_GOLDEN = [
     (["sweep", "--p-min-mw", "50", "--p-max-mw", "350", "--p-step-mw", "100",
       "--voltages", "0.6", "--optimal-range", "0.4", "1.0"],
      "8a40e762071da65295fb3878bac7bfb0b430c7f448bf93da65884ab7ae11880a"),
@@ -843,14 +929,14 @@ def test_usage_error_leaves_the_parser_working(capsys, bad):
       "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
      "b4c4c16deed54c3abc505bc84e019d660963b38f4fe5acc88147aa0381c47d08"),
     (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "50"],
-     "4b6e1eb5bbbad0124fba95808947a193f7f931e67f2958729a98eedd48cf6736"),
+     "944726ac79bb53244cb1edfbd32dbac73fa3799d1497b5c25d1c2b55312b07a8"),
     (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "50",
       "--json"],
-     "7c89aefe25665748751258555bc1d60551cf2e77b6f57134f1a8f0982a516c57"),
+     "40cf968494c0bd5e052a465e0d2d184521fc8b53ae2ab461b2847cf6377a7abb"),
     (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "2000"],
-     "d416fbec5fd466a108e33d9400f79684c88ee84c77048c8b2598291c8ff1ee0c"),
+     "4c175d34924f865cdb7176cbf4eac392bdf512df7c5690e8386bbdbda3d3359a"),
     (["optimize", "--echo-config", "--json"],
-     "027c8f505d0849c07f4affe4f005ba892c167dfd0a47a8ca134d19d51955bd42"),
+     "36ad7f0f39ab5ad476ba1ff28abba1de00be8e7b88f26dd9ace8c817e68e1d22"),
     # the README's optimize at 150 MW, sweep, annual and envelope runs
     (["optimize", "--p-farm-mw", "150"],
      "6b25e4805c107bf41f038a25755b97ff1b63f3e54e4b2c8cbc42028221e46c4f"),
@@ -880,8 +966,36 @@ def test_usage_error_leaves_the_parser_working(capsys, bad):
     (["envelope", "--lengths-km", "150:450:150", "--voltages", "1.0,0.6",
       {"constraints": {"check_internal_voltage_max": 0.9}}],
      "d17e15b263f431fbe5d4362deee3e0a603a45ffd7903ae959c4b3a535498e180"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,digest", _GOLDEN)
 def test_golden_output_digest(capsys, tmp_path, argv, digest):
     code, out, _ = run(capsys, *with_config(argv, tmp_path))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch names are x86 ones")
+def test_golden_output_digests_under_baseline_dispatch(tmp_path):
+    # the published numbers may not depend on the CPU: every golden command,
+    # run in one process with numpy's AVX2 and AVX-512 loops off
+    argvs = []
+    for k, (argv, _) in enumerate(_GOLDEN):
+        (tmp_path / str(k)).mkdir()
+        argvs.append(with_config(argv, tmp_path / str(k)))
+    env = {**os.environ, **_BASELINE_DISPATCH,
+           "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, hashlib, io, json, sys; from cableopt.cli import main\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    out = io.StringIO()\n"
+         "    with contextlib.redirect_stdout(out):\n"
+         "        code = main(argv)\n"
+         "    print(code, hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())",
+         json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in _GOLDEN]

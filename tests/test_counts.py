@@ -3,12 +3,15 @@
 Counts do not depend on the host's speed or load, so they show a change in
 the work a command does where wall time cannot.  A change that raises a
 count updates it here and says why in CHANGES.md; one that lowers it has
-evidence of its speed-up.  They do depend on numpy's SIMD dispatch, whose
-loops round a few ulps apart, and are pinned for its AVX2/AVX-512 loops.
-Under the x86-64-v2 baseline (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
-AVX512_ICL AVX512_SPR") the candidates scored read 705, not 707, for the
-golden annual and annual-current-check, 3627, not 3626, for the README
-sweep and 4401, not 4408, for the README envelope.  The commands are the sixteen golden-digest commands of
+evidence of its speed-up.  The commands' output is the same on every numpy
+SIMD dispatch, but the candidates scored are not: the candidate solve's
+numpy loops round a few ulps apart by dispatch, and an ill-conditioned
+candidate can move into or out of the alpha annulus.  So they are pinned
+for the AVX2/AVX-512 loops.  Under the x86-64-v2 baseline
+(NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") the
+candidates scored read 705, not 707, for the golden annual and
+annual-current-check, 3627, not 3626, for the README sweep and 4401, not
+4408, for the README envelope.  The commands are the sixteen golden-digest commands of
 test_cli.py: seven of its own, the README's optimize at 150 MW, sweep,
 annual and envelope runs, then five runs with an internal check on.
 """
