@@ -113,10 +113,6 @@ class TwoPort:
     a: complex
     b: complex
 
-    def currents(self, v1: complex, v2: complex) -> tuple[complex, complex]:
-        """Terminal currents (into the cable) for given terminal voltages."""
-        return self.a * v1 + self.b * v2, self.b * v1 + self.a * v2
-
 
 @dataclass(frozen=True)
 class SegmentProfile:

@@ -26,7 +26,7 @@ does not exist, and one array walk over all rows' ranked candidates picks
 the winners (_walk).  The row API, optimize_at_production_rows and
 max_feasible_power_rows, returns them as arrays (Optima), each winner's
 flow one array pass of power_flow.flow_parts, the real arithmetic
-two_port_flow runs on one point.  Optima.point(r) builds row r's
+solve_flow runs on one point.  Optima.point(r) builds row r's
 OptimumPoint and the limits that bind on it; the one-row
 optimize_at_production and max_feasible_power are that point of a one-row
 solve, and optimize_scaling_unconstrained is a one-row solve too.  A
@@ -49,12 +49,13 @@ from .cable_model import (DEFAULT_PROFILE_SEGMENTS, MAX_POINTS, CableSpec, TwoPo
                           segment_profile)
 from .errors import Infeasible
 from .power_flow import (FlowSolution, OperatingPoint, VoltageScaling, flow_parts, flow_solution,
-                         solve_flow, unit_flow)
+                         solve_flow)
 
 TIE_TOL = 1e-9
 # limits checked exactly are drawn this fraction inside, so rounding leaves
 # the points on their circles on the feasible side; the internal checks pass
-# up to this fraction above, and an alpha this close to a bound snaps onto it
+# up to this fraction above, and an alpha this close to a bound snaps onto it.
+# A limit so drawn is squared as x*x, which gives inf where x**2 would raise
 _EDGE = 1e-12
 # rows go through the candidate solve in blocks of about this many
 # (curve, form) pairs, which bounds its memory whatever the row count
@@ -102,6 +103,9 @@ class Constraints:
         # the solves square the rating as a Python float, which raises on overflow
         if self.i_rated is not None and not math.isfinite(self.i_rated * self.i_rated):
             raise ValueError(f"i_rated {self.i_rated} is too large: its square overflows")
+        if self.check_internal_voltage_max is not None and not self.check_internal_voltage_max > 0.0:
+            raise ValueError(f"check_internal_voltage_max must be > 0 p.u. or null, "
+                             f"got {self.check_internal_voltage_max}")
         if not 1 <= self.n_profile_segments <= MAX_POINTS:
             raise ValueError(f"n_profile_segments must be in [1, {MAX_POINTS}]")
 
@@ -361,7 +365,7 @@ class _Cable:
         # the columns of _Rows.  c = 3*V_ph^2*farm rises with beta from arg(b) - pi
         # to arg(b); the windows stay on that branch, within +-90 deg.  The forms
         # are farm and grid power and |i1|^2, |i2|^2 per phase at v1 = xi V and
-        # v2 = 1 V, as in power_flow.unit_flow (i1 = a*xi + b, i2 = b*xi + a), and 1.
+        # v2 = 1 V, as in _Rows.at (i1 = a*xi + b, i2 = b*xi + a), and 1.
         self.numbers = (a, b, vph, vph**2, i_rated, i_rated**2, (i_rated * (1.0 - _EDGE)) ** 2,
                         max(-math.pi / 2, phase - math.pi + 1e-9), min(math.pi / 2, phase - 1e-9),
                         a.real, b.conjugate(), 0.0, 0.0, -b, -a.real, *_abs2(a, b), *_abs2(b, a),
@@ -392,7 +396,7 @@ class _Cable:
         for forms, limit in self.checks:
             values = [_value(form, alpha, xi, v2) for form in forms]
             worst = max(values)
-            if worst > (limit * (1 + _EDGE)) ** 2:
+            if worst > (edge := limit * (1 + _EDGE)) * edge:
                 out.append((forms[values.index(worst)], limit))
         return out
 
@@ -438,12 +442,15 @@ class _Rows:
         return len(self.per_row)
 
     def at(self, alpha, beta, r):
-        """(c, g, eta, i) at xi = alpha*e^{j*beta} on rows r, from power_flow.unit_flow, elementwise.
+        """(c, g, eta, i) at xi = alpha*e^{j*beta} on rows r, elementwise, to score candidates.
 
-        p_farm = c*v2^2 and p_grid = g*v2^2 [W/(p.u.)^2], eta = g/c (-inf
-        when c <= 0) and i is the larger end current per p.u. of v2 [A].
+        p_farm = c*v2^2 and p_grid = g*v2^2 [W/(p.u.)^2], eta = g/c (-inf when
+        c <= 0) and i is the larger end current per p.u. of v2 [A], from the flow
+        at v1 = xi V, v2 = 1 V in numpy's complex arithmetic, faster than flow_parts.
         """
-        farm, grid, i1, i2 = unit_flow(TwoPort(self.tp.a[r], self.tp.b[r]), alpha * np.exp(1j * beta))
+        a, b, xi = self.tp.a[r], self.tp.b[r], alpha * np.exp(1j * beta)
+        i1, i2 = a * xi + b, b * xi + a
+        farm, grid = (xi * i1.conjugate()).real, -i2.real
         eta = np.where(farm > 0.0, grid / farm, -np.inf)
         vph2 = self.vph2[r]
         return 3.0 * farm * vph2, 3.0 * grid * vph2, eta, np.maximum(abs(i1), abs(i2)) * self.vph[r]
@@ -531,7 +538,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
                 ext = [np.full((block.size, width), np.nan, dtype) for dtype in (float, complex, float)]
                 for j, r in enumerate(block):
                     circles = [_sub(tuple(float(k[r]) * x for x in form), tuple(x[r] for x in den),
-                                    (limit * (1 - _EDGE)) ** 2)
+                                    (edge := limit * (1 - _EDGE)) * edge)
                                for form, limit in cuts[r] for k, den in pieces]
                     for part, x in zip(ext, _stack(circles, 1)):
                         part[j, :x.shape[1]] = x[0]
@@ -608,11 +615,11 @@ def optimal_voltage_curve(
     i_rated: float | None = None,
 ) -> list[CurvePoint]:
     """v2 = sqrt(p_farm/c) per target, flagged against voltage/current limits."""
-    farm, _, i1, i2 = unit_flow(exact_pi_two_port(spec), scaling.xi)
-    c = 3.0 * farm * spec.phase_voltage**2
+    flow = solve_flow(spec, OperatingPoint(1.0, scaling))
+    c = flow.p_farm
     if not c > 0.0:
         raise Infeasible(f"farm power coefficient is {c:.3g} W/pu^2 at this scaling")
-    i_unit = max(abs(i1), abs(i2)) * spec.phase_voltage
+    i_unit = max(abs(flow.i1), abs(flow.i2))
     rated = Constraints(i_rated=i_rated).rated_current(spec)
     out = []
     for p in p_farm_targets:
@@ -636,7 +643,7 @@ class Optima:
 
     alpha, beta and v2 are the winner's operating point.  The flow is
     power_flow.flow_parts there, with cos(beta) and sin(beta) from math:
-    the bits of two_port_flow, so of the row's OptimumPoint.  i1 and i2
+    the bits of solve_flow, so of the row's OptimumPoint.  i1 and i2
     are the end currents' (real, imag) parts, and eta is NaN where
     p_farm <= 0.
     """
@@ -678,7 +685,7 @@ class Optima:
         if cons.check_internal_voltage_max is not None:
             forms, limit = cables.per_row[r].checks[-1]     # the voltage check's, squared
             peak = max(_value(form, alpha, cmath.rect(alpha, beta), v2) for form in forms)
-            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= (limit * (1 - rel)) ** 2
+            meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= (edge := limit * (1 - rel)) * edge
         return OptimumPoint(OperatingPoint(v2, VoltageScaling(alpha, beta)), flow,
                             frozenset(c for c, m in meets.items() if m))
 

@@ -11,8 +11,8 @@ Conventions (fixed once, used everywhere):
   3*Re{V_ph*conj(I)}, numerically equal to sqrt(3)*Re{V_LL*conj(I)}.
 
 For a fixed scaling xi the efficiency p_grid/p_farm is independent of v2:
-both powers scale with v2^2, which is what makes a closed-form efficiency
-of the scaling alone possible.
+both powers scale with v2^2, so the efficiency and the coefficients c and g
+of the scaling alone are solve_flow's eta, p_farm and p_grid at v2 = 1 p.u.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cable_model import CableSpec, TwoPort, complex_product, exact_pi_two_port
+from .cable_model import CableSpec, complex_product, exact_pi_two_port
 from .errors import Infeasible
 
 
@@ -87,13 +87,8 @@ class FlowSolution:
 
 def solve_flow(spec: CableSpec, op: OperatingPoint) -> FlowSolution:
     """Currents, powers and losses at a terminal operating point."""
-    return two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op)
-
-
-def two_port_flow(tp: TwoPort, phase_voltage: float, op: OperatingPoint) -> FlowSolution:
-    """solve_flow on a two-port already built; phase_voltage is the cable's p.u. base [V]."""
-    beta = op.scaling.beta
-    return flow_solution(*flow_parts(tp.a.real, tp.a.imag, tp.b.real, tp.b.imag, phase_voltage,
+    tp, beta = exact_pi_two_port(spec), op.scaling.beta
+    return flow_solution(*flow_parts(tp.a.real, tp.a.imag, tp.b.real, tp.b.imag, spec.phase_voltage,
                                      op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2))
 
 
@@ -130,40 +125,26 @@ def flow_solution(i1, i2, p_farm: float, q_farm: float, p_grid: float, q_grid: f
     )
 
 
-def unit_flow(tp: TwoPort, xi: complex) -> tuple[float, float, complex, complex]:
-    """(farm, grid, i1, i2) per phase at v1 = xi V and v2 = 1 V.
-
-    farm and grid are active powers [W], i1 and i2 the end currents [A].
-    At a grid-side phase voltage V_ph the powers scale by V_ph^2 and the
-    currents by V_ph, so grid/farm is the efficiency of the scaling xi.
-    """
-    i1, i2 = tp.currents(xi, 1.0)
-    return (xi * i1.conjugate()).real, -i2.real, i1, i2
-
-
 def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:
-    """Cable efficiency as a function of the scaling alone.
+    """Cable efficiency as a function of the scaling alone: solve_flow's eta at v2 = 1 p.u.
 
-    Closed form from the nodal relation with v1 = xi*v2: the v2^2 factor
-    cancels between delivered and injected power, so the result holds for
-    every operating voltage and equals solve_flow(...).eta up to rounding.
+    Both powers scale with v2^2, so the ratio holds for every operating
+    voltage, up to the rounding of each flow.
     """
-    farm, grid, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
-    if farm <= 0.0:
+    eta = solve_flow(spec, OperatingPoint(1.0, scaling)).eta
+    if eta is None:
         raise Infeasible(
             f"wind side injects no active power at alpha={scaling.alpha}, "
             f"beta={scaling.beta_deg:.3f} deg; efficiency undefined"
         )
-    return grid / farm
+    return eta
 
 
 def farm_power_coefficient(spec: CableSpec, scaling: VoltageScaling) -> float:
-    """c such that p_farm = c*v2^2 [W per (p.u.)^2] for this scaling."""
-    farm, _, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
-    return 3.0 * farm * spec.phase_voltage**2
+    """c such that p_farm = c*v2^2 [W per (p.u.)^2]: solve_flow's p_farm at v2 = 1 p.u."""
+    return solve_flow(spec, OperatingPoint(1.0, scaling)).p_farm
 
 
 def grid_power_coefficient(spec: CableSpec, scaling: VoltageScaling) -> float:
-    """g such that p_grid = g*v2^2 [W per (p.u.)^2] for this scaling."""
-    _, grid, _, _ = unit_flow(exact_pi_two_port(spec), scaling.xi)
-    return 3.0 * grid * spec.phase_voltage**2
+    """g such that p_grid = g*v2^2 [W per (p.u.)^2]: solve_flow's p_grid at v2 = 1 p.u."""
+    return solve_flow(spec, OperatingPoint(1.0, scaling)).p_grid

@@ -10,7 +10,8 @@ equations and uses no hyperbolic function at all.  The tie rule's
 reference walks each row's ranked candidates one float tuple at a time.
 The internal checks' reference builds a full segment profile per point.
 The synthetic duration curve's reference builds each curve bin by bin and
-bisects the Weibull scale for a fixed number of steps.
+bisects the Weibull scale for a fixed number of steps.  The flow references
+form the two-port flow in Python's complex arithmetic.
 """
 
 import cmath
@@ -298,10 +299,20 @@ def best_pgrid_at_voltage(spec, v2, i_rated, p_farm_cap=None, d_alpha=0.002,
     return best if math.isfinite(best) else None
 
 
+def unit_flow(tp, xi):
+    """(farm, grid, i1, i2) per phase at v1 = xi V and v2 = 1 V, in complex arithmetic.
+
+    farm and grid are active powers [W], i1 and i2 the end currents [A]; at a
+    grid-side phase voltage V_ph the powers scale by V_ph^2 and the currents by V_ph.
+    """
+    i1, i2 = tp.a * xi + tp.b, tp.b * xi + tp.a
+    return (xi * i1.conjugate()).real, -i2.real, i1, i2
+
+
 def complex_two_port_flow(tp, phase_voltage, op):
     """(i1, i2, p_farm, q_farm, p_grid, q_grid, p_loss, eta) in Python complex arithmetic.
 
-    power_flow.two_port_flow as it was before it was written in real parts;
+    power_flow.solve_flow's flow as it was before it was written in real parts;
     eta is None where p_farm <= 0.
     """
     v2 = op.v2 * phase_voltage  # real by convention

@@ -776,6 +776,26 @@ def test_config_errors_exit_2_with_empty_stdout(tmp_path, capsys, argv, study, m
     assert err.startswith("config error:") and message in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [["optimize", "--p-farm-mw", "150"],
+                                  ["envelope", "--lengths-km", "200", "--voltages", "1.0"]],
+                         ids=["optimize", "envelope"])
+@pytest.mark.parametrize("cap", [1e300, -1.0, -0.85, 0])
+def test_internal_voltage_cap_must_be_positive_and_may_be_huge(tmp_path, capsys, argv, cap):
+    # a cap no node reaches squares to inf and leaves the rows as without the
+    # check; a cap <= 0 is a config error, not its absolute value or an empty box
+    code, out, err = run(capsys, *with_config(
+        argv + [{"constraints": {"check_internal_voltage_max": cap}}], tmp_path))
+    if cap > 0:
+        assert code == 0 and err == ""
+        _, want, _ = run(capsys, *argv)
+        assert ({name: table.rows for name, table in parse(out).items()}
+                == {name: table.rows for name, table in parse(want).items()})
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("config error: constraints:") and err.count("\n") == 1, err
+        assert "check_internal_voltage_max" in err
+
+
 # every key of every block of the study file, each with a valid value
 _STUDY = {
     "cable": {"profile": "brakelmann-220kV-1000mm2", "length_km": 200.0,

@@ -15,6 +15,7 @@ from cableopt import (
     BindingConstraint,
     Constraints,
     Infeasible,
+    OperatingPoint,
     VoltageScaling,
     exact_pi_two_port,
     max_feasible_power,
@@ -31,10 +32,9 @@ from cableopt import (
 from cableopt import optimizer
 from cableopt.cli import main
 from cableopt.optimizer import _points, _Rows
-from cableopt.power_flow import unit_flow
 from conftest import random_cable, ref_cable
 from oracle import (best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage,
-                    profile_worst_nodes, walked_winners)
+                    profile_worst_nodes, unit_flow, walked_winners)
 
 # 2-D optimum for the 200 km reference cable: the stationary point of eta,
 # solved with 40-digit mpmath (beta in rad)
@@ -209,15 +209,17 @@ def _scale(form, xi):
 
 
 def test_forms_match_kernel_and_profile():
-    # the four cable forms at v2 = 1 V against power_flow.unit_flow, and the node
-    # forms at v2 = 1 p.u. against segment_profile, to 1e-12 of each form's terms
+    # the four cable forms at v2 = 1 V against the complex-arithmetic flow, the
+    # node forms at v2 = 1 p.u. against segment_profile, and the scorer _Rows.at
+    # against solve_flow at v2 = 1 p.u., to 1e-12 of each form's or term's size
     rng = random.Random(17)
     for _ in range(300):
         spec = random_cable(rng).with_length(rng.uniform(1.0, 600.0))
         cons = Constraints(check_internal_current=True, check_internal_voltage_max=1.0,
                            n_profile_segments=rng.choice([1, 2, 7, 40]))
         cables, vph = _Rows([(spec, cons)]), spec.phase_voltage
-        xi = cmath.rect(rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi))
+        alpha, beta = rng.uniform(0.8, 1.2), rng.uniform(-math.pi, math.pi)
+        xi = cmath.rect(alpha, beta)
         farm, grid, i1, i2 = unit_flow(exact_pi_two_port(spec), xi)
         forms = [[x[0] for x in form] for form in (cables.farm, cables.grid, cables.cur1, cables.cur2)]
         wants = [farm, grid, abs(i1) ** 2, abs(i2) ** 2]
@@ -230,6 +232,17 @@ def test_forms_match_kernel_and_profile():
         for form, want in zip(forms, wants):
             got = form[0] * abs(xi) ** 2 + (form[1] * xi).real + form[2]
             assert abs(got - want) <= 1e-12 * _scale(form, xi)
+        flow = solve_flow(spec, OperatingPoint(1.0, VoltageScaling(alpha, beta)))
+        c, g, eta, i = (x.item() for x in cables.at(np.array([alpha]), np.array([beta]), np.array([0])))
+        c_size, g_size = (3.0 * vph**2 * _scale(form, xi) for form in forms[:2])
+        a, b = abs(cables.tp.a[0]), abs(cables.tp.b[0])
+        assert abs(c - flow.p_farm) <= 1e-12 * c_size
+        assert abs(g - flow.p_grid) <= 1e-12 * g_size
+        if flow.eta is not None:
+            assert abs(eta - flow.eta) <= 1e-12 * (g_size + abs(flow.eta) * c_size) / abs(flow.p_farm)
+        else:
+            assert eta == -math.inf
+        assert abs(i - max(abs(flow.i1), abs(flow.i2))) <= 1e-12 * (a + b) * max(alpha, 1.0) * vph
 
 
 def test_node_form_checks_match_the_profile_checks():

@@ -24,8 +24,6 @@ from cableopt import (
     optimizer,
     solve_flow,
 )
-from cableopt.power_flow import two_port_flow
-
 from conftest import random_cable, random_scaling, ref_cable
 from oracle import complex_two_port_flow
 
@@ -166,9 +164,10 @@ def test_beta_sweep_peak_regression(cable200):
 
 
 def test_flow_in_real_parts_is_the_complex_flow_bit_for_bit():
-    # two_port_flow on one point, the array pass the solves finish with and
+    # solve_flow on one point, the array pass the solves finish with and
     # a one-row solve's winner give the bits of the complex-arithmetic flow,
-    # signed zeros included
+    # signed zeros included; eta, c and g of the scaling are solve_flow's
+    # eta, p_farm and p_grid at v2 = 1 p.u., bit for bit
     rng = random.Random(97)
     specs, points = [], []
     for _ in range(300):
@@ -185,10 +184,17 @@ def test_flow_in_real_parts_is_the_complex_flow_bit_for_bit():
         want = complex_two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op)
         point = won.point(r)
         one = optimizer.Optima(optimizer._Rows(rows[r:r + 1]), best[:, r:r + 1]).point(0)
-        for flow in (two_port_flow(exact_pi_two_port(spec), spec.phase_voltage, op), point.flow,
-                     one.flow):
+        for flow in (solve_flow(spec, op), point.flow, one.flow):
             got = (flow.i1, flow.i2, flow.p_farm, flow.q_farm, flow.p_grid, flow.q_grid,
                    flow.p_loss, flow.eta)
             assert repr(got) == repr(want)
         assert point.operating_point == op
         assert repr(eta) == repr(math.nan if want[-1] is None else want[-1])
+        unit = solve_flow(spec, OperatingPoint(1.0, op.scaling))
+        assert repr(farm_power_coefficient(spec, op.scaling)) == repr(unit.p_farm)
+        assert repr(grid_power_coefficient(spec, op.scaling)) == repr(unit.p_grid)
+        if unit.eta is None:
+            with pytest.raises(Infeasible):
+                efficiency_of_scaling(spec, op.scaling)
+        else:
+            assert repr(efficiency_of_scaling(spec, op.scaling)) == repr(unit.eta)
