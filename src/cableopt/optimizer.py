@@ -30,9 +30,10 @@ solve_flow runs on one point.  Optima.point(r) builds row r's
 OptimumPoint and the limits that bind on it; the one-row
 optimize_at_production and max_feasible_power are that point of a one-row
 solve, and optimize_scaling_unconstrained is a one-row solve too.  A
-command makes one solve per kind: transfer_envelope over every (length,
-policy), compare_strategies over every strategy's bins and the sweep
-command over every (policy, level).
+command makes one solve per kind of problem, and a delivery problem one
+per kind of v2 box, fixed (v2_min = v2_max) or free: transfer_envelope
+over every (length, policy), compare_strategies over every strategy's
+bins and the sweep command over every (policy, level).
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ from .power_flow import (FlowSolution, OperatingPoint, VoltageScaling, flow_part
                          solve_flow)
 
 TIE_TOL = 1e-9
+_EPS = np.finfo(float).eps
 # limits checked exactly are drawn this fraction inside, so rounding leaves
 # the points on their circles on the feasible side; the internal checks pass
-# up to this fraction above, and an alpha this close to a bound snaps onto it.
+# up to this fraction above, plus the node form's rounding (_Cable.violations),
+# and an alpha this close to a bound snaps onto it.
 # A limit so drawn is squared as x*x, which gives inf where x**2 would raise
 _EDGE = 1e-12
 # rows go through the candidate solve in blocks of about this many
@@ -396,8 +399,11 @@ class _Cable:
         for forms, limit in self.checks:
             values = [_value(form, alpha, xi, v2) for form in forms]
             worst = max(values)
-            if worst > (edge := limit * (1 + _EDGE)) * edge:
-                out.append((forms[values.index(worst)], limit))
+            q2, _, q0 = form = forms[values.index(worst)]
+            # it fails beyond _EDGE and its form's rounding, 8*eps*(|P|*alpha + |Q|)^2 for |P*xi + Q|^2
+            size = (math.sqrt(q2) * alpha + math.sqrt(q0)) * v2
+            if worst - 8.0 * _EPS * size * size > (edge := limit * (1 + _EDGE)) * edge:
+                out.append((form, limit))
         return out
 
 
@@ -500,7 +506,7 @@ def _cut_out(cuts, alpha, beta, v2):
     return out
 
 
-def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarray:
+def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None) -> np.ndarray:
     """Best point(alpha, beta) by _better over the alpha annulus and the beta window, per row.
 
     window is each row's beta window (lo, hi), bounds are the forms whose
@@ -514,18 +520,19 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=()) -> np.ndarra
     lists (k, den) with v2^2 = k/den on each piece of v2; a row without a
     winner yet whose candidate fails at a new node n, limit L, adds the
     circle k*n - L^2*den per piece and is solved again, where a candidate a
-    cut node rules out is dropped before the walk (_cut_out).
+    cut node rules out is dropped before the walk (_cut_out).  rows, when
+    given, are the indices of the rows to solve; the others come back NaN.
     """
-    rows, cons = len(cables), cables.cons
+    n_rows, cons = len(cables), cables.cons
     a_lo, a_hi = cons.alpha_min, cons.alpha_max
     internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
     # the alpha circles and the bounds, then the ratios' numerators and denominators
     n_base = 2 + len(bounds)
     base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds)
-                  + [num for num, _ in ratios] + [den for _, den in ratios], rows)
-    best = np.full((4, rows), np.nan)
-    cuts = [[] for _ in range(rows)]
-    todo = np.arange(rows)
+                  + [num for num, _ in ratios] + [den for _, den in ratios], n_rows)
+    best = np.full((4, n_rows), np.nan)
+    cuts = [[] for _ in range(n_rows)]
+    todo = np.arange(n_rows) if rows is None else rows
     while todo.size:
         width = len(pieces) * max([len(cuts[r]) for r in todo.tolist()])
         n = n_base + width
@@ -748,9 +755,28 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
 # ---------------------------------------------------------------------------
 # maximum deliverable power
 
+def _delivery_point(cables: _Rows, cap):
+    """The delivery score point(alpha, beta, r) of _solve, rows capped at cap (None: no cap)."""
+    lo, hi = cables.lo, cables.hi
+
+    def point(alpha, beta, r):
+        c, g, _, i = cables.at(alpha, beta, r)
+        v2 = np.minimum(hi[r], cables.i_rated[r] / i)
+        if cap is not None:
+            v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
+        # the rating circles' forms have parts kappa^2 times |i|^2, so a point on
+        # them, as a short cable's fixed-box corner, may read 4*eps*kappa^2 above
+        kappa = (abs(cables.tp.a[r]) * alpha + abs(cables.tp.b[r])) * cables.vph[r] / i
+        fits = ~(v2 < lo[r] * (1 - 1e-12 - 4.0 * _EPS * kappa * kappa))
+        # delivery grows with v2 when g > 0; otherwise park at the floor
+        v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
+        return np.where(fits, g * v2 * v2, np.nan), v2
+    return point
+
+
 @np.errstate(all="ignore")      # NaN marks what does not exist
 def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | None]]) -> Optima:
-    """max_feasible_power for every (spec, constraints, p_farm_cap) row in one array solve.
+    """max_feasible_power for every (spec, constraints, p_farm_cap) row, one array solve per box kind.
 
     A row without a winner is one that max_feasible_power reports
     Infeasible.  There is at least one row, the rows may differ in their
@@ -768,33 +794,34 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
     cap = np.array([cap for _, _, cap in rows]) if capped == {True} else None
 
     curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
-    # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
-    # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
-    levels = [r * r for v2 in (lo, hi) for r in (cables.i_rated / (cables.vph * v2),)]
-    bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
-    ratios = [(cables.grid, one)] + [(num, den) for cur in curs for num, den in
-                                  ((cables.grid, cur), (cur, one))]
-    pieces = [(v2 * v2, one) for v2 in (lo, hi)]
-    pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
-    if cap is not None:
-        k = 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
-        bounds += [_sub(cables.farm, one, q / k) for q in levels]
-        bounds += [_sub(cur, cables.farm, k) for cur in curs]
-        ratios.append((cables.grid, cables.farm))
-        pieces.append((cap / (3.0 * cables.vph2), cables.farm))
-
-    def point(alpha, beta, r):
-        c, g, _, i = cables.at(alpha, beta, r)
-        v2 = np.minimum(hi[r], cables.i_rated[r] / i)
-        if cap is not None:
-            v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
-        fits = ~(v2 < lo[r] * (1 - 1e-12))
-        # delivery grows with v2 when g > 0; otherwise park at the floor
-        v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
-        return np.where(fits, g * v2 * v2, np.nan), v2
-
+    k = None if cap is None else 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
     window = (np.full(len(cables), 1e-9), np.maximum(1e-9, cables.beta_cap))
-    return Optima(cables, _solve(cables, window, bounds, ratios, point, pieces))
+    point, best = _delivery_point(cables, cap), np.full((4, len(cables)), np.nan)
+    # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end
+    # current, one cap circle and one piece, g*v2^2.  Its rows are solved apart
+    # from free boxes, where v2 may also sit at a rating or at the cap
+    for free in (False, True):
+        part = np.flatnonzero((lo < hi) == free)
+        if not part.size:
+            continue
+        ends = (lo, hi) if free else (hi,)
+        # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
+        # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
+        levels = [r * r for v2 in ends for r in (cables.i_rated / (cables.vph * v2),)]
+        # the switch circle |i1| = |i2| stays in a fixed box: both ratings meet on it
+        bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
+        if cap is not None:
+            bounds += [_sub(cables.farm, one, q / k) for q in levels]
+        ratios, pieces = [(cables.grid, one)], [(v2 * v2, one) for v2 in ends]
+        if free:
+            ratios += [(num, den) for cur in curs for num, den in ((cables.grid, cur), (cur, one))]
+            pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
+            if cap is not None:
+                bounds += [_sub(cur, cables.farm, k) for cur in curs]
+                ratios.append((cables.grid, cables.farm))
+                pieces.append((cap / (3.0 * cables.vph2), cables.farm))
+        best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part)[:, part]
+    return Optima(cables, best)
 
 
 def max_feasible_power(
@@ -812,6 +839,9 @@ def max_feasible_power(
     when g <= 0), so g*v2^2 is g, g/|i_k|^2 or g/c times a constant.  The
     pieces switch and feasibility ends on circles; the extremes of |i_k|^2
     are candidates too, so a box with a feasible point is never Infeasible.
+    A fixed box has the one piece g*v2^2.  There, on a short cable, the end
+    currents may exceed the rating by up to 4*eps*kappa^2 relative, kappa =
+    (|a|*alpha + |b|)*V_ph/i: the rounding of the rating circles.
     """
     cons = constraints if constraints is not None else Constraints()
     point = max_feasible_power_rows([(spec, cons, p_farm_cap)]).point(0)

@@ -9,8 +9,10 @@ active constraint.  The line profile reference integrates the telegrapher
 equations and uses no hyperbolic function at all.  The tie rule's
 reference walks each row's ranked candidates one float tuple at a time.
 The internal checks' reference builds a full segment profile per point.
-The synthetic duration curve's reference builds each curve bin by bin and
-bisects the Weibull scale for a fixed number of steps.  The flow references
+The delivery solve's reference runs the package's candidate solve on the
+form lists of a free v2 box for every box.  The synthetic duration
+curve's reference builds each curve bin by bin and bisects the Weibull
+scale for a fixed number of steps.  The flow references
 form the two-port flow in Python's complex arithmetic.
 """
 
@@ -213,17 +215,20 @@ def best_eta_at_production(spec, p_farm, v2_min, v2_max, i_rated,
 
 
 def best_pgrid_at_voltage(spec, v2, i_rated, p_farm_cap=None, d_alpha=0.002,
-                          d_beta_deg=0.05, beta_max_deg=90.0):
+                          d_beta_deg=0.05, beta_max_deg=90.0, alphas=None, betas=None):
     """Dense-grid maximum deliverable power at a fixed operating voltage.
 
     The maximizer rides the current rating or, with p_farm_cap, the cap on
     injected power, so the grid scan is completed with the exact crossings
-    of both along beta per alpha.
+    of both along beta per alpha.  alphas and betas [rad], where given,
+    replace the grids of d_alpha and d_beta_deg.
     """
     a, b = oracle_two_port(spec)
     vph = spec.nominal_voltage / math.sqrt(3.0)
-    alphas = np.linspace(1.0, 1.1, int(round(0.1 / d_alpha)) + 1)
-    betas = np.radians(np.arange(d_beta_deg, beta_max_deg, d_beta_deg))
+    if alphas is None:
+        alphas = np.linspace(1.0, 1.1, int(round(0.1 / d_alpha)) + 1)
+    if betas is None:
+        betas = np.radians(np.arange(d_beta_deg, beta_max_deg, d_beta_deg))
     cap = math.inf if p_farm_cap is None else p_farm_cap
 
     def current_margin(alpha, beta):
@@ -297,6 +302,59 @@ def best_pgrid_at_voltage(spec, v2, i_rated, p_farm_cap=None, d_alpha=0.002,
                 if beta_v is not None and feasible(alpha_v, beta_v):
                     best = max(best, pg_of(alpha_v, beta_v))
     return best if math.isfinite(best) else None
+
+
+def rating_disk_grids(spec, v2, i_rated, n=201):
+    """(alphas, betas) grids of n points over the disk where the end current i1 is within the rating.
+
+    The disk |a*xi + b| <= I/(V_ph*v2), centred at -b/a with radius
+    I/(V_ph*v2*|a|), is cut to alpha in [1, 1.1] and beta in (0, 90 deg).
+    On a short cable it is a speck near xi = 1, which the default grids of
+    best_pgrid_at_voltage step over.
+    """
+    a, b = oracle_two_port(spec)
+    centre, radius = -b / a, i_rated / (spec.nominal_voltage / math.sqrt(3.0) * v2 * abs(a))
+    spread = math.asin(min(1.0, radius / abs(centre)))
+    alphas = np.linspace(max(1.0, abs(centre) - radius), min(1.1, abs(centre) + radius), n)
+    mid = cmath.phase(centre)
+    betas = np.linspace(max(1e-9, mid - spread), min(math.pi / 2, mid + spread), n)
+    return alphas, betas
+
+
+def full_form_delivery(rows):
+    """max_feasible_power_rows(rows) as one solve with a free v2 box's form lists on every row.
+
+    The delivery solve before a fixed box (v2_min = v2_max) was solved on
+    its own lists: the rating and cap circles at both v2 bounds, and the
+    rating- and cap-limited pieces, on every row.  It shares the candidate
+    solve and the delivery score with the package, so it checks only that
+    dropping those forms leaves every winner as it was.
+    """
+    from cableopt import optimizer
+    from cableopt.optimizer import _sub
+
+    capped = rows[0][2] is not None
+    with np.errstate(all="ignore"):
+        cables = optimizer._Rows([(spec, cons) for spec, cons, _ in rows])
+        lo, hi = cables.lo, cables.hi
+        cap = np.array([cap for _, _, cap in rows]) if capped else None
+        curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
+        levels = [r * r for v2 in (lo, hi) for r in (cables.i_rated / (cables.vph * v2),)]
+        bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
+        ratios = [(cables.grid, one)] + [(num, den) for cur in curs for num, den in
+                                      ((cables.grid, cur), (cur, one))]
+        pieces = [(v2 * v2, one) for v2 in (lo, hi)]
+        pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
+        if capped:
+            k = 3.0 * i_rated2 / cap
+            bounds += [_sub(cables.farm, one, q / k) for q in levels]
+            bounds += [_sub(cur, cables.farm, k) for cur in curs]
+            ratios.append((cables.grid, cables.farm))
+            pieces.append((cap / (3.0 * cables.vph2), cables.farm))
+        window = (np.full(len(cables), 1e-9), np.maximum(1e-9, cables.beta_cap))
+        best = optimizer._solve(cables, window, bounds, ratios, optimizer._delivery_point(cables, cap),
+                                pieces)
+        return optimizer.Optima(cables, best)
 
 
 def unit_flow(tp, xi):

@@ -3,9 +3,10 @@
     python tests/output_digests.py SRC_DIR > digests.txt
 
 imports cableopt from SRC_DIR and runs every command in this one process:
-6 cable lengths x 6 internal-check configurations x 6 commands (optimize
+7 cable lengths x 6 internal-check configurations x 6 commands (optimize
 free and at 150 and 280 MW, the golden sweep, the golden annual and a
-one-length envelope), each as CSV and as JSON, 432 in all.  Each line is
+one-length envelope), each as CSV and as JSON, 504 in all.  The 0.5 km
+cable is there for the ill-conditioned rating corners of a short cable.  Each line is
 `exit sha256 argv`, the digest being that of stdout and stderr together
 and argv ending in the study file's JSON, so two source trees, or two
 numpy dispatches of one tree (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
@@ -21,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-LENGTHS_KM = (60.0, 120.0, 150.0, 200.0, 250.0, 300.0)
+LENGTHS_KM = (0.5, 60.0, 120.0, 150.0, 200.0, 250.0, 300.0)
 CHECKS = ({}, {"check_internal_current": True}, {"check_internal_voltage_max": 0.75},
           {"check_internal_voltage_max": 0.9}, {"check_internal_voltage_max": 1.0},
           {"check_internal_current": True, "check_internal_voltage_max": 0.9})

@@ -326,12 +326,13 @@ def test_compare_strategies_reference_is_zero(cable200):
     assert out[2].loss_reduction_pct > 0.0
 
 
-def test_compare_strategies_is_two_solves_with_the_one_strategy_results(solve_calls):
+def test_compare_strategies_is_one_solve_per_kind_with_the_one_strategy_results(solve_calls):
     spec, curve = ref_cable(230.0), small_curve()
     strategies = [FixedVoltage(1.0), VoltageRange(0.4, 1.0), tap_range(0.9, 0.1)]
     out = compare_strategies(spec, 340e6, curve, strategies)
-    # the production solve and the capped solve, which also checks that each strategy operates
-    assert len(solve_calls) == 2
+    # the production solve and the capped solve, which also checks that each
+    # strategy operates: one over the fixed-voltage boxes, one over the free ones
+    assert len(solve_calls) == 3
     for o, strategy in zip(out, strategies):
         alone = annual_efficiency(spec, 340e6, curve, strategy)
         assert o.strategy == strategy and o.result == alone

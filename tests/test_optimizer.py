@@ -34,7 +34,8 @@ from cableopt.cli import main
 from cableopt.optimizer import _points, _Rows
 from conftest import random_cable, ref_cable
 from oracle import (best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage,
-                    profile_worst_nodes, unit_flow, walked_winners)
+                    full_form_delivery, profile_worst_nodes, rating_disk_grids, unit_flow,
+                    walked_winners)
 
 # 2-D optimum for the 200 km reference cable: the stationary point of eta,
 # solved with 40-digit mpmath (beta in rad)
@@ -364,6 +365,27 @@ def test_max_power_matches_capped_brute_grid(length):
 def test_max_power_reaches_optimum_at_reduced_voltage(length, cap, floor):
     _, pg, _ = max_feasible_power(ref_cable(length), Constraints().fixed_v2(0.62), p_farm_cap=cap)
     assert pg >= floor
+
+
+def _rating_floor(spec, alpha, v2, current):
+    """4*eps*kappa^2, kappa = (|a|*alpha + |b|)*V_ph*v2/current: the rounding of the rating circles."""
+    tp = exact_pi_two_port(spec)
+    kappa = (abs(tp.a) * alpha + abs(tp.b)) * spec.phase_voltage * v2 / current
+    return 4.0 * sys.float_info.epsilon * kappa * kappa
+
+
+@pytest.mark.parametrize("length,v2", [(0.5, 1.0), (0.05, 1.0), (0.4, 1.0), (0.001, 0.6), (0.4, 0.6)])
+def test_short_cable_fixed_box_delivers_at_its_rating_corner(length, v2):
+    # the winner has both end currents at the rating, a corner that the rating
+    # circles put up to 4*eps*kappa^2 above it: these rows delivered under 1 MW
+    # while 0.3 and 1 km delivered about 438.55 MW at 1.0 p.u.
+    spec = ref_cable(length)
+    _, pg, point = max_feasible_power(spec, Constraints().fixed_v2(v2))
+    floor = _rating_floor(spec, point.operating_point.scaling.alpha, v2, 1055.0)
+    assert max(abs(point.flow.i1), abs(point.flow.i2)) <= 1055.0 * (1.0 + floor)
+    alphas, betas = rating_disk_grids(spec, v2, 1055.0)
+    ref = best_pgrid_at_voltage(spec, v2, 1055.0, alphas=alphas, betas=betas)
+    assert abs(pg - ref) <= (floor + 1e-8) * ref
 
 
 def test_max_power_with_farm_cap(cable200):
@@ -794,6 +816,63 @@ def test_infinite_farm_cap_finds_what_no_cap_finds(internal):
     assert uncapped.any() and not uncapped.all()
 
 
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("checks", [{}, {"check_internal_current": True},
+                                    {"check_internal_voltage_max": 0.95}],
+                         ids=["no-check", "current-check", "voltage-check"])
+def test_fixed_boxes_win_as_on_the_free_box_forms(checks, capped):
+    # a fixed box is solved on its own short lists: one rating circle per end
+    # current, one cap circle, one ratio.  Each row finds a winner where the
+    # lists of a free box find one, free rows bit for bit.  A fixed row's
+    # winner is bit for bit the same on most rows; on the others the long lists
+    # met the same corner on more circles and kept the copy that rounded
+    # highest, within 4*eps*kappa^2 of the rating circles' rounding
+    rng = random.Random(19 + capped)
+    cons = Constraints(n_profile_segments=12, **checks)
+    rows = []
+    for _ in range(40):     # 1-400 km log-uniform: a third below 10 km, where corners round worst
+        spec = random_cable(rng).with_length(10.0 ** rng.uniform(0.0, math.log10(400.0)))
+        lo = rng.uniform(0.4, 1.0)
+        for box in (cons.fixed_v2(lo), cons.fixed_v2(1.0), cons.with_v2_range(lo, 1.0)):
+            cap = rng.choice([math.inf, rng.uniform(10e6, 600e6)]) if capped else None
+            rows.append((spec, box, cap))
+    won, full = max_feasible_power_rows(rows), full_form_delivery(rows)
+    assert won.found.tobytes() == full.found.tobytes()
+    same = 0
+    for r, (spec, box, _) in enumerate(rows):
+        got, want = (np.array([x[r] for x in (o.alpha, o.beta, o.v2, o.p_farm, o.p_grid)])
+                     for o in (won, full))
+        if got.tobytes() == want.tobytes():
+            same += 1
+            continue
+        assert box.v2_min == box.v2_max
+        current = max(math.hypot(*(x[r] for x in won.i1)), math.hypot(*(x[r] for x in won.i2)))
+        floor = _rating_floor(spec, won.alpha[r], won.v2[r], current)
+        assert abs(got[4] - want[4]) <= floor * abs(want[4])
+    assert same >= 0.9 * len(rows)
+    fixed = np.array([box.v2_min == box.v2_max for _, box, _ in rows])
+    assert won.found[fixed].sum() > 20 and not won.found[fixed].all()
+
+
+def test_current_check_keeps_a_short_cable_fixed_box_at_its_rating_corner():
+    # on a short cable the node currents peak within about 1e-6 of the end
+    # currents, so the current check costs little delivery; its nodes pass
+    # within their forms' rounding, by which the rating corner and the points
+    # of the cut circles exceed the limit: without that, rows here lost
+    # up to 99 % of their delivery
+    rng = random.Random(5)
+    rows = []
+    for _ in range(60):
+        spec = random_cable(rng).with_length(10.0 ** rng.uniform(0.0, 1.0))
+        rows += [(spec, Constraints().fixed_v2(v2), None) for v2 in (rng.uniform(0.4, 1.0), 1.0)]
+    plain = max_feasible_power_rows(rows)
+    checked = max_feasible_power_rows([(spec, replace(box, check_internal_current=True), cap)
+                                       for spec, box, cap in rows])
+    assert checked.found.tolist() == plain.found.tolist() and plain.found.sum() > 60
+    found = plain.found
+    assert (checked.p_grid[found] >= plain.p_grid[found] * (1 - 1e-5)).all()
+
+
 def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
     rows = [(cable200, 100e6, Constraints()), (cable200, 100e6, Constraints(alpha_max=1.05))]
     with pytest.raises(ValueError):
@@ -815,10 +894,11 @@ def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
                                  (cable200, Constraints(check_internal_current=True), None)])
 
 
-def test_envelope_and_sweep_are_one_solve_each(solve_calls, capsys):
+def test_envelope_and_sweep_are_one_solve_per_box_kind(solve_calls, capsys):
+    # the envelope's fixed-voltage rows are one delivery solve, its free rows another
     calls = solve_calls
     env = transfer_envelope(ref_cable(), [60.0, 150.0, 240.0, 330.0, 420.0], [1.0, 0.8, 0.6, 0.4])
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert len(env.points) == 20 and len(env.envelope) == 5
     assert [pt.length_km for pt in env.envelope] == [60.0, 150.0, 240.0, 330.0, 420.0]
     calls.clear()
