@@ -300,14 +300,42 @@ class AnnualResult:
     per_bin: tuple[BinOutcome, ...]
 
 
-def _annual_results(
+@dataclass(frozen=True)
+class StrategyOutcome:
+    strategy: VoltageStrategy
+    result: AnnualResult
+    loss_reduction_pct: float
+
+
+def annual_efficiency(
+    spec: CableSpec,
+    rated_farm_power: float,
+    curve: DurationCurve,
+    strategy: VoltageStrategy,
+    constraints: Constraints | None = None,
+) -> AnnualResult:
+    """Annual efficiency of one strategy against a duration curve: compare_strategies of it alone."""
+    return compare_strategies(spec, rated_farm_power, curve, [strategy], constraints)[0].result
+
+
+def compare_strategies(
     spec: CableSpec,
     rated_farm_power: float,
     curve: DurationCurve,
     strategies: list[VoltageStrategy],
-    constraints: Constraints | None,
-) -> list[AnnualResult]:
-    """annual_efficiency of every strategy, each kind of solve done once for all of them."""
+    constraints: Constraints | None = None,
+) -> list[StrategyOutcome]:
+    """Annual results plus loss reduction against the first (reference) strategy.
+
+    Each kind of solve is done once for all the strategies.  Loss includes
+    curtailed energy: loss = potential - delivered, and the reduction is
+    (loss_ref - loss)/loss_ref in percent.  Raises Infeasible when a
+    strategy cannot operate the cable at all (for instance a fixed voltage
+    whose charging current alone exceeds the rating); individual over- or
+    under-range production levels are handled by curtailment instead.
+    """
+    if not strategies:
+        raise ValueError("strategy list must be non-empty")
     if not (rated_farm_power > 0.0 and math.isfinite(rated_farm_power)):
         raise ValueError(f"rated farm power must be > 0 W, got {rated_farm_power}")
     base = constraints if constraints is not None else Constraints()
@@ -338,8 +366,8 @@ def _annual_results(
     capped = {row: (pf, pg, v2) for row, ok, pf, pg, v2 in zip(short, found, *(x.tolist() for x in (
         won.p_farm, won.p_grid, won.v2))) if ok and pg > 0.0}
 
-    results = []
-    for s in range(len(strategies)):
+    out = []
+    for s, strategy in enumerate(strategies):
         outcomes = []
         for k, (power_pu, weight) in enumerate(curve.bins):
             p = levels[k]
@@ -363,60 +391,15 @@ def _annual_results(
         delivered = math.fsum(o.weight * o.p_grid for o in outcomes)
         curtailed = math.fsum(o.weight * o.curtailed for o in outcomes)
         lost = math.fsum(o.weight * (o.p_farm_used - o.p_grid) for o in outcomes)
-        results.append(AnnualResult(
+        loss = potential - delivered
+        if s == 0:
+            loss_ref = loss
+        out.append(StrategyOutcome(strategy, AnnualResult(
             eta_annual=delivered / potential if potential > 0.0 else 0.0,
             energy_produced_potential=potential,
             energy_delivered=delivered,
             energy_lost=lost,
             energy_curtailed=curtailed,
             per_bin=tuple(outcomes),
-        ))
-    return results
-
-
-def annual_efficiency(
-    spec: CableSpec,
-    rated_farm_power: float,
-    curve: DurationCurve,
-    strategy: VoltageStrategy,
-    constraints: Constraints | None = None,
-) -> AnnualResult:
-    """Annual efficiency of one strategy against a duration curve.
-
-    Raises Infeasible when the strategy cannot operate the cable at all
-    (for instance a fixed voltage whose charging current alone exceeds the
-    rating); individual over- or under-range production levels are handled
-    by curtailment instead.
-    """
-    return _annual_results(spec, rated_farm_power, curve, [strategy], constraints)[0]
-
-
-@dataclass(frozen=True)
-class StrategyOutcome:
-    strategy: VoltageStrategy
-    result: AnnualResult
-    loss_reduction_pct: float
-
-
-def compare_strategies(
-    spec: CableSpec,
-    rated_farm_power: float,
-    curve: DurationCurve,
-    strategies: list[VoltageStrategy],
-    constraints: Constraints | None = None,
-) -> list[StrategyOutcome]:
-    """Annual results plus loss reduction against the first (reference) strategy.
-
-    Loss includes curtailed energy: loss = potential - delivered, and the
-    reduction is (loss_ref - loss)/loss_ref in percent.
-    """
-    if not strategies:
-        raise ValueError("strategy list must be non-empty")
-    results = _annual_results(spec, rated_farm_power, curve, strategies, constraints)
-    loss_ref = results[0].energy_produced_potential - results[0].energy_delivered
-    out = []
-    for strategy, result in zip(strategies, results):
-        loss = result.energy_produced_potential - result.energy_delivered
-        red = 100.0 * (loss_ref - loss) / loss_ref if loss_ref > 0.0 else 0.0
-        out.append(StrategyOutcome(strategy, result, red))
+        ), 100.0 * (loss_ref - loss) / loss_ref if loss_ref > 0.0 else 0.0))
     return out

@@ -26,8 +26,8 @@ does not exist, and one array walk over all rows' ranked candidates picks
 the winners (_walk).  The row API, optimize_at_production_rows and
 max_feasible_power_rows, returns them as arrays (Optima), each winner's
 flow one array pass of power_flow.flow_parts, the real arithmetic
-solve_flow runs on one point.  Optima.point(r) builds row r's
-OptimumPoint and the limits that bind on it; the one-row
+solve_flow runs on one point.  Optima.point(r) is row r's OptimumPoint:
+solve_flow at its winner and the limits that bind there; the one-row
 optimize_at_production and max_feasible_power are that point of a one-row
 solve, and optimize_scaling_unconstrained is a one-row solve too.  A
 command makes one solve per kind of problem, and a delivery problem one
@@ -46,11 +46,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cable_model import (DEFAULT_PROFILE_SEGMENTS, MAX_POINTS, CableSpec, TwoPort, exact_pi_two_port,
-                          segment_profile)
+from .cable_model import DEFAULT_PROFILE_SEGMENTS, MAX_POINTS, CableSpec, exact_pi_two_port, segment_profile
 from .errors import Infeasible
-from .power_flow import (FlowSolution, OperatingPoint, VoltageScaling, flow_parts, flow_solution,
-                         solve_flow)
+from .power_flow import FlowSolution, OperatingPoint, VoltageScaling, flow_parts, solve_flow
 
 TIE_TOL = 1e-9
 _EPS = np.finfo(float).eps
@@ -414,9 +412,10 @@ class _Rows:
     bounds, rating override or internal checks.  Each distinct cable
     computes its numbers as Python numbers once (_Cable.numbers), so every
     row does the same floating-point work whatever its batch.  The columns:
-    tp, vph, vph2, i_rated, i_rated2, edge_rated2 (the rating drawn _EDGE
-    inside, squared), the beta branch ends beta_floor and beta_cap, and the
-    forms farm, grid, cur1, cur2 and one, the constant form 1.
+    the admittances a and b, vph, vph2, i_rated, i_rated2, edge_rated2 (the
+    rating drawn _EDGE inside, squared), the beta branch ends beta_floor and
+    beta_cap, and the forms farm, grid, cur1, cur2 and one, the constant form 1;
+    and leading, the beta window [1e-9, beta_cap] of the solves whose optimum leads.
     """
 
     def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
@@ -437,9 +436,10 @@ class _Rows:
         self.per_row = list(map(cables.__getitem__, which))
         self.cons = first
         table = np.array([cab.numbers for cab in cables]).T[:, which]
-        self.tp = TwoPort(table[0], table[1])
+        self.a, self.b = table[:2]
         (self.vph, self.vph2, self.i_rated, self.i_rated2, self.edge_rated2,
          self.beta_floor, self.beta_cap) = table[2:9].real
+        self.leading = (np.full(len(which), 1e-9), np.maximum(1e-9, self.beta_cap))
         # each form's parts are real but for its middle one
         self.farm, self.grid, self.cur1, self.cur2, self.one = (
             (table[j].real, table[j + 1], table[j + 2].real) for j in range(9, 24, 3))
@@ -454,7 +454,7 @@ class _Rows:
         c <= 0) and i is the larger end current per p.u. of v2 [A], from the flow
         at v1 = xi V, v2 = 1 V in numpy's complex arithmetic, faster than flow_parts.
         """
-        a, b, xi = self.tp.a[r], self.tp.b[r], alpha * np.exp(1j * beta)
+        a, b, xi = self.a[r], self.b[r], alpha * np.exp(1j * beta)
         i1, i2 = a * xi + b, b * xi + a
         farm, grid = (xi * i1.conjugate()).real, -i2.real
         eta = np.where(farm > 0.0, grid / farm, -np.inf)
@@ -588,13 +588,16 @@ def optimize_scaling_unconstrained(
     spec: CableSpec,
     alpha_range: tuple[float, float] = (1.0, 1.1),
 ) -> tuple[VoltageScaling, float]:
-    """argmax of efficiency over alpha in alpha_range, beta in (0, 90 deg).
+    """argmax of efficiency over alpha in alpha_range, beta in [1e-9 rad, beta_cap].
 
-    The interior optimum is the top eigenvector of the pencil of grid and
-    farm power; on the alpha bounds and the window ends, eta = g/c peaks
-    at a stationary point along the circle or ray, all in closed form.
-    The winner's eta is solve_flow's at v2 = 1 p.u., in real arithmetic,
-    not the score from numpy's complex multiply, whose bits vary by CPU.
+    The window is the delivery solve's, _Rows.leading: the optimum leads,
+    by about 5e-7 rad on a 0.5 km cable.  The interior optimum is the top
+    eigenvector of the pencil of grid and farm power; on the alpha bounds
+    and the window ends, eta = g/c peaks at a stationary point along the
+    circle or ray, all in closed form.  The winner's eta is solve_flow's at
+    v2 = 1 p.u., in real arithmetic, not the score from numpy's complex
+    multiply, whose bits vary by CPU.  Raises Infeasible where no scaling
+    in range has eta > 0.
     """
     a_lo, a_hi = alpha_range
     cables = _Rows([(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))])
@@ -603,10 +606,10 @@ def optimize_scaling_unconstrained(
         eta = cables.at(alpha, beta, r)[2]
         return np.where(np.isfinite(eta), eta, np.nan), np.zeros_like(eta)
 
-    window = (np.full(len(cables), 1e-6), cables.beta_cap)
-    eta, alpha, beta, _ = _solve(cables, window, [], [(cables.grid, cables.farm)], point)[:, 0].tolist()
-    if math.isnan(eta):
-        raise Infeasible("no scaling in range yields positive farm power")
+    best = _solve(cables, cables.leading, [], [(cables.grid, cables.farm)], point)
+    eta, alpha, beta, _ = best[:, 0].tolist()
+    if not eta > 0.0:
+        raise Infeasible("no scaling in range delivers power to the grid: efficiency is never > 0")
     scaling = VoltageScaling(alpha, beta)
     return scaling, solve_flow(spec, OperatingPoint(1.0, scaling)).eta
 
@@ -660,8 +663,7 @@ class Optima:
         self.cables = cables
         score, self.alpha, self.beta, self.v2 = best
         self.found = ~np.isnan(score)
-        beta = self.beta.tolist()
-        a, b = cables.tp.a, cables.tp.b
+        beta, a, b = self.beta.tolist(), cables.a, cables.b
         args = (a.real, a.imag, b.real, b.imag, cables.vph, self.alpha,
                 np.array([math.cos(x) for x in beta]), np.array([math.sin(x) for x in beta]), self.v2)
         self.i1, self.i2, self.p_farm, self.q_farm, self.p_grid, self.q_grid = flow_parts(*args)
@@ -677,9 +679,8 @@ class Optima:
         cables, cons, rel = self.cables, self.cables.cons, 1e-6
         alpha, beta, v2, lo, hi, i_rated = (x[r].item() for x in (
             self.alpha, self.beta, self.v2, cables.lo, cables.hi, cables.i_rated))
-        i1r, i1i, i2r, i2i, *powers = (x[r].item() for x in (*self.i1, *self.i2, self.p_farm,
-                                                             self.q_farm, self.p_grid, self.q_grid))
-        flow = flow_solution((i1r, i1i), (i2r, i2i), *powers)
+        op = OperatingPoint(v2, VoltageScaling(alpha, beta))
+        flow = solve_flow(cables.per_row[r].spec, op)
         current = max(abs(flow.i1), abs(flow.i2))
         a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
         meets = {
@@ -693,8 +694,7 @@ class Optima:
             forms, limit = cables.per_row[r].checks[-1]     # the voltage check's, squared
             peak = max(_value(form, alpha, cmath.rect(alpha, beta), v2) for form in forms)
             meets[BindingConstraint.INTERNAL_VOLTAGE] = peak >= (edge := limit * (1 - rel)) * edge
-        return OptimumPoint(OperatingPoint(v2, VoltageScaling(alpha, beta)), flow,
-                            frozenset(c for c, m in meets.items() if m))
+        return OptimumPoint(op, flow, frozenset(c for c, m in meets.items() if m))
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +761,15 @@ def _delivery_point(cables: _Rows, cap):
 
     def point(alpha, beta, r):
         c, g, _, i = cables.at(alpha, beta, r)
-        v2 = np.minimum(hi[r], cables.i_rated[r] / i)
+        # the rating circles' forms have parts kappa^2 times |i|^2, so a point on
+        # them, as a short cable's rating corner, may read 4*eps*kappa^2 above:
+        # a rating within that slack of a v2 bound counts as the bound
+        kappa = (abs(cables.a[r]) * alpha + abs(cables.b[r])) * cables.vph[r] / i
+        within, rated = 1 - 1e-12 - 4.0 * _EPS * kappa * kappa, cables.i_rated[r] / i
+        v2 = np.where(rated < hi[r] * within, rated, hi[r])
         if cap is not None:
             v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
-        # the rating circles' forms have parts kappa^2 times |i|^2, so a point on
-        # them, as a short cable's fixed-box corner, may read 4*eps*kappa^2 above
-        kappa = (abs(cables.tp.a[r]) * alpha + abs(cables.tp.b[r])) * cables.vph[r] / i
-        fits = ~(v2 < lo[r] * (1 - 1e-12 - 4.0 * _EPS * kappa * kappa))
+        fits = ~(v2 < lo[r] * within)
         # delivery grows with v2 when g > 0; otherwise park at the floor
         v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
         return np.where(fits, g * v2 * v2, np.nan), v2
@@ -795,7 +797,6 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
 
     curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
     k = None if cap is None else 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
-    window = (np.full(len(cables), 1e-9), np.maximum(1e-9, cables.beta_cap))
     point, best = _delivery_point(cables, cap), np.full((4, len(cables)), np.nan)
     # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end
     # current, one cap circle and one piece, g*v2^2.  Its rows are solved apart
@@ -820,7 +821,7 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
                 bounds += [_sub(cur, cables.farm, k) for cur in curs]
                 ratios.append((cables.grid, cables.farm))
                 pieces.append((cap / (3.0 * cables.vph2), cables.farm))
-        best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part)[:, part]
+        best[:, part] = _solve(cables, cables.leading, bounds, ratios, point, pieces, part)[:, part]
     return Optima(cables, best)
 
 
@@ -839,9 +840,10 @@ def max_feasible_power(
     when g <= 0), so g*v2^2 is g, g/|i_k|^2 or g/c times a constant.  The
     pieces switch and feasibility ends on circles; the extremes of |i_k|^2
     are candidates too, so a box with a feasible point is never Infeasible.
-    A fixed box has the one piece g*v2^2.  There, on a short cable, the end
-    currents may exceed the rating by up to 4*eps*kappa^2 relative, kappa =
-    (|a|*alpha + |b|)*V_ph/i: the rounding of the rating circles.
+    A fixed box has the one piece g*v2^2.  In every box, on a short cable,
+    the end currents may exceed the rating by up to 4*eps*kappa^2 relative,
+    kappa = (|a|*alpha + |b|)*V_ph/i: the rounding of the rating circles,
+    within which a rating counts as the v2 bound it is at.
     """
     cons = constraints if constraints is not None else Constraints()
     point = max_feasible_power_rows([(spec, cons, p_farm_cap)]).point(0)

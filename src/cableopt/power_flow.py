@@ -88,8 +88,11 @@ class FlowSolution:
 def solve_flow(spec: CableSpec, op: OperatingPoint) -> FlowSolution:
     """Currents, powers and losses at a terminal operating point."""
     tp, beta = exact_pi_two_port(spec), op.scaling.beta
-    return flow_solution(*flow_parts(tp.a.real, tp.a.imag, tp.b.real, tp.b.imag, spec.phase_voltage,
-                                     op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2))
+    i1, i2, p_farm, q_farm, p_grid, q_grid = flow_parts(
+        tp.a.real, tp.a.imag, tp.b.real, tp.b.imag, spec.phase_voltage,
+        op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2)
+    return FlowSolution(complex(*i1), complex(*i2), p_farm, q_farm, p_grid, q_grid,
+                        p_loss=p_farm - p_grid, eta=p_grid / p_farm if p_farm > 0.0 else None)
 
 
 def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):
@@ -113,16 +116,6 @@ def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):
     s_farm = complex_product(*complex_product(3.0, 0.0, *v1), i1[0], -i1[1])
     s_grid = complex_product(-3.0 * v, 0.0, i2[0], -i2[1])
     return i1, i2, *s_farm, *s_grid
-
-
-def flow_solution(i1, i2, p_farm: float, q_farm: float, p_grid: float, q_grid: float) -> FlowSolution:
-    """The FlowSolution of one point's flow_parts, as floats."""
-    return FlowSolution(
-        i1=complex(*i1), i2=complex(*i2),
-        p_farm=p_farm, q_farm=q_farm,
-        p_grid=p_grid, q_grid=q_grid,
-        p_loss=p_farm - p_grid, eta=p_grid / p_farm if p_farm > 0.0 else None,
-    )
 
 
 def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:

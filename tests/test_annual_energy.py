@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cableopt import (
     ConfigError,
     Constraints,
+    DurationCurve,
     FixedVoltage,
     Infeasible,
     VoltageRange,
@@ -79,6 +80,13 @@ _CURVE_FAULTS = {
 def test_curve_validation(rows, fault):
     with pytest.raises(ConfigError, match=_CURVE_FAULTS[fault]):
         load_duration_curve(rows)
+
+
+def test_duration_curve_checks_its_bins():
+    with pytest.raises(ConfigError, match="^duration curve has no bins$"):
+        DurationCurve(bins=())
+    with pytest.raises(ValueError, match="^weights must sum to 1 within 1e-9, got 0.9$"):
+        DurationCurve(bins=((0.5, 0.4), (1.0, 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +362,11 @@ def test_compare_strategies_names_the_first_inoperable_strategy():
 def test_annual_validates_rated_power(cable200):
     with pytest.raises(ValueError):
         annual_efficiency(cable200, 0.0, small_curve(n_bins=4), FixedVoltage(1.0))
+
+
+def test_compare_strategies_needs_a_strategy(cable200):
+    with pytest.raises(ValueError, match="^strategy list must be non-empty$"):
+        compare_strategies(cable200, 320e6, small_curve(n_bins=4), [])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cableopt.cli import MAX_POINTS, _build_parser, _parse_float_list, main
 from cableopt.errors import ConfigError
 from cableopt.results import read_tables
 
+import output_digests
 from conftest import with_config
 
 
@@ -338,7 +339,7 @@ def test_extreme_inputs_print_no_numpy_warning(tmp_path, capsys, constraints, ar
     assert "RuntimeWarning" not in err
 
 
-@pytest.mark.parametrize("length", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("length", [1e-160, 1e-200, 1e-300, 5e-324])
 @pytest.mark.parametrize("argv", [
     ["optimize", "--p-farm-mw", "100"],
     ["optimize"],
@@ -347,14 +348,16 @@ def test_extreme_inputs_print_no_numpy_warning(tmp_path, capsys, constraints, ar
     ["envelope", "--voltages", "1"],
 ])
 def test_very_short_cable_is_degenerate(tmp_path, capsys, length, argv):
-    # its admittances overflow when squared: an infeasible request, not a traceback
+    # its admittances overflow when squared: an infeasible request, not a
+    # traceback; at 5e-324 km the propagation constant times the length is 0
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps({"cable": {"length_km": length}}), encoding="utf-8")
     if argv[0] == "envelope":
         argv = argv + ["--lengths-km", f"200,{length}"]
     code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 3
-    assert err.startswith("infeasible:") and "too short" in err
+    assert err.startswith("infeasible:")
+    assert ("too short" if length > 5e-324 else "propagation constant is zero") in err
 
 
 @pytest.mark.parametrize("value", [1e151, 1e152, 1e153, 1e154, 1e155, 1e300])
@@ -533,6 +536,31 @@ def test_optimize_infeasible_exits_3(capsys):
     code, _, err = run(capsys, "optimize", "--p-farm-mw", "500")
     assert code == 3
     assert "infeasible" in err
+
+
+def test_optimize_without_positive_efficiency_exits_3(tmp_path, capsys):
+    # at alpha <= 0.02 the grid feeds the cable: the best eta, -18.5, is no optimum,
+    # as analyze at that point reports no through power
+    study = {"constraints": {"alpha_min": 0.01, "alpha_max": 0.02}}
+    code, out, err = run(capsys, *with_config(["optimize", study], tmp_path))
+    assert code == 3 and out == ""
+    assert err == "infeasible: no scaling in range delivers power to the grid: efficiency is never > 0\n"
+    code, _, err = run(capsys, *with_config(["analyze", "--alpha", "0.02", "--beta-deg", "90", study],
+                                            tmp_path))
+    assert code == 3 and "no through power" in err
+
+
+def test_digest_commands_exit_0_or_3(tmp_path):
+    # the CSV half of output_digests.py's commands, in process: each gives a
+    # result or an infeasible verdict, never an uncaught exception (exit 1)
+    path, codes = tmp_path / "study.json", []
+    for argv, study in output_digests.commands():
+        if "--json" not in argv:
+            path.write_text(json.dumps(study), encoding="utf-8")
+            code, output = output_digests.run(main, argv + ["--config", str(path)])
+            assert code in (0, 3), (argv, study, output)
+            codes.append(code)
+    assert len(codes) == 252 and 0 in codes and 3 in codes
 
 
 def test_sweep_policies_and_flags(capsys):
@@ -764,8 +792,12 @@ def test_config_curve_matches_the_curve_flags(tmp_path, capsys, source):
     (["sweep", "--voltages", "1.0"], {"sweep": [1.0]}, "sweep: expected an object"),
     (["optimize"], {"cable": {"profile": "no-such-cable"}}, "unknown profile"),
     (["optimize"], {"constraints": {"check_internal_current": 1}}, "expected true/false"),
+    (["optimize", "--p-farm-mw", "0"], None, "p_farm must be > 0 W, got 0.0"),
+    (["annual", "--rated-mw", "320", "--synth-uf", "0.4", "--weibull-shape", "0",
+      "--strategy", "fixed:1.0"], None, "Weibull parameters must be > 0"),
 ], ids=["zero-step", "empty-range", "empty-list", "zero-p-min", "no-lengths", "root-not-object",
-        "unknown-top-key", "block-not-object", "unknown-profile", "non-bool-check"])
+        "unknown-top-key", "block-not-object", "unknown-profile", "non-bool-check", "zero-p-farm",
+        "zero-weibull-shape"])
 def test_config_errors_exit_2_with_empty_stdout(tmp_path, capsys, argv, study, message):
     if study is not None:
         cfg = tmp_path / "study.json"

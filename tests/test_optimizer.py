@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cableopt import (
     BindingConstraint,
     Constraints,
+    EnvelopePoint,
     Infeasible,
     OperatingPoint,
     VoltageScaling,
@@ -77,6 +78,27 @@ def test_unconstrained_optimum_deterministic(cable200):
 def test_no_positive_power_error(cable200):
     with pytest.raises(ValueError):
         optimize_scaling_unconstrained(cable200, (0.0, 1.0))
+    # at alpha <= 0.02 no scaling delivers power: the best eta, -18.5, is no optimum
+    with pytest.raises(Infeasible, match="efficiency is never > 0$"):
+        optimize_scaling_unconstrained(cable200, (0.01, 0.02))
+
+
+@pytest.mark.parametrize("length", [0.05, 0.2, 0.5, 2.0])
+def test_short_cable_optimum_beats_a_local_grid(length):
+    # the optimum leads by about 5e-7 rad at 0.5 km and by less on shorter
+    # cables, so the beta window must reach below it.  A grid around the
+    # winner, scaled to its distance from xi = 1, may beat eta* by the flow's
+    # rounding only: 8*eps*3*V_ph^2*(|a|*alpha + |b|)*alpha over p_farm, about
+    # 4e-6 at 0.05 km, where the two-port's shunt conductance rounds to zero
+    spec, tp = ref_cable(length), exact_pi_two_port(ref_cable(length))
+    scaling, eta = optimize_scaling_unconstrained(spec)
+    alpha, beta = scaling.alpha, scaling.beta
+    size = 3.0 * spec.phase_voltage**2 * (abs(tp.a) * alpha + abs(tp.b)) * alpha
+    tol = 8.0 * sys.float_info.epsilon * size / solve_flow(spec, OperatingPoint(1.0, scaling)).p_farm
+    grid = max(solve_flow(spec, OperatingPoint(1.0, VoltageScaling(
+        max(1.0, 1.0 + (alpha - 1.0) * (1 + i / 20)), beta * (1 + j / 20)))).eta
+        for i in range(-10, 11) for j in range(-10, 11))
+    assert eta >= grid - tol
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +133,11 @@ def test_curve_flags_consistent_with_limits(cable200):
 def test_curve_rejects_powerless_scaling(cable200):
     with pytest.raises(Infeasible, match=r"^farm power coefficient is -.* W/pu\^2 at this scaling$"):
         optimal_voltage_curve(cable200, VoltageScaling.from_degrees(1.0, -30.0), [1e6])
+
+
+def test_curve_rejects_a_negative_target(cable200):
+    with pytest.raises(ValueError, match="^farm power target must be >= 0, got -1.0$"):
+        optimal_voltage_curve(cable200, VoltageScaling.from_degrees(1.025, 4.25), [1e6, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +263,7 @@ def test_forms_match_kernel_and_profile():
         flow = solve_flow(spec, OperatingPoint(1.0, VoltageScaling(alpha, beta)))
         c, g, eta, i = (x.item() for x in cables.at(np.array([alpha]), np.array([beta]), np.array([0])))
         c_size, g_size = (3.0 * vph**2 * _scale(form, xi) for form in forms[:2])
-        a, b = abs(cables.tp.a[0]), abs(cables.tp.b[0])
+        a, b = abs(cables.a[0]), abs(cables.b[0])
         assert abs(c - flow.p_farm) <= 1e-12 * c_size
         assert abs(g - flow.p_grid) <= 1e-12 * g_size
         if flow.eta is not None:
@@ -386,6 +413,10 @@ def test_short_cable_fixed_box_delivers_at_its_rating_corner(length, v2):
     alphas, betas = rating_disk_grids(spec, v2, 1055.0)
     ref = best_pgrid_at_voltage(spec, v2, 1055.0, alphas=alphas, betas=betas)
     assert abs(pg - ref) <= (floor + 1e-8) * ref
+    # a free box up to v2 takes a rating within that slack of v2 as v2 too, so
+    # it scores the same corner and reads no less than the fixed box
+    _, free_pg, free = max_feasible_power(spec, Constraints(v2_min=0.4 * v2, v2_max=v2))
+    assert free_pg == pg and free.operating_point == point.operating_point
 
 
 def test_max_power_with_farm_cap(cable200):
@@ -477,6 +508,30 @@ def test_envelope_structure():
     # delivered never exceeds injected
     for p in env.points + env.envelope:
         assert p.p_grid_max <= p.p_farm_at_max + 1e-6
+    with pytest.raises(ValueError, match="^lengths and v2_values must be non-empty$"):
+        transfer_envelope(spec, [], voltages)
+
+
+def test_envelope_row_that_delivers_nothing_is_feasible_at_zero():
+    # from 548.75 to 557.5 km the 0.4 p.u. box still carries the charging
+    # current, but its best delivery is <= 0: a feasible row at 0, 0
+    env = transfer_envelope(ref_cable(), [548.0, 550.0, 558.0], [0.4])
+    (short, dead, long_), free = env.points, env.envelope
+    assert short.feasible and short.p_grid_max > 0.0
+    assert dead == EnvelopePoint(550.0, 0.4, 0.0, 0.0, feasible=True) == free[1]
+    assert not long_.feasible
+
+
+def test_fixed_voltage_rows_never_read_above_their_optimal_row():
+    # the free box takes a rating within its 4*eps*kappa^2 slack of v2_max as
+    # v2_max, as a fixed box does, so no fixed row reads above its length's
+    # optimal row, not even by the slack (up to 1.1e-7 on the short cables)
+    lengths = np.geomspace(0.05, 450.0, 120).tolist()
+    voltages = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    env = transfer_envelope(ref_cable(), lengths, voltages)
+    for k, best in enumerate(env.envelope):
+        for pt in env.points[k * len(voltages):(k + 1) * len(voltages)]:
+            assert pt.p_grid_max <= best.p_grid_max, (pt, best)
 
 
 def test_constraints_validation():
@@ -702,6 +757,39 @@ def test_rows_on_different_cables_match_one_row_calls(internal):
     assert any(point is None for point in batched) and any(point is not None for point in batched)
 
 
+def _bits(*values):
+    """The float.hex of every part of values, NaN and None alike as nan: equal only bit for bit."""
+    parts = [x for v in values for x in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+    return [float.hex(math.nan if x is None else float(x)) for x in parts]
+
+
+@pytest.mark.parametrize("kind", ["production", "uncapped", "capped"])
+def test_row_flow_arrays_are_the_points_solve_flow(kind):
+    # Optima.point(r) takes its flow from solve_flow at the winner; the flow
+    # arrays of the row API must hold the same bits on every found row
+    rng = random.Random({"production": 61, "uncapped": 62, "capped": 63}[kind])
+    cons, rows = Constraints(), []
+    for _ in range(12):
+        spec = random_cable(rng).with_length(10.0 ** rng.uniform(-0.5, math.log10(400.0)))
+        for _ in range(3):
+            lo = rng.uniform(0.3, 1.0)
+            rows.append((spec, cons.with_v2_range(lo, rng.choice([lo, rng.uniform(lo, 1.0), 1.0])),
+                         10.0 ** rng.uniform(6.0, 9.0)))
+    if kind == "production":
+        won = optimize_at_production_rows([(spec, p, box) for spec, box, p in rows])
+    else:
+        won = max_feasible_power_rows([(spec, box, p if kind == "capped" else None)
+                                       for spec, box, p in rows])
+    found = np.flatnonzero(won.found).tolist()
+    assert len(found) > 10
+    for r in found:
+        flow = won.point(r).flow
+        got = _bits(complex(won.i1[0][r], won.i1[1][r]), complex(won.i2[0][r], won.i2[1][r]),
+                    *(x[r] for x in (won.p_farm, won.q_farm, won.p_grid, won.q_grid, won.eta)))
+        assert got == _bits(flow.i1, flow.i2, flow.p_farm, flow.q_farm, flow.p_grid, flow.q_grid,
+                            flow.eta), r
+
+
 def _ranked_tables(rng):
     """A random ranked candidate table: (ranked, count), each row's candidates by descending score.
 
@@ -879,6 +967,9 @@ def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
         optimize_at_production_rows(rows)
     with pytest.raises(ValueError):
         max_feasible_power_rows([(cable200, Constraints(), None), (cable200, Constraints(), 50e6)])
+    for cap in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^p_farm_cap must be > 0 W"):
+            max_feasible_power_rows([(cable200, Constraints(), cap)])
     with pytest.raises(ValueError):
         optimize_at_production_rows([])
     with pytest.raises(ValueError):

@@ -125,3 +125,16 @@ def test_has_nonfinite(value, flagged):
     table.add(1.0, "x")
     table.add("y", value)
     assert table.has_nonfinite() is flagged
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: ResultTable("t", ["a", "b"], ["-"]), "^columns and units must have equal length$"),
+    (lambda: ResultTable("t", ["a", "b"], ["-", "-"]).add(1.0), r"^row width 1 != 2 columns$"),
+    (lambda: read_tables(io.StringIO("# units: -\n")), "^units line before any section$"),
+    (lambda: read_tables(io.StringIO("a,b\n")), "^data line before any section$"),
+    (lambda: read_tables(io.StringIO("# section: t\na,b\n# units: -\n1,2\n")),
+     "^section t: units/columns mismatch$"),
+], ids=["units-width", "row-width", "units-first", "data-first", "units-columns"])
+def test_malformed_tables_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
