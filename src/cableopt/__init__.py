@@ -57,9 +57,6 @@ from .power_flow import (
     FlowSolution,
     OperatingPoint,
     VoltageScaling,
-    efficiency_of_scaling,
-    farm_power_coefficient,
-    grid_power_coefficient,
     solve_flow,
 )
 
@@ -73,8 +70,7 @@ __all__ = [
     "SegmentProfile", "StrategyOutcome", "TransferEnvelope", "TwoPort",
     "VoltageRange", "VoltageScaling", "VoltageStrategy",
     "annual_efficiency", "characteristic_impedance",
-    "compare_strategies", "efficiency_of_scaling", "exact_pi_two_port",
-    "farm_power_coefficient", "grid_power_coefficient",
+    "compare_strategies", "exact_pi_two_port",
     "load_duration_curve", "max_feasible_power", "max_feasible_power_rows",
     "optimal_voltage_curve", "optimize_at_production", "optimize_at_production_rows",
     "optimize_scaling_unconstrained",

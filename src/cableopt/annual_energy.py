@@ -13,13 +13,22 @@ power the strategy's voltage floor can transmit), the bin delivers the
 most it feasibly can without injecting more than the farm produces; when
 even that best delivery is non-positive, the bin is shut down and fully
 curtailed rather than operated as a net sink.
+
+Bin routing: one production solve takes every strategy's positive bins.
+A short bin (one it cannot serve) above every level its strategy serves
+takes the strategy's uncapped maximum, which a cap at the bin's level
+leaves as it is unless that maximum injects more; such a bin goes in one
+follow-up capped solve.  One capped delivery solve takes the other short
+bins and, per strategy, the uncapped row (capped at inf).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from operator import mul, sub
 from pathlib import Path
 
 from .cable_model import MAX_POINTS, CableSpec
@@ -290,6 +299,7 @@ class AnnualResult:
 
     Energies are duration-weighted average powers over the year [W];
     delivered + lost + curtailed equals the potential production exactly.
+    per_bin is built on first access from outcomes, each bin's fields as a tuple.
     """
 
     eta_annual: float
@@ -297,7 +307,11 @@ class AnnualResult:
     energy_delivered: float
     energy_lost: float
     energy_curtailed: float
-    per_bin: tuple[BinOutcome, ...]
+    outcomes: tuple[tuple, ...]
+
+    @cached_property
+    def per_bin(self) -> tuple[BinOutcome, ...]:
+        return tuple(BinOutcome(*o) for o in self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -341,8 +355,7 @@ def compare_strategies(
     base = constraints if constraints is not None else Constraints()
     boxes = [base.with_v2_range(*strategy.v2_bounds()) for strategy in strategies]
 
-    # every strategy's positive bins in one production solve; those it cannot
-    # serve (sensibly) in one capped delivery solve: (p_farm, p_grid, v2) each
+    # every strategy's positive bins in one production solve
     levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
     live = [(s, k) for s in range(len(strategies)) for k, p in enumerate(levels) if p > 0.0]
     served = {}
@@ -350,47 +363,59 @@ def compare_strategies(
         won = optimize_at_production_rows([(spec, levels[k], boxes[s]) for s, k in live])
         served = {row: (pg, v2, eta) for row, good, pg, v2, eta in zip(live, *(x.tolist() for x in (
             won.found & (won.eta > 0.0), won.p_grid, won.v2, won.eta))) if good}
-    short = [row for row in live if row not in served]
-    # the capped solve ends with one row per strategy capped at inf, which
-    # caps nothing: a strategy whose voltage window cannot even carry the
-    # charging current finds no point there and is infeasible as a whole,
-    # not merely curtailed
-    won = max_feasible_power_rows([(spec, boxes[s], levels[k]) for s, k in short]
-                                  + [(spec, box, math.inf) for box in boxes])
-    found = won.found.tolist()
-    for strategy, box, ok in zip(strategies, boxes, found[len(short):]):
-        if not ok:
+    # the capped delivery solve's rows (see the module docstring) end with
+    # one per strategy capped at inf, which caps nothing: a strategy whose
+    # voltage window cannot even carry the charging current finds no point
+    # there and is infeasible as a whole, not merely curtailed
+    top = [max([levels[k] for t, k in served if t == s], default=0.0) for s in range(len(strategies))]
+    short = [(s, k) for s, k in live if (s, k) not in served]
+    rest = [(s, k) for s, k in short if levels[k] <= top[s]]
+
+    def delivery(rows):     # (p_farm, p_grid, v2) of each (strategy, cap) row, None where none is found
+        won = max_feasible_power_rows([(spec, boxes[s], cap) for s, cap in rows])
+        return [(pf, pg, v2) if ok else None for ok, pf, pg, v2 in zip(*(x.tolist() for x in (
+            won.found, won.p_farm, won.p_grid, won.v2)))]
+
+    found = delivery([(s, levels[k]) for s, k in rest] + [(s, math.inf) for s in range(len(strategies))])
+    capped, uncapped = dict(zip(rest, found)), found[len(rest):]
+    for strategy, box, best in zip(strategies, boxes, uncapped):
+        if best is None:
             exc = inoperable(spec, box)
             raise Infeasible(
                 f"strategy {strategy.label} cannot operate this cable at all: {exc}") from exc
-    capped = {row: (pf, pg, v2) for row, ok, pf, pg, v2 in zip(short, found, *(x.tolist() for x in (
-        won.p_farm, won.p_grid, won.v2))) if ok and pg > 0.0}
+    # 1e-6 covers the rounding between the two injections: where the cap does
+    # not bind, the capped solve finds the uncapped candidate, bit for bit
+    over = [(s, k) for s, k in short if levels[k] > top[s]]
+    capped.update((row, uncapped[row[0]]) for row in over)
+    later = [(s, k) for s, k in over if levels[k] < uncapped[s][0] * (1.0 + 1e-6)]
+    if later:
+        capped.update(zip(later, delivery([(s, levels[k]) for s, k in later])))
 
     out = []
     for s, strategy in enumerate(strategies):
-        outcomes = []
+        outcomes = []       # BinOutcome's fields, bin by bin
         for k, (power_pu, weight) in enumerate(curve.bins):
             p = levels[k]
             if p <= 0.0:
-                outcomes.append(BinOutcome(power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
+                outcomes.append((power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
             elif (hit := served.get((s, k))) is not None:
                 pg, v2, eta = hit
-                outcomes.append(BinOutcome(power_pu, weight, p, p, pg, v2, eta, 0.0))
-            elif (hit := capped.get((s, k))) is not None:
+                outcomes.append((power_pu, weight, p, p, pg, v2, eta, 0.0))
+            elif (hit := capped.get((s, k))) is not None and hit[1] > 0.0:
                 # Required level not (sensibly) transmittable: deliver what the
                 # cable can, capped by the available production
                 pf, pg, v2 = hit
-                outcomes.append(BinOutcome(power_pu, weight, p, pf, pg, v2,
-                                           pg / pf if pf > 0 else None, p - pf))
+                outcomes.append((power_pu, weight, p, pf, pg, v2, pg / pf if pf > 0 else None, p - pf))
             else:
                 # shut down: even the best delivery is non-positive, or the cap
                 # admits no operating point
-                outcomes.append(BinOutcome(power_pu, weight, p, 0.0, 0.0, None, None, p))
+                outcomes.append((power_pu, weight, p, 0.0, 0.0, None, None, p))
 
-        potential = math.fsum(o.weight * o.p_farm for o in outcomes)
-        delivered = math.fsum(o.weight * o.p_grid for o in outcomes)
-        curtailed = math.fsum(o.weight * o.curtailed for o in outcomes)
-        lost = math.fsum(o.weight * (o.p_farm_used - o.p_grid) for o in outcomes)
+        _, weight, p_farm, used, p_grid, _, _, cut = zip(*outcomes)
+        potential = math.fsum(map(mul, weight, p_farm))
+        delivered = math.fsum(map(mul, weight, p_grid))
+        curtailed = math.fsum(map(mul, weight, cut))
+        lost = math.fsum(map(mul, weight, map(sub, used, p_grid)))
         loss = potential - delivered
         if s == 0:
             loss_ref = loss
@@ -400,6 +425,6 @@ def compare_strategies(
             energy_delivered=delivered,
             energy_lost=lost,
             energy_curtailed=curtailed,
-            per_bin=tuple(outcomes),
+            outcomes=tuple(outcomes),
         ), 100.0 * (loss_ref - loss) / loss_ref if loss_ref > 0.0 else 0.0))
     return out

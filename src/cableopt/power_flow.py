@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .cable_model import CableSpec, complex_product, exact_pi_two_port
-from .errors import Infeasible
 
 
 @dataclass(frozen=True)
@@ -116,28 +115,3 @@ def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):
     s_farm = complex_product(*complex_product(3.0, 0.0, *v1), i1[0], -i1[1])
     s_grid = complex_product(-3.0 * v, 0.0, i2[0], -i2[1])
     return i1, i2, *s_farm, *s_grid
-
-
-def efficiency_of_scaling(spec: CableSpec, scaling: VoltageScaling) -> float:
-    """Cable efficiency as a function of the scaling alone: solve_flow's eta at v2 = 1 p.u.
-
-    Both powers scale with v2^2, so the ratio holds for every operating
-    voltage, up to the rounding of each flow.
-    """
-    eta = solve_flow(spec, OperatingPoint(1.0, scaling)).eta
-    if eta is None:
-        raise Infeasible(
-            f"wind side injects no active power at alpha={scaling.alpha}, "
-            f"beta={scaling.beta_deg:.3f} deg; efficiency undefined"
-        )
-    return eta
-
-
-def farm_power_coefficient(spec: CableSpec, scaling: VoltageScaling) -> float:
-    """c such that p_farm = c*v2^2 [W per (p.u.)^2]: solve_flow's p_farm at v2 = 1 p.u."""
-    return solve_flow(spec, OperatingPoint(1.0, scaling)).p_farm
-
-
-def grid_power_coefficient(spec: CableSpec, scaling: VoltageScaling) -> float:
-    """g such that p_grid = g*v2^2 [W per (p.u.)^2]: solve_flow's p_grid at v2 = 1 p.u."""
-    return solve_flow(spec, OperatingPoint(1.0, scaling)).p_grid

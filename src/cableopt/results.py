@@ -56,12 +56,15 @@ def provenance_digest(payload: dict) -> str:
 
 
 # A table's rows are written through one %-template built column by column:
-# a column whose cells are all exact floats is formatted by % itself, every
-# other column is turned into strings first and goes in through %s.
+# a column whose cells are all exact floats or all exact ints is formatted by
+# % itself, every other column is turned into strings first and goes in through %s.
 
 def _csv_column(values: tuple) -> tuple[str, tuple]:
-    if set(map(type, values)) == {float}:
+    kinds = set(map(type, values))
+    if kinds == {float}:
         return "%.12g", values          # the text of f"{v:.12g}"
+    if kinds == {int}:
+        return "%d", values             # the text of str(v)
     return "%s", tuple(map(_fmt, values))
 
 

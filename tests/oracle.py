@@ -13,11 +13,14 @@ The delivery solve's reference runs the package's candidate solve on the
 form lists of a free v2 box for every box.  The synthetic duration
 curve's reference builds each curve bin by bin and bisects the Weibull
 scale for a fixed number of steps.  The flow references
-form the two-port flow in Python's complex arithmetic.
+form the two-port flow in Python's complex arithmetic.  The annual study's
+reference sends every short bin through the capped delivery solve and
+builds each bin's outcome as it goes.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -520,4 +523,78 @@ def profile_worst_nodes(spec, cons, alpha, beta, v2):
     for values, limit in checks:
         k = max(range(len(values)), key=lambda j: abs(values[j]))
         out.append((k, abs(values[k]), limit))
+    return out
+
+
+@dataclass(frozen=True)
+class EagerAnnualResult:
+    """AnnualResult with its per_bin BinOutcomes built as a field, as before they were built on demand."""
+
+    eta_annual: float
+    energy_produced_potential: float
+    energy_delivered: float
+    energy_lost: float
+    energy_curtailed: float
+    per_bin: tuple
+
+
+def every_short_bin_capped(spec, rated_farm_power, curve, strategies, constraints=None):
+    """compare_strategies before over-capability bins took the uncapped maximum.
+
+    Every bin the production solve does not serve (sensibly) goes through
+    the capped delivery solve, capped at its own level, and every bin's
+    BinOutcome is built as the bins are walked.  The solves are looked up
+    on the optimizer module, so a test may replace them.  Returns
+    (strategy, EagerAnnualResult, loss_reduction_pct) per strategy.
+    """
+    from cableopt import optimizer
+    from cableopt.annual_energy import BinOutcome
+
+    base = constraints if constraints is not None else optimizer.Constraints()
+    boxes = [base.with_v2_range(*strategy.v2_bounds()) for strategy in strategies]
+    levels = [power_pu * rated_farm_power for power_pu, _ in curve.bins]
+    live = [(s, k) for s in range(len(strategies)) for k, p in enumerate(levels) if p > 0.0]
+    served = {}
+    if live:
+        won = optimizer.optimize_at_production_rows([(spec, levels[k], boxes[s]) for s, k in live])
+        served = {row: (pg, v2, eta) for row, good, pg, v2, eta in zip(live, *(x.tolist() for x in (
+            won.found & (won.eta > 0.0), won.p_grid, won.v2, won.eta))) if good}
+    short = [row for row in live if row not in served]
+    won = optimizer.max_feasible_power_rows([(spec, boxes[s], levels[k]) for s, k in short]
+                                            + [(spec, box, math.inf) for box in boxes])
+    found = won.found.tolist()
+    for strategy, box, ok in zip(strategies, boxes, found[len(short):]):
+        if not ok:
+            exc = optimizer.inoperable(spec, box)
+            raise Infeasible(
+                f"strategy {strategy.label} cannot operate this cable at all: {exc}") from exc
+    capped = {row: (pf, pg, v2) for row, ok, pf, pg, v2 in zip(short, found, *(x.tolist() for x in (
+        won.p_farm, won.p_grid, won.v2))) if ok and pg > 0.0}
+
+    out = []
+    for s, strategy in enumerate(strategies):
+        outcomes = []
+        for k, (power_pu, weight) in enumerate(curve.bins):
+            p = levels[k]
+            if p <= 0.0:
+                outcomes.append(BinOutcome(power_pu, weight, 0.0, 0.0, 0.0, None, None, 0.0))
+            elif (hit := served.get((s, k))) is not None:
+                pg, v2, eta = hit
+                outcomes.append(BinOutcome(power_pu, weight, p, p, pg, v2, eta, 0.0))
+            elif (hit := capped.get((s, k))) is not None:
+                pf, pg, v2 = hit
+                outcomes.append(BinOutcome(power_pu, weight, p, pf, pg, v2,
+                                           pg / pf if pf > 0 else None, p - pf))
+            else:
+                outcomes.append(BinOutcome(power_pu, weight, p, 0.0, 0.0, None, None, p))
+        potential = math.fsum(o.weight * o.p_farm for o in outcomes)
+        delivered = math.fsum(o.weight * o.p_grid for o in outcomes)
+        curtailed = math.fsum(o.weight * o.curtailed for o in outcomes)
+        lost = math.fsum(o.weight * (o.p_farm_used - o.p_grid) for o in outcomes)
+        loss = potential - delivered
+        if s == 0:
+            loss_ref = loss
+        out.append((strategy, EagerAnnualResult(
+            delivered / potential if potential > 0.0 else 0.0, potential, delivered, lost, curtailed,
+            tuple(outcomes)), 100.0 * (loss_ref - loss) / loss_ref if loss_ref > 0.0 else 0.0))
     return out

@@ -28,12 +28,12 @@ from cableopt import (
     utilization_factor,
     write_duration_csv,
 )
-from cableopt import annual_energy
+from cableopt import annual_energy, optimizer
 from cableopt.annual_energy import REFERENCE_CURVE_PARAMS
 from cableopt.cable_model import MAX_POINTS
 
 from conftest import random_cable, ref_cable
-from oracle import bisected_duration_curve
+from oracle import bisected_duration_curve, every_short_bin_capped
 
 
 def small_curve(n_bins=12, target_uf=0.46):
@@ -427,6 +427,90 @@ def test_annual_bins_match_one_row_calls():
                 kinds.append("shut down")
                 assert (o.p_grid, o.p_farm_used, o.v2_used, o.curtailed) == (0.0, 0.0, None, o.p_farm)
     assert {"served", "curtailed", "shut down"} <= set(kinds)
+
+
+# ---------------------------------------------------------------------------
+# a short bin over its strategy's served levels takes the uncapped maximum
+
+def _same_as_every_bin_capped(out, want):
+    """Every field of each StrategyOutcome is the reference's, by repr."""
+    assert len(out) == len(want)
+    for o, (strategy, result, reduction) in zip(out, want):
+        assert o.strategy == strategy and repr(o.loss_reduction_pct) == repr(reduction)
+        for name in ("eta_annual", "energy_produced_potential", "energy_delivered",
+                     "energy_lost", "energy_curtailed", "per_bin"):
+            assert repr(getattr(o.result, name)) == repr(getattr(result, name)), name
+
+
+def _annual_case(rng):
+    """A random or the reference cable, 120-300 km, 250-400 MW rated, fixed, range and tap strategies."""
+    spec = rng.choice([random_cable(rng), ref_cable()]).with_length(rng.uniform(120.0, 300.0))
+    curve = load_duration_curve([(p, rng.uniform(0.1, 1.0))
+                                 for p in [0.0, 1.0] + [rng.random() for _ in range(18)]])
+    strategies = [FixedVoltage(rng.uniform(0.8, 1.0)), VoltageRange(0.4, 1.0),
+                  tap_range(rng.uniform(0.9, 1.0), rng.uniform(0.05, 0.15))]
+    return spec, rng.uniform(250e6, 400e6), curve, strategies
+
+
+@pytest.fixture
+def capped_rows(monkeypatch) -> list:
+    """The row count of each capped delivery solve compare_strategies makes."""
+    rows, solve = [], annual_energy.max_feasible_power_rows
+    monkeypatch.setattr(annual_energy, "max_feasible_power_rows",
+                        lambda batch: rows.append(len(batch)) or solve(batch))
+    return rows
+
+
+def test_over_capability_bins_are_the_capped_solve_of_every_short_bin(capped_rows):
+    rng, cases, shortcuts = random.Random(211), 0, 0
+    for _ in range(60):
+        spec, rated, curve, strategies = _annual_case(rng)
+        try:
+            want = every_short_bin_capped(spec, rated, curve, strategies)
+        except Infeasible as exc:
+            with pytest.raises(Infeasible) as got:
+                compare_strategies(spec, rated, curve, strategies)
+            assert str(got.value) == str(exc)
+            continue
+        capped_rows.clear()
+        _same_as_every_bin_capped(compare_strategies(spec, rated, curve, strategies), want)
+        short = sum(o.curtailed > 0.0 for _, result, _ in want for o in result.per_bin)
+        assert capped_rows[0] <= short + len(strategies)
+        cases += 1
+        shortcuts += capped_rows[0] < short + len(strategies)
+    assert cases >= 40 and shortcuts >= 20      # 45 and 24 with this seed
+
+
+def test_a_short_bin_under_the_uncapped_maximum_gets_a_capped_row(monkeypatch, capped_rows):
+    # the production solve is made to miss the first strategy's highest
+    # served bin: it lies above every level that strategy serves, but under
+    # the injection of its uncapped maximum, so a follow-up capped solve
+    # answers it, as the reference does
+    production = optimizer.optimize_at_production_rows
+
+    def missing_top(rows):
+        won = production(rows)
+        box, served = rows[0][2], (won.found & (won.eta > 0.0)).tolist()
+        top = max((r for r, row in enumerate(rows) if row[2] is box and served[r]),
+                  key=lambda r: rows[r][1], default=None)
+        if top is not None:
+            won.found[top] = False
+        return won
+
+    monkeypatch.setattr(annual_energy, "optimize_at_production_rows", missing_top)
+    monkeypatch.setattr(optimizer, "optimize_at_production_rows", missing_top)
+    rng, follow_ups = random.Random(212), 0
+    cases = [(ref_cable(150.0), 250e6, small_curve(), [VoltageRange(0.4, 1.0), FixedVoltage(0.9)])]
+    cases += [_annual_case(rng) for _ in range(12)]
+    for spec, rated, curve, strategies in cases:
+        try:
+            want = every_short_bin_capped(spec, rated, curve, strategies)
+        except Infeasible:
+            continue
+        capped_rows.clear()
+        _same_as_every_bin_capped(compare_strategies(spec, rated, curve, strategies), want)
+        follow_ups += len(capped_rows) > 1
+    assert follow_ups >= 10     # 12 of the 13 cases with this seed
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from cableopt import results
 from cableopt.results import ResultTable, read_tables, write_tables
 
 
@@ -100,6 +101,25 @@ def test_write_tables_matches_cell_by_cell_reference(json_mode):
         fh = io.StringIO()
         write_tables(fh, tables, provenance, json_mode=json_mode, config_echo=config_echo)
         assert fh.getvalue() == _reference(tables, provenance, json_mode, config_echo), seed
+
+
+@pytest.mark.parametrize("cells,spec", [
+    ((0, -7, 2 ** 63, -(2 ** 63) - 1, 10 ** 30), "%d"),
+    ((True, False), "%s"),
+    ((3, 2.5, -1), "%s"),
+    ((1, True), "%s"),
+], ids=["ints", "bools", "ints-floats", "ints-bools"])
+def test_csv_int_column_is_its_str(cells, spec):
+    # an all-int column goes through %d, which writes str(v) for any int;
+    # bools stay 1/0 and a mixed column is written cell by cell
+    assert results._csv_column(cells)[0] == spec
+    table = ResultTable("t", ["n"], ["-"])
+    for cell in cells:
+        table.add(cell)
+    fh = io.StringIO()
+    write_tables(fh, [table], {"tool": "t"})
+    assert fh.getvalue() == _reference([table], {"tool": "t"}, False, None)
+    assert fh.getvalue().splitlines()[3:3 + len(cells)] == [_ref_fmt(cell) for cell in cells]
 
 
 def test_written_csv_reloads():
