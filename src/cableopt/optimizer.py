@@ -414,8 +414,7 @@ class _Rows:
     row does the same floating-point work whatever its batch.  The columns:
     the admittances a and b, vph, vph2, i_rated, i_rated2, edge_rated2 (the
     rating drawn _EDGE inside, squared), the beta branch ends beta_floor and
-    beta_cap, and the forms farm, grid, cur1, cur2 and one, the constant form 1;
-    and leading, the beta window [1e-9, beta_cap] of the solves whose optimum leads.
+    beta_cap, and the forms farm, grid, cur1, cur2 and one, the constant form 1.
     """
 
     def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
@@ -439,7 +438,6 @@ class _Rows:
         self.a, self.b = table[:2]
         (self.vph, self.vph2, self.i_rated, self.i_rated2, self.edge_rated2,
          self.beta_floor, self.beta_cap) = table[2:9].real
-        self.leading = (np.full(len(which), 1e-9), np.maximum(1e-9, self.beta_cap))
         # each form's parts are real but for its middle one
         self.farm, self.grid, self.cur1, self.cur2, self.one = (
             (table[j].real, table[j + 1], table[j + 2].real) for j in range(9, 24, 3))
@@ -590,14 +588,14 @@ def optimize_scaling_unconstrained(
 ) -> tuple[VoltageScaling, float]:
     """argmax of efficiency over alpha in alpha_range, beta in [1e-9 rad, beta_cap].
 
-    The window is the delivery solve's, _Rows.leading: the optimum leads,
-    by about 5e-7 rad on a 0.5 km cable.  The interior optimum is the top
-    eigenvector of the pencil of grid and farm power; on the alpha bounds
-    and the window ends, eta = g/c peaks at a stationary point along the
-    circle or ray, all in closed form.  The winner's eta is solve_flow's at
-    v2 = 1 p.u., in real arithmetic, not the score from numpy's complex
-    multiply, whose bits vary by CPU.  Raises Infeasible where no scaling
-    in range has eta > 0.
+    The window is the beta branch floored at 1e-9 rad, as the optimum leads
+    (by about 5e-7 rad at 0.5 km); on the whole branch the top eigenvector
+    of the pencil of grid and farm power, the interior optimum, collapses to
+    xi = 1 on cables of 0.05 km and shorter.  On the alpha bounds and the
+    window ends, eta = g/c peaks at a stationary point along the circle or
+    ray, all in closed form.  The winner's eta is solve_flow's at v2 = 1
+    p.u., in real arithmetic, not the score from numpy's complex multiply,
+    whose bits vary by CPU.  Raises Infeasible where no scaling in range has eta > 0.
     """
     a_lo, a_hi = alpha_range
     cables = _Rows([(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))])
@@ -606,7 +604,8 @@ def optimize_scaling_unconstrained(
         eta = cables.at(alpha, beta, r)[2]
         return np.where(np.isfinite(eta), eta, np.nan), np.zeros_like(eta)
 
-    best = _solve(cables, cables.leading, [], [(cables.grid, cables.farm)], point)
+    window = np.maximum(1e-9, [cables.beta_floor, cables.beta_cap])
+    best = _solve(cables, window, [], [(cables.grid, cables.farm)], point)
     eta, alpha, beta, _ = best[:, 0].tolist()
     if not eta > 0.0:
         raise Infeasible("no scaling in range delivers power to the grid: efficiency is never > 0")
@@ -798,6 +797,7 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
     curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
     k = None if cap is None else 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
     point, best = _delivery_point(cables, cap), np.full((4, len(cables)), np.nan)
+    window = (cables.beta_floor, cables.beta_cap)    # a low cap may be met at beta < 0 only
     # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end
     # current, one cap circle and one piece, g*v2^2.  Its rows are solved apart
     # from free boxes, where v2 may also sit at a rating or at the cap
@@ -821,7 +821,7 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
                 bounds += [_sub(cur, cables.farm, k) for cur in curs]
                 ratios.append((cables.grid, cables.farm))
                 pieces.append((cap / (3.0 * cables.vph2), cables.farm))
-        best[:, part] = _solve(cables, cables.leading, bounds, ratios, point, pieces, part)[:, part]
+        best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part)[:, part]
     return Optima(cables, best)
 
 
@@ -832,14 +832,14 @@ def max_feasible_power(
 ) -> tuple[float, float, OptimumPoint]:
     """Maximize delivered grid power over the whole operating box.
 
-    Returns (p_farm_at_max, p_grid_max, point).  With p_farm_cap set, the
-    injected power is additionally capped (used for curtailment
-    accounting, where a farm cannot inject more than it produces).
+    Returns (p_farm_at_max, p_grid_max, point).  p_farm_cap, where set,
+    caps the injection too: a farm cannot inject more than it produces.
 
     v2 is the lowest of v2_max, the rating I/|i_k| and sqrt(cap/c) (v2_min
     when g <= 0), so g*v2^2 is g, g/|i_k|^2 or g/c times a constant.  The
-    pieces switch and feasibility ends on circles; the extremes of |i_k|^2
-    are candidates too, so a box with a feasible point is never Infeasible.
+    pieces switch and feasibility ends on circles over the cable's whole
+    beta branch, and the extremes of |i_k|^2 are candidates too, so a box
+    with a feasible point, within the cap if set, is never Infeasible.
     A fixed box has the one piece g*v2^2.  In every box, on a short cable,
     the end currents may exceed the rating by up to 4*eps*kappa^2 relative,
     kappa = (|a|*alpha + |b|)*V_ph/i: the rounding of the rating circles,

@@ -329,9 +329,10 @@ def full_form_delivery(rows):
 
     The delivery solve before a fixed box (v2_min = v2_max) was solved on
     its own lists: the rating and cap circles at both v2 bounds, and the
-    rating- and cap-limited pieces, on every row.  It shares the candidate
-    solve and the delivery score with the package, so it checks only that
-    dropping those forms leaves every winner as it was.
+    rating- and cap-limited pieces, on every row, over the package's beta
+    window, the cable's branch.  It shares the candidate solve and the
+    delivery score with the package, so it checks only that dropping those
+    forms leaves every winner as it was.
     """
     from cableopt import optimizer
     from cableopt.optimizer import _sub
@@ -354,7 +355,7 @@ def full_form_delivery(rows):
             bounds += [_sub(cur, cables.farm, k) for cur in curs]
             ratios.append((cables.grid, cables.farm))
             pieces.append((cap / (3.0 * cables.vph2), cables.farm))
-        window = (np.full(len(cables), 1e-9), np.maximum(1e-9, cables.beta_cap))
+        window = (cables.beta_floor, cables.beta_cap)
         best = optimizer._solve(cables, window, bounds, ratios, optimizer._delivery_point(cables, cap),
                                 pieces)
         return optimizer.Optima(cables, best)

@@ -28,11 +28,11 @@ from cableopt import (
     utilization_factor,
     write_duration_csv,
 )
-from cableopt import annual_energy, optimizer
+from cableopt import annual_energy, cli, optimizer
 from cableopt.annual_energy import REFERENCE_CURVE_PARAMS
 from cableopt.cable_model import MAX_POINTS
 
-from conftest import random_cable, ref_cable
+from conftest import random_cable, ref_cable, with_config
 from oracle import bisected_duration_curve, every_short_bin_capped
 
 
@@ -511,6 +511,19 @@ def test_a_short_bin_under_the_uncapped_maximum_gets_a_capped_row(monkeypatch, c
         _same_as_every_bin_capped(compare_strategies(spec, rated, curve, strategies), want)
         follow_ups += len(capped_rows) > 1
     assert follow_ups >= 10     # 12 of the 13 cases with this seed
+
+
+def test_follow_up_capped_solve_runs_on_a_long_cable(monkeypatch, capped_rows, tmp_path):
+    # on 317 km the fixed 0.8 p.u. strategy serves no bin with eta > 0, and
+    # its three lowest bins lie under the injection of its uncapped maximum,
+    # about 21.7 MW: the follow-up capped solve answers them, unpatched
+    calls, compare = [], annual_energy.compare_strategies
+    monkeypatch.setattr(cli, "compare_strategies", lambda *args: calls.append(args) or compare(*args))
+    argv = ["annual", "--rated-mw", "213.7", "--synth-uf", "0.35", "--n-bins", "40",
+            "--strategy", "fixed:0.8", "--strategy", "range:0.6:1.0", {"cable": {"length_km": 317.0}}]
+    assert cli.main(with_config(argv, tmp_path)) == 0
+    assert len(calls) == 1 and capped_rows[1:] == [3]
+    _same_as_every_bin_capped(compare(*calls[0]), every_short_bin_capped(*calls[0]))
 
 
 # ---------------------------------------------------------------------------

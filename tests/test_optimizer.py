@@ -425,6 +425,48 @@ def test_max_power_with_farm_cap(cable200):
     assert pg < pf
 
 
+@pytest.mark.parametrize("cap,p_grid,beta_deg", [(6e6, -11.2107e6, -0.153), (7e6, -10.2092e6, -0.094),
+                                                  (8.5e6, -8.7082e6, -0.006)])
+def test_capped_box_that_operates_is_never_infeasible(cap, p_grid, beta_deg):
+    # on 317 km a fixed 0.8 p.u. box injects at least about 5.74 MW, and it
+    # injects so little only at beta < 0: the capped solve searches the whole
+    # beta branch, as the production solve does, and finds that solve's point
+    spec, box = ref_cable(317.0), Constraints().fixed_v2(0.8)
+    pf, pg, point = max_feasible_power(spec, box, p_farm_cap=cap)
+    assert pf <= cap * (1 + 1e-12)
+    assert pg == pytest.approx(optimize_at_production(spec, cap, box).flow.p_grid, rel=1e-9)
+    assert pg == pytest.approx(p_grid, rel=1e-5)
+    assert point.operating_point.scaling.beta_deg == pytest.approx(beta_deg, abs=5e-4)
+
+
+def test_cap_under_the_least_injection_is_infeasible():
+    spec, box = ref_cable(317.0), Constraints().fixed_v2(0.8)
+    with pytest.raises(Infeasible):
+        max_feasible_power(spec, box, p_farm_cap=5e6)
+    with pytest.raises(Infeasible):
+        optimize_at_production(spec, 5e6, box)
+
+
+@pytest.mark.parametrize("internal", [False, True])
+def test_capped_delivery_meets_the_production_solve_at_its_cap(internal):
+    # where the production solve injects exactly the cap, that point is one
+    # the capped delivery solve may take: it finds a row, delivering no less
+    rng = random.Random(71 + internal)
+    cons = Constraints(check_internal_current=internal,
+                       check_internal_voltage_max=1.0 if internal else None, n_profile_segments=8)
+    rows = []
+    for _ in range(30 if internal else 80):
+        spec, lo = random_cable(rng), rng.uniform(0.3, 1.0)
+        rows.append((spec, cons.with_v2_range(lo, rng.choice([lo, rng.uniform(lo, 1.0), 1.0])),
+                     10.0 ** rng.uniform(6.0, 9.0)))
+    at_cap = optimize_at_production_rows([(spec, cap, box) for spec, box, cap in rows])
+    won = max_feasible_power_rows(rows)
+    found = np.flatnonzero(at_cap.found)
+    assert found.size > 15
+    assert won.found[found].all()
+    assert (won.p_grid[found] >= at_cap.p_grid[found] - 1e-9 * abs(at_cap.p_grid[found])).all()
+
+
 def test_max_power_respects_binding_internal_voltage_cap():
     spec = ref_cable(150.0)
     cons = Constraints(check_internal_current=True, check_internal_voltage_max=0.98,
@@ -659,6 +701,7 @@ def test_solves_beat_every_feasible_sample(seed, length, v2_lo, v2_span, a_lo, a
     beta_floor, beta_cap = cables.beta_floor.item(), cables.beta_cap.item()
     i_max, vph = cons.rated_current(spec), spec.phase_voltage
     etas, delivered = [], []
+    # both solves search the cable's whole beta branch
     for alpha in _grid(cons.alpha_min, cons.alpha_max):
         for beta in _grid(beta_floor, beta_cap):
             farm, grid, i1, i2 = unit_flow(tp, cmath.rect(alpha, beta))
@@ -666,8 +709,6 @@ def test_solves_beat_every_feasible_sample(seed, length, v2_lo, v2_span, a_lo, a
                 v2 = math.sqrt(p / (3.0 * vph**2 * farm))
                 if cons.v2_min <= v2 <= cons.v2_max and max(abs(i1), abs(i2)) * vph * v2 <= i_max:
                     etas.append(grid / farm)
-        for beta in _grid(1e-9, max(1e-9, beta_cap)):
-            farm, grid, i1, i2 = unit_flow(tp, cmath.rect(alpha, beta))
             v2 = min(cons.v2_max, i_max / (vph * max(abs(i1), abs(i2))))
             if cap is not None and farm > 0.0:
                 v2 = min(v2, math.sqrt(cap / (3.0 * vph**2 * farm)))
@@ -744,6 +785,8 @@ def test_rows_on_different_cables_match_one_row_calls(internal):
             lo = rng.uniform(0.3, 1.0)
             rows.append((spec, cons.with_v2_range(lo, rng.choice([lo, rng.uniform(lo, 1.0), 1.0])),
                          10.0 ** rng.uniform(5.0, 9.0)))
+    # caps under the least injection of their box, about 5.74 MW here: no row
+    rows += [(ref_cable(317.0), cons.fixed_v2(0.8), cap) for cap in (1e6, 5e6)]
     rng.shuffle(rows)
     won = optimize_at_production_rows([(spec, p, box) for spec, box, p in rows])
     batched = [won.point(r) for r in range(len(rows))]
