@@ -18,8 +18,8 @@ Bin routing: one production solve takes every strategy's positive bins.
 A short bin (one it cannot serve) above every level its strategy serves
 takes the strategy's uncapped maximum, which a cap at the bin's level
 leaves as it is unless that maximum injects more; such a bin goes in one
-follow-up capped solve.  One capped delivery solve takes the other short
-bins and, per strategy, the uncapped row (capped at inf).
+follow-up capped solve.  One delivery solve takes the other short bins,
+each capped at its level, and per strategy one uncapped row.
 """
 
 from __future__ import annotations
@@ -363,10 +363,10 @@ def compare_strategies(
         won = optimize_at_production_rows([(spec, levels[k], boxes[s]) for s, k in live])
         served = {row: (pg, v2, eta) for row, good, pg, v2, eta in zip(live, *(x.tolist() for x in (
             won.found & (won.eta > 0.0), won.p_grid, won.v2, won.eta))) if good}
-    # the capped delivery solve's rows (see the module docstring) end with
-    # one per strategy capped at inf, which caps nothing: a strategy whose
-    # voltage window cannot even carry the charging current finds no point
-    # there and is infeasible as a whole, not merely curtailed
+    # the delivery solve's rows (see the module docstring) end with one
+    # uncapped row per strategy: a strategy whose voltage window cannot even
+    # carry the charging current finds no point there and is infeasible as
+    # a whole, not merely curtailed
     top = [max([levels[k] for t, k in served if t == s], default=0.0) for s in range(len(strategies))]
     short = [(s, k) for s, k in live if (s, k) not in served]
     rest = [(s, k) for s, k in short if levels[k] <= top[s]]
@@ -376,7 +376,7 @@ def compare_strategies(
         return [(pf, pg, v2) if ok else None for ok, pf, pg, v2 in zip(*(x.tolist() for x in (
             won.found, won.p_farm, won.p_grid, won.v2)))]
 
-    found = delivery([(s, levels[k]) for s, k in rest] + [(s, math.inf) for s in range(len(strategies))])
+    found = delivery([(s, levels[k]) for s, k in rest] + [(s, None) for s in range(len(strategies))])
     capped, uncapped = dict(zip(rest, found)), found[len(rest):]
     for strategy, box, best in zip(strategies, boxes, uncapped):
         if best is None:

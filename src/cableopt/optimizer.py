@@ -716,7 +716,7 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
 
     k = p / (3.0 * cables.vph2)      # v2^2 = k/farm
     shrunk = 3.0 * cables.edge_rated2 / p
-    bounds = [_sub(cables.farm, cables.one, k / (v2 * v2)) for v2 in (lo, hi)]
+    bounds = [_sub(cables.farm, cables.one, k / (v2 * v2)) for v2 in (np.where(lo < hi, lo, np.nan), hi)]
     bounds += [_sub(cur, cables.farm, shrunk) for cur in (cables.cur1, cables.cur2)]
 
     def point(alpha, beta, r):
@@ -735,8 +735,8 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
                            constraints: Constraints | None = None) -> OptimumPoint:
     """Most efficient feasible way to inject exactly p_farm watts.
 
-    The v2 box is the pair of circles c = p_farm/v2^2 and each rating the
-    circle p_farm*|i|^2 = 3*I^2*farm.  Raises Infeasible when no (v2, xi)
+    The v2 box is the circles c = p_farm/v2^2, one for a fixed box, and each
+    rating the circle p_farm*|i|^2 = 3*I^2*farm.  Raises Infeasible when no (v2, xi)
     in the box transmits p_farm within ratings; the caller decides how to
     treat the shortfall.
     """
@@ -755,7 +755,7 @@ def optimize_at_production(spec: CableSpec, p_farm: float,
 # maximum deliverable power
 
 def _delivery_point(cables: _Rows, cap):
-    """The delivery score point(alpha, beta, r) of _solve, rows capped at cap (None: no cap)."""
+    """The delivery score point(alpha, beta, r) of _solve, row r capped at cap[r] (inf: no cap)."""
     lo, hi = cables.lo, cables.hi
 
     def point(alpha, beta, r):
@@ -766,8 +766,7 @@ def _delivery_point(cables: _Rows, cap):
         kappa = (abs(cables.a[r]) * alpha + abs(cables.b[r])) * cables.vph[r] / i
         within, rated = 1 - 1e-12 - 4.0 * _EPS * kappa * kappa, cables.i_rated[r] / i
         v2 = np.where(rated < hi[r] * within, rated, hi[r])
-        if cap is not None:
-            v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
+        v2 = np.where(c > 0.0, np.minimum(v2, np.sqrt(cap[r] / c)), v2)
         fits = ~(v2 < lo[r] * within)
         # delivery grows with v2 when g > 0; otherwise park at the floor
         v2 = np.where(g > 0.0, np.maximum(v2, lo[r]), lo[r])
@@ -780,27 +779,25 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
     """max_feasible_power for every (spec, constraints, p_farm_cap) row, one array solve per box kind.
 
     A row without a winner is one that max_feasible_power reports
-    Infeasible.  There is at least one row, the rows may differ in their
-    cable and in their constraints' v2 box only, and either every row has
-    a farm cap or none has; a cap of inf caps nothing.
+    Infeasible.  There is at least one row, and the rows may differ in
+    their cable, in their constraints' v2 box and in their farm cap only;
+    a cap of None or inf caps nothing.
     """
-    capped = {cap is not None for _, _, cap in rows}
-    if len(capped) > 1:
-        raise ValueError("p_farm_cap must be set on every row of a solve or on none")
     for _, _, cap in rows:
         if cap is not None and not cap > 0.0:
             raise ValueError(f"p_farm_cap must be > 0 W, got {cap}")
     cables = _Rows([(spec, cons) for spec, cons, _ in rows])
     lo, hi = cables.lo, cables.hi
-    cap = np.array([cap for _, _, cap in rows]) if capped == {True} else None
+    cap = np.array([math.inf if cap is None else cap for _, _, cap in rows])
 
     curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
-    k = None if cap is None else 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
+    k = 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
+    farm = [np.where(np.isfinite(cap), x, np.nan) for x in cables.farm]     # the cap's forms', NaN uncapped
     point, best = _delivery_point(cables, cap), np.full((4, len(cables)), np.nan)
     window = (cables.beta_floor, cables.beta_cap)    # a low cap may be met at beta < 0 only
-    # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end
-    # current, one cap circle and one piece, g*v2^2.  Its rows are solved apart
-    # from free boxes, where v2 may also sit at a rating or at the cap
+    # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end current,
+    # one cap circle and one piece, g*v2^2.  Its rows are solved apart from free boxes, where
+    # v2 may also sit at a rating or at the cap.  A solve has cap forms when a row is capped
     for free in (False, True):
         part = np.flatnonzero((lo < hi) == free)
         if not part.size:
@@ -811,16 +808,16 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
         levels = [r * r for v2 in ends for r in (cables.i_rated / (cables.vph * v2),)]
         # the switch circle |i1| = |i2| stays in a fixed box: both ratings meet on it
         bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
-        if cap is not None:
-            bounds += [_sub(cables.farm, one, q / k) for q in levels]
+        if np.isfinite(cap[part]).any():
+            bounds += [_sub(farm, one, q / k) for q in levels]
         ratios, pieces = [(cables.grid, one)], [(v2 * v2, one) for v2 in ends]
         if free:
             ratios += [(num, den) for cur in curs for num, den in ((cables.grid, cur), (cur, one))]
             pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
-            if cap is not None:
-                bounds += [_sub(cur, cables.farm, k) for cur in curs]
-                ratios.append((cables.grid, cables.farm))
-                pieces.append((cap / (3.0 * cables.vph2), cables.farm))
+            if np.isfinite(cap[part]).any():
+                bounds += [_sub(cur, farm, k) for cur in curs]
+                ratios.append((cables.grid, farm))
+                pieces.append((cap / (3.0 * cables.vph2), farm))
         best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part)[:, part]
     return Optima(cables, best)
 
@@ -848,6 +845,10 @@ def max_feasible_power(
     cons = constraints if constraints is not None else Constraints()
     point = max_feasible_power_rows([(spec, cons, p_farm_cap)]).point(0)
     if point is None:
+        # a capped box may operate without its cap: solved again, on this error path only
+        if p_farm_cap is not None and max_feasible_power_rows([(spec, cons, None)]).found[0]:
+            raise Infeasible(f"no operating point at v2 in [{cons.v2_min}, {cons.v2_max}] p.u. injects "
+                             f"at most the cap of {p_farm_cap/1e6:.3f} MW; without the cap the box operates")
         raise inoperable(spec, cons)
     return point.flow.p_farm, point.flow.p_grid, point
 
@@ -884,8 +885,10 @@ def transfer_envelope(
 
     Per (length, v2) the deliverable maximum at that fixed voltage; per
     length also the maximum with v2 free inside the constraint box, every
-    row of every length in one solve.  Infeasible combinations are
-    recorded as zero capability, not errors.
+    row of every length in one solve per box kind.  That optimal row is
+    the best of the free box's row and the fixed rows whose v2 lies in the
+    box, so it never reads below one of them whatever the rounding.
+    Infeasible combinations are recorded as zero capability, not errors.
     """
     if not lengths or not v2_values:
         raise ValueError("lengths and v2_values must be non-empty")
@@ -902,7 +905,9 @@ def transfer_envelope(
             out.append(EnvelopePoint(spec.length_km, v2, pg, pf))
         else:
             out.append(EnvelopePoint(spec.length_km, v2, 0.0, 0.0))
-    # each length's rows: the fixed voltages, then the free one
+    # each length's rows: the fixed voltages, then the free one, which max keeps on a tie
     groups = [out[j:j + len(boxes)] for j in range(0, len(out), len(boxes))]
-    return TransferEnvelope(tuple(pt for group in groups for pt in group[:-1]),
-                            tuple(group[-1] for group in groups))
+    inside = [cons.v2_min <= v2 <= cons.v2_max for v2 in v2_values]
+    return TransferEnvelope(tuple(pt for group in groups for pt in group[:-1]), tuple(
+        max([group[-1]] + [pt for pt, ok in zip(group, inside) if ok], key=lambda pt: pt.p_grid_max)
+        for group in groups))

@@ -330,18 +330,20 @@ def full_form_delivery(rows):
     The delivery solve before a fixed box (v2_min = v2_max) was solved on
     its own lists: the rating and cap circles at both v2 bounds, and the
     rating- and cap-limited pieces, on every row, over the package's beta
-    window, the cable's branch.  It shares the candidate solve and the
-    delivery score with the package, so it checks only that dropping those
-    forms leaves every winner as it was.
+    window, the cable's branch.  Each row's cap is its own, None or inf for
+    none, and the cap's forms are NaN on an uncapped row.  It shares the
+    candidate solve and the delivery score with the package, so it checks
+    only that dropping those forms leaves every winner as it was.
     """
     from cableopt import optimizer
     from cableopt.optimizer import _sub
 
-    capped = rows[0][2] is not None
     with np.errstate(all="ignore"):
         cables = optimizer._Rows([(spec, cons) for spec, cons, _ in rows])
         lo, hi = cables.lo, cables.hi
-        cap = np.array([cap for _, _, cap in rows]) if capped else None
+        cap = np.array([math.inf if cap is None else cap for _, _, cap in rows])
+        capped = np.isfinite(cap)
+        farm = [np.where(capped, x, np.nan) for x in cables.farm]
         curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
         levels = [r * r for v2 in (lo, hi) for r in (cables.i_rated / (cables.vph * v2),)]
         bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
@@ -349,15 +351,49 @@ def full_form_delivery(rows):
                                       ((cables.grid, cur), (cur, one))]
         pieces = [(v2 * v2, one) for v2 in (lo, hi)]
         pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
-        if capped:
+        if capped.any():
             k = 3.0 * i_rated2 / cap
-            bounds += [_sub(cables.farm, one, q / k) for q in levels]
-            bounds += [_sub(cur, cables.farm, k) for cur in curs]
-            ratios.append((cables.grid, cables.farm))
-            pieces.append((cap / (3.0 * cables.vph2), cables.farm))
+            bounds += [_sub(farm, one, q / k) for q in levels]
+            bounds += [_sub(cur, farm, k) for cur in curs]
+            ratios.append((cables.grid, farm))
+            pieces.append((cap / (3.0 * cables.vph2), farm))
         window = (cables.beta_floor, cables.beta_cap)
         best = optimizer._solve(cables, window, bounds, ratios, optimizer._delivery_point(cables, cap),
                                 pieces)
+        return optimizer.Optima(cables, best)
+
+
+def two_circle_production(rows):
+    """optimize_at_production_rows(rows) as one solve with both v2 circles on every row.
+
+    The production solve before a fixed box (v2_min = v2_max) stated its one
+    v2 level once: its v2_min and v2_max circles, alike, and the rating
+    circles, with the package's score and beta window, the cable's branch.
+    It shares the candidate solve with the package, so it checks only that
+    dropping a fixed box's second v2 circle leaves every winner as it was.
+    """
+    from cableopt import optimizer
+    from cableopt.optimizer import _sub
+
+    with np.errstate(all="ignore"):
+        cables = optimizer._Rows([(spec, cons) for spec, _, cons in rows])
+        lo, hi = cables.lo, cables.hi
+        p = np.array([p for _, p, _ in rows])
+        k = p / (3.0 * cables.vph2)
+        shrunk = 3.0 * cables.edge_rated2 / p
+        bounds = [_sub(cables.farm, cables.one, k / (v2 * v2)) for v2 in (lo, hi)]
+        bounds += [_sub(cur, cables.farm, shrunk) for cur in (cables.cur1, cables.cur2)]
+
+        def point(alpha, beta, r):
+            c, _, eta, i = cables.at(alpha, beta, r)
+            v2 = np.sqrt(p[r] / c)
+            fits = (c > 0.0) & (lo[r] * (1 - 1e-9) <= v2) & (v2 <= hi[r] * (1 + 1e-9))
+            fits &= ~(i * v2 > cables.i_rated[r])
+            return np.where(fits, eta, np.nan), v2
+
+        window = (cables.beta_floor, cables.beta_cap)
+        best = optimizer._solve(cables, window, bounds, [(cables.grid, cables.farm)], point,
+                                [(k, cables.farm)])
         return optimizer.Optima(cables, best)
 
 

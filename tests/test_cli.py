@@ -795,9 +795,22 @@ def test_config_curve_matches_the_curve_flags(tmp_path, capsys, source):
     (["optimize", "--p-farm-mw", "0"], None, "p_farm must be > 0 W, got 0.0"),
     (["annual", "--rated-mw", "320", "--synth-uf", "0.4", "--weibull-shape", "0",
       "--strategy", "fixed:1.0"], None, "Weibull parameters must be > 0"),
+    (["optimize"], {"constraints": {"n_profile_segments": 1.5}},
+     "constraints.n_profile_segments: expected an integer"),
+    (["optimize"], {"constraints": {"n_profile_segments": True}},
+     "constraints.n_profile_segments: expected an integer"),
+    (["annual", "--rated-mw", "320", "--builtin-curve", "high-uf", "--strategy", "fixed:abc"], None,
+     "bad strategy 'fixed:abc': could not convert string to float: 'abc'"),
+    (["annual", "--rated-mw", "320", "--builtin-curve", "high-uf", "--strategy", "fixed:2"], None,
+     "bad strategy 'fixed:2': fixed voltage must be in (0, 1] p.u., got 2.0"),
+    (["annual", "--builtin-curve", "high-uf", "--strategy", "fixed:1.0"], None,
+     "annual needs --rated-mw"),
+    (["annual", "--rated-mw", "320", "--builtin-curve", "high-uf"], None,
+     "annual needs at least one --strategy"),
 ], ids=["zero-step", "empty-range", "empty-list", "zero-p-min", "no-lengths", "root-not-object",
         "unknown-top-key", "block-not-object", "unknown-profile", "non-bool-check", "zero-p-farm",
-        "zero-weibull-shape"])
+        "zero-weibull-shape", "fractional-segments", "bool-segments", "non-numeric-strategy",
+        "out-of-range-strategy", "no-rated-power", "no-strategy"])
 def test_config_errors_exit_2_with_empty_stdout(tmp_path, capsys, argv, study, message):
     if study is not None:
         cfg = tmp_path / "study.json"

@@ -1,10 +1,15 @@
 """Optimizer tests against frozen optima and independent brute-force grids."""
 
 import cmath
+import json
 import math
+import os
+import platform
 import random
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +40,8 @@ from cableopt.cli import main
 from cableopt.optimizer import _points, _Rows
 from conftest import random_cable, ref_cable
 from oracle import (best_eta_at_production, best_eta_unconstrained, best_pgrid_at_voltage,
-                    full_form_delivery, profile_worst_nodes, rating_disk_grids, unit_flow,
-                    walked_winners)
+                    full_form_delivery, profile_worst_nodes, rating_disk_grids,
+                    two_circle_production, unit_flow, walked_winners)
 
 # 2-D optimum for the 200 km reference cable: the stationary point of eta,
 # solved with 40-digit mpmath (beta in rad)
@@ -440,8 +445,10 @@ def test_capped_box_that_operates_is_never_infeasible(cap, p_grid, beta_deg):
 
 
 def test_cap_under_the_least_injection_is_infeasible():
+    # the box operates from about 5.74 MW: the message names the cap, not the charging current
     spec, box = ref_cable(317.0), Constraints().fixed_v2(0.8)
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match=r"^no operating point at v2 in \[0\.8, 0\.8\] p\.u\. injects "
+                                         r"at most the cap of 5\.000 MW; without the cap the box operates$"):
         max_feasible_power(spec, box, p_farm_cap=5e6)
     with pytest.raises(Infeasible):
         optimize_at_production(spec, 5e6, box)
@@ -564,16 +571,42 @@ def test_envelope_row_that_delivers_nothing_is_feasible_at_zero():
     assert not long_.feasible
 
 
+_DOMINANCE_GRID = (np.geomspace(0.05, 450.0, 120).tolist(), [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+
+
+def rows_above_their_optimal_row(lengths, voltages):
+    """The reference cable's envelope (fixed row, optimal row) pairs where the fixed row reads higher."""
+    env = transfer_envelope(ref_cable(), lengths, voltages)
+    return [(pt, best) for k, best in enumerate(env.envelope)
+            for pt in env.points[k * len(voltages):(k + 1) * len(voltages)]
+            if pt.p_grid_max > best.p_grid_max]
+
+
 def test_fixed_voltage_rows_never_read_above_their_optimal_row():
     # the free box takes a rating within its 4*eps*kappa^2 slack of v2_max as
     # v2_max, as a fixed box does, so no fixed row reads above its length's
     # optimal row, not even by the slack (up to 1.1e-7 on the short cables)
-    lengths = np.geomspace(0.05, 450.0, 120).tolist()
-    voltages = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-    env = transfer_envelope(ref_cable(), lengths, voltages)
-    for k, best in enumerate(env.envelope):
-        for pt in env.points[k * len(voltages):(k + 1) * len(voltages)]:
-            assert pt.p_grid_max <= best.p_grid_max, (pt, best)
+    assert rows_above_their_optimal_row(*_DOMINANCE_GRID) == []
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch names are x86 ones")
+def test_fixed_voltage_rows_never_read_above_their_optimal_row_under_baseline_dispatch():
+    # on numpy's x86-64-v2 loops, at 0.0629 km the free winner and the fixed
+    # 1.0 p.u. one lie 1-2 ulp apart in alpha and beta, and the solve's score
+    # and the reported flow order the two oppositely: the optimal row takes
+    # the best of its free row and the fixed rows in its box
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from test_optimizer import rows_above_their_optimal_row as above\n"
+         "print(above(*json.loads(sys.argv[1])))", json.dumps(_DOMINANCE_GRID)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_constraints_validation():
@@ -930,9 +963,8 @@ def test_passing_internal_checks_keep_the_walk_winners():
 
 @pytest.mark.parametrize("internal", [False, True])
 def test_infinite_farm_cap_finds_what_no_cap_finds(internal):
-    # a cap of inf caps nothing: its capped rows have a winner exactly where
-    # the uncapped rows do, which is how compare_strategies tells an
-    # inoperable strategy from its capped solve
+    # a cap of inf caps nothing: its rows have a winner exactly where the
+    # rows without a cap do
     rng = random.Random(61 + internal)
     cons = Constraints(check_internal_current=internal,
                        check_internal_voltage_max=1.02 if internal else None, n_profile_segments=8)
@@ -985,6 +1017,57 @@ def test_fixed_boxes_win_as_on_the_free_box_forms(checks, capped):
     assert won.found[fixed].sum() > 20 and not won.found[fixed].all()
 
 
+_OPTIMA_ARRAYS = ("found", "alpha", "beta", "v2", "i1", "i2", "p_farm", "q_farm", "p_grid", "q_grid", "eta")
+
+
+def _same_bits(won, r, want, s=0):
+    """Row r of the Optima won holds row s of want's bits in every array."""
+    for name in _OPTIMA_ARRAYS:
+        got, other = np.asarray(getattr(won, name)), np.asarray(getattr(want, name))
+        assert got[..., r].tobytes() == other[..., s].tobytes(), (r, name)
+
+
+@pytest.mark.parametrize("checks", [{}, {"check_internal_current": True, "check_internal_voltage_max": 1.0}],
+                         ids=["no-check", "checks"])
+def test_rows_with_mixed_caps_match_one_row_calls(checks):
+    # each delivery row's cap is its own: a row of None or inf has no cap
+    # forms, so capped and uncapped rows mix in one call, and each row finds
+    # the bits it finds alone
+    rng = random.Random(83)
+    cons = Constraints(n_profile_segments=8, **checks)
+    rows = []
+    for _ in range(15 if checks else 40):
+        spec = random_cable(rng).with_length(10.0 ** rng.uniform(0.0, math.log10(450.0)))
+        lo = rng.uniform(0.3, 1.0)
+        for box in (cons.fixed_v2(lo), cons.with_v2_range(lo, 1.0)):
+            rows.append((spec, box, rng.choice([None, math.inf, 10.0 ** rng.uniform(6.0, 9.0)])))
+    won = max_feasible_power_rows(rows)
+    for r, row in enumerate(rows):
+        _same_bits(won, r, max_feasible_power_rows([row]))
+    caps = [cap for _, _, cap in rows]
+    assert None in caps and math.inf in caps and any(cap not in (None, math.inf) for cap in caps)
+    assert won.found.any() and not won.found.all()
+
+
+@pytest.mark.parametrize("checks", [{}, {"check_internal_current": True},
+                                    {"check_internal_voltage_max": 0.95}],
+                         ids=["no-check", "current-check", "voltage-check"])
+def test_fixed_production_boxes_win_as_with_both_v2_circles(checks):
+    # a fixed box (v2_min = v2_max) states its one v2 level with one circle;
+    # its second circle, alike, only doubled every candidate on it
+    rng = random.Random(29)
+    cons = Constraints(n_profile_segments=12, **checks)
+    rows = []
+    for _ in range(40):
+        spec = random_cable(rng).with_length(10.0 ** rng.uniform(0.0, math.log10(400.0)))
+        for v2 in (rng.uniform(0.4, 1.0), 1.0):
+            rows.append((spec, 10.0 ** rng.uniform(6.0, 9.0), cons.fixed_v2(v2)))
+    won, want = optimize_at_production_rows(rows), two_circle_production(rows)
+    for r in range(len(rows)):
+        _same_bits(won, r, want, r)
+    assert won.found.sum() > 20 and not won.found.all()
+
+
 def test_current_check_keeps_a_short_cable_fixed_box_at_its_rating_corner():
     # on a short cable the node currents peak within about 1e-6 of the end
     # currents, so the current check costs little delivery; its nodes pass
@@ -1008,8 +1091,9 @@ def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
     rows = [(cable200, 100e6, Constraints()), (cable200, 100e6, Constraints(alpha_max=1.05))]
     with pytest.raises(ValueError):
         optimize_at_production_rows(rows)
-    with pytest.raises(ValueError):
-        max_feasible_power_rows([(cable200, Constraints(), None), (cable200, Constraints(), 50e6)])
+    # and a delivery row in its cap: capped and uncapped rows mix
+    assert max_feasible_power_rows([(cable200, Constraints(), None), (cable200, Constraints(), 50e6)]
+                                   ).found.all()
     for cap in (0.0, -1.0):
         with pytest.raises(ValueError, match="^p_farm_cap must be > 0 W"):
             max_feasible_power_rows([(cable200, Constraints(), cap)])
