@@ -11,10 +11,12 @@ eta = g/c at a given production, delivered power g*v2^2 with v2 at its
 lowest limit in max_feasible_power.  Its maximum lies at a stationary
 point of one ratio (a 2x2 pencil eigenvector), at a stationary point along
 one circle or window ray, or where two meet; _solve checks every such
-candidate and keeps the best feasible one.  The opt-in internal checks
-evaluate the node forms, which each cable builds once from two segment
-profiles; one that fails adds the worst node's limit as one more circle
-per v2 piece, and the solve repeats.  Ties go to lower v2, then lower alpha.
+candidate and keeps the best feasible one; a box solve traces a row's
+window rays only where their least end current at v2_min is within the
+rating.  The opt-in internal checks evaluate the node forms, which each
+cable builds once from two segment profiles; one that fails adds the
+worst node's limit as one more circle per v2 piece, and the solve
+repeats.  Ties go to lower v2, then lower alpha.
 
 The solve has a leading row axis: a row is one problem (a cable, a
 production level or a farm cap, and a v2 box).  It reads every cable
@@ -172,6 +174,11 @@ def _abs2(p: complex, q: complex):
     return abs(p) ** 2, 2.0 * p * q.conjugate(), abs(q) ** 2
 
 
+def _least_abs(p, q, lo, hi):
+    """Least |p*t + q| over real t in [lo, hi]: at the vertex of the convex |p*t + q|^2, clamped."""
+    return abs(p * min(hi, max(lo, -(q / p).real if p else lo)) + q)
+
+
 def _value(form, alpha, xi, v2):
     """Value at xi = alpha*e^{j*beta} and v2 of a form (q2, w, q0) taken at v2 = 1 p.u."""
     q2, w, q0 = form
@@ -298,30 +305,34 @@ def _sinusoids(curve, forms, n: int):
     (g0, f0), (gc, fc), (gs, fs) = ((x[..., n:n + k], x[..., n + k:]) for x in (k0, kc, ks))
     out = [np.concatenate([x[..., :n], y], axis=-1) for x, y in
            ((k0, gs * fc - gc * fs), (kc, gs * f0 - g0 * fs), (ks, g0 * fc - gc * f0))]
-    for i in range(n):          # each pair of circles once
-        out[0][:, 2 + i, :i + 1] = np.nan
+    for i in range(n):          # each pair of circles once; the circles are the last n curves
+        out[0][:, i - n, :i + 1] = np.nan
     return out
 
 
-def _points(forms, n: int, lo, hi):
+def _points(forms, n: int, lo, hi, rays):
     """Every candidate maximum of a ratio in the beta window [lo, hi] of each row.
 
     forms are (rows, n + 2k) arrays of form parts: n circles, then the k
-    numerators and the k denominators of the ratios.  The candidates are the pencil eigenvectors of each ratio; along each
-    circle its meetings with the later circles and each ratio's stationary
-    points; the same along each window ray, traced as
-    xi = e^{j*beta}*tan(phi/2), which meets every circle.  They come as
-    (row, rank, alpha, beta) arrays, one entry per candidate that exists;
-    rank orders the candidates of a row: the rays, the eigenvectors, then
-    the circles.
+    numerators and the k denominators of the ratios.  The candidates are
+    the pencil eigenvectors of each ratio; along each circle its meetings
+    with the later circles and each ratio's stationary points; the same
+    along each window ray, traced as xi = e^{j*beta}*tan(phi/2), which
+    meets every circle.  The rays are candidates only on the rows where
+    the mask rays is set, and traced only when one of them is.  They come
+    as (row, rank, alpha, beta) arrays, one entry per candidate that
+    exists; rank orders the candidates of a row: the rays, the
+    eigenvectors, then the circles, whether or not the rays are traced.
     """
     rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
     curve, pencil = _curves(forms, n, lo, hi)
-    phi = _sinusoid_roots(*_sinusoids(curve, forms, n)).reshape(rows, n + 2, -1)
+    m = 0 if rays.any() else 2  # the curves not traced: none, or both rays
+    phi = _sinusoid_roots(*_sinusoids(curve[:, :, m:], forms, n)).reshape(rows, n + 2 - m, -1)
     width = phi.shape[2]
     # the angles that exist, each on a curve, and where they lie
     row, cur, rank = np.nonzero(np.isfinite(phi))
     phi = phi[row, cur, rank]
+    cur += m
     rank += cur * width
     rank[cur >= 2] += 2 * k     # after the rays and the eigenvectors
     xi = np.exp(1j * phi)
@@ -336,7 +347,7 @@ def _points(forms, n: int, lo, hi):
     ray = np.flatnonzero(cur < 2)
     alpha[ray] = np.tan(0.5 * phi[ray])
     beta[ray] = np.where(cur[ray] == 0, lo[row[ray]], hi[row[ray]])
-    ok[ray] = alpha[ray] > 0.0
+    ok[ray] = (alpha[ray] > 0.0) & rays[row[ray]]
     # then the eigenvectors
     at_row, at_pos = np.nonzero(np.isfinite(pencil))
     xi = pencil[at_row, at_pos]
@@ -367,8 +378,16 @@ class _Cable:
         # to arg(b); the windows stay on that branch, within +-90 deg.  The forms
         # are farm and grid power and |i1|^2, |i2|^2 per phase at v1 = xi V and
         # v2 = 1 V, as in _Rows.at (i1 = a*xi + b, i2 = b*xi + a), and 1.
-        self.numbers = (a, b, vph, vph**2, i_rated, i_rated**2, (i_rated * (1.0 - _EDGE)) ** 2,
-                        max(-math.pi / 2, phase - math.pi + 1e-9), min(math.pi / 2, phase - 1e-9),
+        ends = (max(-math.pi / 2, phase - math.pi + 1e-9), min(math.pi / 2, phase - 1e-9))
+        # ray_i: on a window ray xi = t*e^{j*beta}, t in the alpha box, the larger end current
+        # is at least the larger of the least |i1| and least |i2|.  Its square is drawn
+        # 16*eps*s^2 lower, s >= |p|*t + |q| of both, for their rounding and the delivery
+        # score's rating slack, so that _Rows.rays drops only rays with no feasible point
+        least = min(max(_least_abs(p * cmath.rect(1.0, x), q, constraints.alpha_min, constraints.alpha_max)
+                        for p, q in ((a, b), (b, a))) for x in ends)
+        s = size * (1.0 + constraints.alpha_max)
+        self.numbers = (a, b, vph, vph**2, i_rated, i_rated**2, (i_rated * (1.0 - _EDGE)) ** 2, *ends,
+                        math.sqrt(max(0.0, least * least - 16.0 * _EPS * s * s)),
                         a.real, b.conjugate(), 0.0, 0.0, -b, -a.real, *_abs2(a, b), *_abs2(b, a),
                         0.0, 0j, 1.0)
 
@@ -414,7 +433,9 @@ class _Rows:
     row does the same floating-point work whatever its batch.  The columns:
     the admittances a and b, vph, vph2, i_rated, i_rated2, edge_rated2 (the
     rating drawn _EDGE inside, squared), the beta branch ends beta_floor and
-    beta_cap, and the forms farm, grid, cur1, cur2 and one, the constant form 1.
+    beta_cap, ray_i (the least larger end current per unit volt on their
+    window rays, _Cable), and the forms farm, grid, cur1, cur2 and one, the
+    constant form 1.  rays marks the rows whose rays may hold a winner.
     """
 
     def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
@@ -437,10 +458,13 @@ class _Rows:
         table = np.array([cab.numbers for cab in cables]).T[:, which]
         self.a, self.b = table[:2]
         (self.vph, self.vph2, self.i_rated, self.i_rated2, self.edge_rated2,
-         self.beta_floor, self.beta_cap) = table[2:9].real
+         self.beta_floor, self.beta_cap, self.ray_i) = table[2:10].real
+        # the rows whose rays may hold a feasible point: ray_i at v2_min within the
+        # rating, with room for the scores' v2 floors lo*(1 - 1e-9) and lo*(1 - 1e-12)
+        self.rays = self.ray_i * self.vph * self.lo <= self.i_rated * (1 + 1e-6)
         # each form's parts are real but for its middle one
         self.farm, self.grid, self.cur1, self.cur2, self.one = (
-            (table[j].real, table[j + 1], table[j + 2].real) for j in range(9, 24, 3))
+            (table[j].real, table[j + 1], table[j + 2].real) for j in range(10, 25, 3))
 
     def __len__(self):
         return len(self.per_row)
@@ -504,7 +528,7 @@ def _cut_out(cuts, alpha, beta, v2):
     return out
 
 
-def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None) -> np.ndarray:
+def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None, rays=None) -> np.ndarray:
     """Best point(alpha, beta) by _better over the alpha annulus and the beta window, per row.
 
     window is each row's beta window (lo, hi), bounds are the forms whose
@@ -520,6 +544,8 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None) -
     circle k*n - L^2*den per piece and is solved again, where a candidate a
     cut node rules out is dropped before the walk (_cut_out).  rows, when
     given, are the indices of the rows to solve; the others come back NaN.
+    rays, when given, masks the rows whose window rays may hold a winner
+    (_Rows.rays); a block of rows traces them where one of its rows does.
     """
     n_rows, cons = len(cables), cables.cons
     a_lo, a_hi = cons.alpha_min, cons.alpha_max
@@ -531,6 +557,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None) -
     best = np.full((4, n_rows), np.nan)
     cuts = [[] for _ in range(n_rows)]
     todo = np.arange(n_rows) if rows is None else rows
+    keep = np.ones(n_rows, bool) if rays is None else rays
     while todo.size:
         width = len(pieces) * max([len(cuts[r]) for r in todo.tolist()])
         n = n_base + width
@@ -549,7 +576,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None) -
                         part[j, :x.shape[1]] = x[0]
                 forms = [np.concatenate([part[:, :n_base], x, part[:, n_base:]], axis=1)
                          for part, x in zip(forms, ext)]
-            row, rank, alpha, beta = _points(forms, n, *(end[block] for end in window))
+            row, rank, alpha, beta = _points(forms, n, *(end[block] for end in window), keep[block])
             # the candidates in the annulus, by row, descending score and rank
             inside = (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
             row, rank, beta = row[inside], rank[inside], beta[inside]
@@ -728,7 +755,7 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
 
     window = (cables.beta_floor, cables.beta_cap)    # negative beta serves the lowest injections
     return Optima(cables, _solve(cables, window, bounds, [(cables.grid, cables.farm)],
-                                 point, [(k, cables.farm)]))
+                                 point, [(k, cables.farm)], rays=cables.rays))
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,
@@ -818,7 +845,7 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
                 bounds += [_sub(cur, farm, k) for cur in curs]
                 ratios.append((cables.grid, farm))
                 pieces.append((cap / (3.0 * cables.vph2), farm))
-        best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part)[:, part]
+        best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part, cables.rays)[:, part]
     return Optima(cables, best)
 
 

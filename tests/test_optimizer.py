@@ -1123,3 +1123,69 @@ def test_envelope_and_sweep_are_one_solve_per_box_kind(solve_calls, capsys):
     assert main(["sweep", "--voltages", "0.6,1.0", "--optimal-range", "0.4", "1.0"]) == 0
     assert len(calls) == 1
     assert len(capsys.readouterr().out.splitlines()) > 3 * 30
+
+
+def _wide_box_rows(rng):
+    """12 production and 12 delivery rows that share one wide alpha box, rating override and check."""
+    a_lo = rng.uniform(0.2, 2.0)
+    checks = rng.choice([{}, {"check_internal_current": True},
+                         {"check_internal_voltage_max": rng.uniform(0.9, 1.3)}])
+    cons = Constraints(alpha_min=a_lo, alpha_max=rng.choice([a_lo, rng.uniform(a_lo, 5.0)]),
+                       i_rated=rng.choice([None, 10.0 ** rng.uniform(2.0, 6.0)]), n_profile_segments=8,
+                       **checks)
+    production, delivery = [], []
+    for _ in range(12):
+        # log-uniform 0.05-1000 km, or 700-1000 km, where winners on a ray lie
+        length = rng.choice([10.0 ** rng.uniform(math.log10(0.05), 3.0), rng.uniform(700.0, 1000.0)])
+        spec = rng.choice([random_cable(rng), ref_cable()]).with_length(length)
+        lo = rng.uniform(0.3, 1.0)
+        box = rng.choice([cons.fixed_v2(lo), cons.with_v2_range(lo, rng.uniform(lo, 1.2))])
+        production.append((spec, 10.0 ** rng.uniform(5.0, 10.0), box))
+        delivery.append((spec, box, rng.choice([None, 10.0 ** rng.uniform(5.0, 10.0)])))
+    return production, delivery
+
+
+def test_rows_that_drop_their_window_rays_win_as_with_them(monkeypatch):
+    # a box solve traces the window rays only for the rows where the least end
+    # current on them, at v2_min, is within the rating (_Rows.rays).  On the
+    # others no ray point is feasible, so every winner keeps its bits against
+    # the same solve with every row keeping its rays.  Wide alpha boxes,
+    # rating overrides and 700-1000 km cables put some winners on a ray
+    rng = random.Random(26)
+    trials = [_wide_box_rows(rng) for _ in range(60)]
+    solves = (optimize_at_production_rows, max_feasible_power_rows)
+    got = [[solve(rows) for solve, rows in zip(solves, trial)] for trial in trials]
+    monkeypatch.setattr(optimizer, "_least_abs", lambda *args: 0.0)     # ray_i = 0: rays everywhere
+    tally = {solve: np.zeros(4, int) for solve in solves}
+    for trial, wons in zip(trials, got):
+        for solve, rows, won in zip(solves, trial, wons):
+            want = solve(rows)
+            assert want.cables.rays.all()
+            for name in _OPTIMA_ARRAYS:
+                assert np.asarray(getattr(won, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+            kept, cables = won.cables.rays, won.cables
+            on_ray = won.found & ((won.beta == cables.beta_floor) | (won.beta == cables.beta_cap))
+            tally[solve] += [kept.sum(), (~kept).sum(), (won.found & ~kept).sum(), (on_ray & kept).sum()]
+            assert not (on_ray & ~kept).any()
+    # per solve: rows that keep their rays, rows that drop them, dropping rows
+    # that find a winner, and winners on a ray
+    for kept, dropped, found, on_ray in tally.values():
+        assert kept > 50 and dropped > 300 and found > 50 and on_ray > 0
+
+
+def test_ray_current_bound_is_below_the_end_currents_on_the_rays():
+    # ray_i is at most the larger end current anywhere on either window ray
+    # xi = t*e^{j*beta}, t in the alpha box, here at 200 points of each ray
+    rng = random.Random(261)
+    for _ in range(40):
+        a_lo = rng.uniform(0.2, 2.0)
+        a_hi = rng.choice([a_lo, rng.uniform(a_lo, 5.0)])
+        spec = rng.choice([random_cable(rng), ref_cable()]).with_length(
+            10.0 ** rng.uniform(math.log10(0.05), 3.0))
+        cables = _Rows([(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))])
+        least = min(max(abs(flow.i1), abs(flow.i2)) for beta in (cables.beta_floor[0], cables.beta_cap[0])
+                    for t in np.linspace(a_lo, a_hi, 200).tolist()
+                    for flow in [solve_flow(spec, OperatingPoint(1.0, VoltageScaling(t, beta)))])
+        bound = cables.ray_i[0] * spec.phase_voltage
+        assert bound * bound <= least * least
+        assert bound >= 0.9 * least     # and no vacuous bound
