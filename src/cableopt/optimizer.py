@@ -13,7 +13,11 @@ point of one ratio (a 2x2 pencil eigenvector), at a stationary point along
 one circle or window ray, or where two meet; _solve checks every such
 candidate and keeps the best feasible one; a box solve traces a row's
 window rays only where their least end current at v2_min is within the
-rating.  The opt-in internal checks evaluate the node forms, which each
+rating.  The production solve first certifies in closed form the rows
+whose winner is the pencil optimum xi* or the top of eta along the v2
+circle between xi* and the box, where no other candidate can come within
+the tie margin (_certified), and checks candidates for the other rows
+only.  The opt-in internal checks evaluate the node forms, which each
 cable builds once from two segment profiles; one that fails adds the
 worst node's limit as one more circle per v2 piece, and the solve
 repeats.  Ties go to lower v2, then lower alpha.
@@ -268,16 +272,28 @@ def _sinusoid_roots(k0, kc, ks):
     return np.stack([theta - half, theta + half], axis=-1)
 
 
-def _curves(forms, n: int, lo, hi):
+def _on(curve, phi):
+    """The points xi = (e^{j*phi}*u1 + v1)/(e^{j*phi}*u2 + v2) of the curves (u1, u2, v1, v2) at phi."""
+    u1, u2, v1, v2 = curve
+    xi = np.exp(1j * phi)
+    den = xi * u2
+    den += v2
+    xi *= u1
+    xi += v1
+    xi /= den
+    return xi
+
+
+def _curves(forms, n: int, lo, hi, rays: bool):
     """The curves of a solve and the pencil eigenvectors of its ratios.
 
     forms are (rows, n + 2k) arrays of form parts: n circles, then the k
     numerators and the k denominators of the ratios; lo and hi are each
-    row's beta window.  Returns the (u1, u2, v1, v2) of both window rays
-    and then the circles, a (4, rows, n + 2, 1) array, and the (rows, 2k)
-    eigenvectors xi = x1/x2.
+    row's beta window.  Returns the (u1, u2, v1, v2) of both window rays,
+    where rays is set, and then of the circles, a (4, rows, curves, 1)
+    array, and the (rows, 2k) eigenvectors xi = x1/x2.
     """
-    rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
+    rows, k, m = len(forms[0]), (forms[0].shape[1] - n) // 2, 2 if rays else 0
     # the identity stands in for the denominator of each circle's own pencil
     dens = []
     for part, one in zip(forms, _ID):
@@ -285,12 +301,19 @@ def _curves(forms, n: int, lo, hi):
         den[:, :n], den[:, n:] = one, part[:, n + k:]
         dens.append(den)
     lam, x1, x2 = _eig([part[:, :n + k] for part in forms], dens)
-    ray = np.exp(1j * np.stack([lo, hi], axis=-1))
-    curve = np.empty((4, rows, n + 2, 1), complex)
-    curve[0, :, :2, 0], curve[2, :, :2, 0] = -1j * ray, 1j * ray
-    curve[1, :, :2, 0] = curve[3, :, :2, 0] = 1.0
-    curve[:, :, 2:, 0] = _circle(lam[..., :n], x1[..., :n], x2[..., :n])
+    curve = np.empty((4, rows, n + m, 1), complex)
+    if rays:
+        ray = np.exp(1j * np.stack([lo, hi], axis=-1))
+        curve[0, :, :2, 0], curve[2, :, :2, 0] = -1j * ray, 1j * ray
+        curve[1, :, :2, 0] = curve[3, :, :2, 0] = 1.0
+    curve[:, :, m:, 0] = _circle(lam[..., :n], x1[..., :n], x2[..., :n])
     return curve, (x1[..., n:] / x2[..., n:]).transpose(1, 2, 0).reshape(rows, -1)
+
+
+def _stationary(g, f):
+    """The sinusoid g'*f - g*f' of two sinusoids (k0, kc, ks): zero where the ratio g/f is stationary."""
+    (g0, gc, gs), (f0, fc, fs) = g, f
+    return gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0
 
 
 def _sinusoids(curve, forms, n: int):
@@ -301,10 +324,9 @@ def _sinusoids(curve, forms, n: int):
     num'*den - num*den' is zero.
     """
     k = (forms[0].shape[1] - n) // 2
-    k0, kc, ks = _along(curve, [part[:, None, :] for part in forms])
-    (g0, f0), (gc, fc), (gs, fs) = ((x[..., n:n + k], x[..., n + k:]) for x in (k0, kc, ks))
-    out = [np.concatenate([x[..., :n], y], axis=-1) for x, y in
-           ((k0, gs * fc - gc * fs), (kc, gs * f0 - g0 * fs), (ks, g0 * fc - gc * f0))]
+    along = _along(curve, [part[:, None, :] for part in forms])
+    ratios = _stationary([x[..., n:n + k] for x in along], [x[..., n + k:] for x in along])
+    out = [np.concatenate([x[..., :n], y], axis=-1) for x, y in zip(along, ratios)]
     for i in range(n):          # each pair of circles once; the circles are the last n curves
         out[0][:, i - n, :i + 1] = np.nan
     return out
@@ -325,23 +347,17 @@ def _points(forms, n: int, lo, hi, rays):
     eigenvectors, then the circles, whether or not the rays are traced.
     """
     rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
-    curve, pencil = _curves(forms, n, lo, hi)
     m = 0 if rays.any() else 2  # the curves not traced: none, or both rays
-    phi = _sinusoid_roots(*_sinusoids(curve[:, :, m:], forms, n)).reshape(rows, n + 2 - m, -1)
+    curve, pencil = _curves(forms, n, lo, hi, not m)
+    phi = _sinusoid_roots(*_sinusoids(curve, forms, n)).reshape(rows, n + 2 - m, -1)
     width = phi.shape[2]
     # the angles that exist, each on a curve, and where they lie
     row, cur, rank = np.nonzero(np.isfinite(phi))
     phi = phi[row, cur, rank]
+    xi = _on(curve[:, row, cur, 0], phi)
     cur += m
     rank += cur * width
     rank[cur >= 2] += 2 * k     # after the rays and the eigenvectors
-    xi = np.exp(1j * phi)
-    den = xi * curve[1, row, cur, 0]
-    den += curve[3, row, cur, 0]
-    xi *= curve[0, row, cur, 0]
-    xi += curve[2, row, cur, 0]
-    xi /= den
-    del den
     alpha, beta = abs(xi), np.angle(xi)
     ok = np.isfinite(alpha) & (lo[row] <= beta) & (beta <= hi[row])
     ray = np.flatnonzero(cur < 2)
@@ -726,13 +742,115 @@ class Optima:
 # ---------------------------------------------------------------------------
 # constrained optimum at a required production level
 
+def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
+    """The production rows' winners that a closed form certifies, as _solve's best; NaN elsewhere.
+
+    bounds are the production solve's v2_min circle (NaN in a fixed box),
+    v2_max circle and rating circles, point its score and k its
+    p/(3*V_ph^2), so that farm = k/v2^2.  Why a certified point wins:
+    - grid has no |xi|^2 part and farm's is Re(a) > 0.  So the pencil
+      (grid, farm) has two eigenvalues > 0, at each of which
+      grid - lam*farm <= 0, and the eigenvector xi* with farm > 0 has the
+      smaller, eta*: M = eta* * farm - grid = M2*|xi - xi*|^2.  For t > 0,
+      {eta >= t, farm > 0} lies in the disk D_t = {grid - t*farm >= 0}, and
+      these disks shrink to xi*.  So over the side of a circle farm = c
+      without xi*, eta peaks on the circle, at its top.
+    - Interior: the point is xi*.  A point scoring within 4*TIE_TOL of it
+      lies within rho of it, rho^2 = 4*TIE_TOL*k/v2_min^2/M2.
+    - Boundary: where v2* (v2 at xi*) is below or above a free box by 1e-6
+      relative, or off a fixed box's v2 by 1e-5 in v2^2, the point is the
+      top s of eta along the v2 circle that holds the winner.  A point
+      scoring within 1e-7 of it lies in the lens that D_t, t = eta(s) - 1e-7,
+      cuts from the circle's side without xi*, bounded by an arc of D_t and
+      the tie arc, where eta >= t on the circle.  There farm is constant and
+      grid a sinusoid of the angle, so the tie arc's ends have a closed
+      form.  Where both arcs are minor (the tie arc under a half circle,
+      D_t's centre on xi*'s side of their chord), the lens lies within rho
+      of s, twice the farther tie-arc end's distance.
+    - The point is certified where it scores; every other pencil eigenvector
+      lies beyond 2*rho and scores below it by more than its margin; its
+      disk of radius rho lies inside the alpha box and the beta window
+      (beta +- 2*rho/alpha); and the disk meets no other bound's circle:
+      there |F| exceeds |grad F|*rho + |F2|*rho^2, plus 1e-9 of F's size.
+      Then every other candidate of _solve's enumeration scores over TIE_TOL
+      below it, so _walk picks it, and its (score, alpha, beta, v2) come
+      from the same helpers (_curves, _along, _stationary, _sinusoid_roots,
+      _on) and score: the enumeration's bits.
+    """
+    n_rows, cons, rows = len(cables), cables.cons, np.arange(len(cables))
+    lo, hi, w_lo, w_hi = cables.lo, cables.hi, cables.beta_floor, cables.beta_cap
+    forms = _stack(list(bounds) + [cables.grid, cables.farm], n_rows)
+    (q2, w, q0), re_a = forms, forms[0][:, 5]
+    # the candidates: both eigenvectors of the pencil (grid, farm), then the tops of
+    # eta along the v2_min and the v2_max circle, traced where a row needs them
+    xi = np.full((n_rows, 4), np.nan, complex)
+    alpha, beta, score, v2 = (np.full((n_rows, 4), np.nan) for _ in range(4))
+
+    def place(j, points):
+        """Score the (rows, 2) candidates points as columns j and j + 1."""
+        a, b = abs(points), np.angle(points)
+        scored = point(a.ravel(), b.ravel(), rows.repeat(2))
+        for part, x in zip((xi, alpha, beta, score, v2), (points, a, b, *scored)):
+            part[:, j:j + 2] = x.reshape(n_rows, 2)
+
+    _, x1, x2 = _eig([part[:, 4:5] for part in forms], [part[:, 5:] for part in forms])
+    place(0, (x1 / x2)[..., 0].T)
+    fwd = np.isfinite(v2[:, :2])        # farm > 0
+    star = np.where(fwd[:, 0], 0, 1)
+    v2s = np.where(fwd[:, 0] != fwd[:, 1], v2[rows, star], np.nan)
+    circle = np.where(lo < hi, np.where(v2s < lo * (1 - 1e-6), 2, np.where(v2s > hi * (1 + 1e-6), 3, -1)),
+                      np.where(abs(v2s * v2s / (hi * hi) - 1.0) >= 1e-5, 3, -1))
+    col = np.where(np.isfinite(score[rows, star]), star, circle)
+    if (col >= 2).any():
+        curve, _ = _curves([part[:, :2] for part in forms], 2, w_lo, w_hi, False)
+        along = _along(curve, [part[:, None, 4:] for part in forms])
+        g, f = [x[..., 0] for x in along], [x[..., 1] for x in along]
+        phi = _sinusoid_roots(*_stationary(g, f))   # the top of eta and its bottom
+        eta = np.divide(*(x0[..., None] + xc[..., None] * np.cos(phi) + xs[..., None] * np.sin(phi)
+                          for x0, xc, xs in (g, f)))
+        place(2, _on(curve[..., 0], np.where(eta[..., 1] > eta[..., 0], phi[..., 1], phi[..., 0])))
+    x, a, b, s = (y[rows, col] for y in (xi, alpha, beta, score))
+    # on the circle farm = level, centre z, eta is grid/level and grid peaks at s, falling
+    # by level*u, u = 1e-7*level/(radius*|b|), at the ends of the tie arc, 2*radius*sqrt(u/2)
+    # from s; the arc is minor where u < 1, its chord's midpoint is z + (1 - u)*(s - z)
+    c = np.maximum(col - 2, 0)
+    level, z = -q0[rows, c], -np.conj(w[rows, c]) / (2.0 * re_a)
+    radius = np.sqrt(abs(z) ** 2 + level / re_a)
+    u = 1e-7 * level / (radius * abs(w[:, 4]))
+    t = s - 1e-7
+    centre = np.conj(w[:, 4] - t * w[:, 5]) / (2.0 * t * re_a)   # D_t's
+    lens = (t > 0.0) & (u < 1.0) & (((centre - z - (1.0 - u) * (x - z)) * np.conj(x - z)).real
+                                   * (np.where(col == 2, lo, hi) - v2s) > 0.0)
+    rho = np.where(col < 2, np.sqrt(4.0 * TIE_TOL * k / (lo * lo) / (s * re_a)),
+                   np.where(lens, 4.0 * radius * np.sqrt(0.5 * u), np.nan))
+    margin = np.where(col < 2, 4.0 * TIE_TOL, 1e-7)
+    ok = (col >= 0) & np.all((np.arange(2) == col[:, None]) | (abs(xi[:, :2] - x[:, None]) > 2.0 * rho[:, None])
+                             & ~(score[:, :2] >= (s - margin)[:, None]), axis=1)
+    ok &= (cons.alpha_min < a - rho) & (a + rho < cons.alpha_max)
+    ok &= (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
+    # the bounds' circles but the certified one
+    q2, w, q0 = q2[:, :4], w[:, :4], q0[:, :4]
+    x, a, rho = x[:, None], a[:, None], rho[:, None]
+    meets = abs(q2 * a * a + (w * x).real + q0) <= (abs(2.0 * q2 * x + np.conj(w)) * rho + abs(q2) * rho * rho
+                                                   + 1e-9 * (abs(q2) * a * a + abs(w) * a + abs(q0)))
+    ok &= ~(meets & (np.arange(4) + 2 != col[:, None])).any(axis=1)
+    best = np.full((4, n_rows), np.nan)
+    best[:, ok] = np.array([s, a[:, 0], b, v2[rows, col]])[:, ok]
+    return best
+
+
 @np.errstate(all="ignore")      # NaN marks what does not exist
 def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]) -> Optima:
     """optimize_at_production for every (spec, p_farm, constraints) row in one array solve.
 
     A row without a winner is one that optimize_at_production reports
     Infeasible.  There is at least one row, and the rows may differ in
-    their cable and in their constraints' v2 box only.
+    their cable and in their constraints' v2 box only.  Without internal
+    checks, a row whose winner is the pencil optimum xi* of eta, or the top
+    of eta along the v2 circle between xi* and the box, with no other
+    candidate within the tie margin, takes it from its closed form
+    (_certified); _solve checks candidates for the other rows, and they
+    find what the full enumeration finds, bit for bit.
     """
     for _, p, _ in rows:
         if not (p > 0.0 and math.isfinite(p)):
@@ -753,9 +871,15 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
         fits &= ~(i * v2 > cables.i_rated[r])
         return np.where(fits, eta, np.nan), v2
 
-    window = (cables.beta_floor, cables.beta_cap)    # negative beta serves the lowest injections
-    return Optima(cables, _solve(cables, window, bounds, [(cables.grid, cables.farm)],
-                                 point, [(k, cables.farm)], rays=cables.rays))
+    cons = cables.cons
+    internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
+    best = np.full((4, len(cables)), np.nan) if internal else _certified(cables, bounds, point, k)
+    rest = np.flatnonzero(np.isnan(best[0]))
+    if rest.size:
+        window = (cables.beta_floor, cables.beta_cap)    # negative beta serves the lowest injections
+        best[:, rest] = _solve(cables, window, bounds, [(cables.grid, cables.farm)],
+                               point, [(k, cables.farm)], rest, cables.rays)[:, rest]
+    return Optima(cables, best)
 
 
 def optimize_at_production(spec: CableSpec, p_farm: float,

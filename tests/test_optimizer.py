@@ -1189,3 +1189,77 @@ def test_ray_current_bound_is_below_the_end_currents_on_the_rays():
         bound = cables.ray_i[0] * spec.phase_voltage
         assert bound * bound <= least * least
         assert bound >= 0.9 * least     # and no vacuous bound
+
+
+def _certificate_rows(rng):
+    """Production rows on 12 cables that share a default or a wide alpha box and rating.
+
+    Per cable, one row at a random production; then, with v2* the v2 at
+    which the alpha box's eta optimum injects it, six rows at v2* random in
+    [v2_min/2, 1.5*v2_max] and the rows at v2* = v2_min and v2_max, each
+    times (1 +- e), e in (0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3).  Without a
+    rating override, 16 winners of those rows each give four more rows, on
+    the cable rated at the winner's larger end current times (1 + e), e in
+    (1e-9, 1e-7, 1e-5, -1e-7).  The near-edge rows are those with |e| <= 1e-7.
+    """
+    wide = rng.random() < 0.5
+    a_lo = rng.uniform(0.2, 2.0) if wide else 1.0
+    cons = Constraints(alpha_min=a_lo, alpha_max=rng.choice([a_lo, rng.uniform(a_lo, 5.0)]) if wide else 1.1,
+                       i_rated=rng.choice([None, 10.0 ** rng.uniform(2.0, 6.0)]) if wide else None)
+    rows, near = [], []
+    for _ in range(12):
+        length = rng.choice([10.0 ** rng.uniform(math.log10(0.05), 3.0), rng.uniform(700.0, 1000.0)])
+        spec = rng.choice([random_cable(rng), ref_cable()]).with_length(length)
+        lo = rng.uniform(0.3, 1.0)
+        box = rng.choice([cons.fixed_v2(lo), cons.with_v2_range(lo, rng.uniform(lo, 1.2))])
+        rows.append((spec, 10.0 ** rng.uniform(5.0, 10.0), box))
+        near.append(False)
+        try:
+            scaling, _ = optimize_scaling_unconstrained(spec, (cons.alpha_min, cons.alpha_max))
+        except Infeasible:
+            continue
+        c = solve_flow(spec, OperatingPoint(1.0, scaling)).p_farm
+        for _ in range(6):
+            rows.append((spec, c * rng.uniform(0.5 * box.v2_min, 1.5 * box.v2_max) ** 2, box))
+            near.append(False)
+        for v2 in (box.v2_min, box.v2_max):
+            for e in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3):
+                rows.append((spec, c * v2 * v2 * (1.0 + e), box))
+                near.append(abs(e) <= 1e-7)
+    if cons.i_rated is None:
+        won = two_circle_production(rows)
+        found = np.flatnonzero(won.found).tolist()
+        for r in rng.sample(found, min(16, len(found))):
+            spec, p, box = rows[r]
+            current = max(math.hypot(*(float(x[r]) for x in i)) for i in (won.i1, won.i2))
+            for e in (1e-9, 1e-7, 1e-5, -1e-7):
+                rows.append((replace(spec, rated_current=current * (1.0 + e)), p, box))
+                near.append(abs(e) <= 1e-7)
+    return rows, np.array(near)
+
+
+def test_certified_production_winners_are_the_enumeration_winners(monkeypatch):
+    # optimize_at_production_rows certifies most winners in closed form, the
+    # pencil optimum xi* or the top of eta along a v2 circle, and enumerates
+    # candidates only for the rows it declines.  Each row finds the bits of
+    # the full enumeration, here with both v2 circles on every row.  The
+    # productions that put xi* on or near a v2 bound test the tie margins
+    rng = random.Random(27)
+    certified, certify = [], optimizer._certified
+
+    def spy(*args):
+        best = certify(*args)
+        certified.append(best.copy())
+        return best
+    monkeypatch.setattr(optimizer, "_certified", spy)
+    tally = np.zeros(3, int)
+    for _ in range(12):
+        rows, near = _certificate_rows(rng)
+        won, want = optimize_at_production_rows(rows), two_circle_production(rows)
+        for name in _OPTIMA_ARRAYS:
+            assert np.asarray(getattr(won, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+        sure, cables = ~np.isnan(certified[-1][0]), won.cables
+        bound = (abs(won.v2 / cables.lo - 1.0) < 1e-12) | (abs(won.v2 / cables.hi - 1.0) < 1e-12)
+        # certified at xi*, certified on a v2 circle, and near-edge rows declined that have a winner
+        tally += [(sure & ~bound).sum(), (sure & bound).sum(), (near & won.found & ~sure).sum()]
+    assert (tally > 40).all(), tally
