@@ -16,11 +16,11 @@ window rays only where their least end current at v2_min is within the
 rating.  The production solve first certifies in closed form the rows
 whose winner is the pencil optimum xi* or the top of eta along the v2
 circle between xi* and the box, where no other candidate can come within
-the tie margin (_certified), and checks candidates for the other rows
-only.  The opt-in internal checks evaluate the node forms, which each
-cable builds once from two segment profiles; one that fails adds the
-worst node's limit as one more circle per v2 piece, and the solve
-repeats.  Ties go to lower v2, then lower alpha.
+the tie margin and the point passes the checks (_certified), and checks
+candidates for the other rows only.  The opt-in internal checks evaluate
+the node forms, which each cable builds once from two segment profiles;
+one that fails adds the worst node's limit as one more circle per v2
+piece, and the solve repeats.  Ties go to lower v2, then lower alpha.
 
 The solve has a leading row axis: a row is one problem (a cable, a
 production level or a farm cap, and a v2 box).  It reads every cable
@@ -351,26 +351,22 @@ def _points(forms, n: int, lo, hi, rays):
     curve, pencil = _curves(forms, n, lo, hi, not m)
     phi = _sinusoid_roots(*_sinusoids(curve, forms, n)).reshape(rows, n + 2 - m, -1)
     width = phi.shape[2]
-    # the angles that exist, each on a curve, and where they lie
+    # the angles that exist, each on a curve, then the eigenvectors, and where they lie
     row, cur, rank = np.nonzero(np.isfinite(phi))
     phi = phi[row, cur, rank]
-    xi = _on(curve[:, row, cur, 0], phi)
+    at_row, at_pos = np.nonzero(np.isfinite(pencil))
+    xi = np.concatenate([_on(curve[:, row, cur, 0], phi), pencil[at_row, at_pos]])
     cur += m
     rank += cur * width
     rank[cur >= 2] += 2 * k     # after the rays and the eigenvectors
+    row, rank = np.concatenate([row, at_row]), np.concatenate([rank, 2 * width + at_pos])
     alpha, beta = abs(xi), np.angle(xi)
     ok = np.isfinite(alpha) & (lo[row] <= beta) & (beta <= hi[row])
     ray = np.flatnonzero(cur < 2)
     alpha[ray] = np.tan(0.5 * phi[ray])
     beta[ray] = np.where(cur[ray] == 0, lo[row[ray]], hi[row[ray]])
     ok[ray] = (alpha[ray] > 0.0) & rays[row[ray]]
-    # then the eigenvectors
-    at_row, at_pos = np.nonzero(np.isfinite(pencil))
-    xi = pencil[at_row, at_pos]
-    at_alpha, at_beta = abs(xi), np.angle(xi)
-    at_ok = np.isfinite(at_alpha) & (lo[at_row] <= at_beta) & (at_beta <= hi[at_row])
-    return tuple(np.concatenate([x[ok], y[at_ok]]) for x, y in
-                 ((row, at_row), (rank, 2 * width + at_pos), (alpha, at_alpha), (beta, at_beta)))
+    return row[ok], rank[ok], alpha[ok], beta[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +447,8 @@ class _Rows:
     rating drawn _EDGE inside, squared), the beta branch ends beta_floor and
     beta_cap, ray_i (the least larger end current per unit volt on their
     window rays, _Cable), and the forms farm, grid, cur1, cur2 and one, the
-    constant form 1.  rays marks the rows whose rays may hold a winner.
+    constant form 1.  rays marks the rows whose rays may hold a winner, and
+    internal a table with internal checks.
     """
 
     def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
@@ -469,8 +466,8 @@ class _Rows:
         index = {key: distinct.setdefault(spec, len(distinct)) for key, spec in by_id.items()}
         which = list(map(index.__getitem__, map(id, specs)))
         cables = [_Cable(spec, first) for spec in distinct]
-        self.per_row = list(map(cables.__getitem__, which))
-        self.cons = first
+        self.per_row, self.cons = list(map(cables.__getitem__, which)), first
+        self.internal = first.check_internal_current or first.check_internal_voltage_max is not None
         table = np.array([cab.numbers for cab in cables]).T[:, which]
         self.a, self.b = table[:2]
         (self.vph, self.vph2, self.i_rated, self.i_rated2, self.edge_rated2,
@@ -565,7 +562,6 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None, r
     """
     n_rows, cons = len(cables), cables.cons
     a_lo, a_hi = cons.alpha_min, cons.alpha_max
-    internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
     # the alpha circles and the bounds, then the ratios' numerators and denominators
     n_base = 2 + len(bounds)
     base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds)
@@ -616,7 +612,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None, r
                 return ~np.isin(block[live], again)     # a row solved again walks no further
             best[:, block] = _walk(np.array([score, alpha, beta, v2])[:, pick],
                                    np.bincount(row[pick], minlength=block.size),
-                                   check if internal else None)
+                                   check if cables.internal else None)
         todo = np.array(sorted(again), dtype=int)   # in row order, however the walk found them
     return best
 
@@ -768,14 +764,17 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
       D_t's centre on xi*'s side of their chord), the lens lies within rho
       of s, twice the farther tie-arc end's distance.
     - The point is certified where it scores; every other pencil eigenvector
-      lies beyond 2*rho and scores below it by more than its margin; its
-      disk of radius rho lies inside the alpha box and the beta window
-      (beta +- 2*rho/alpha); and the disk meets no other bound's circle:
-      there |F| exceeds |grad F|*rho + |F2|*rho^2, plus 1e-9 of F's size.
-      Then every other candidate of _solve's enumeration scores over TIE_TOL
-      below it, so _walk picks it, and its (score, alpha, beta, v2) come
+      scores below it by more than its margin; its disk of radius rho lies
+      inside the alpha box and the beta window (beta +- 2*rho/alpha); and
+      the disk meets no other bound's circle: there |F| exceeds
+      |grad F|*rho + |F2|*rho^2, plus 1e-9 of F's size.  Then every other
+      candidate of _solve's enumeration scores over TIE_TOL below it, so
+      _walk takes it first and stops, and its (score, alpha, beta, v2) come
       from the same helpers (_curves, _along, _stationary, _sinusoid_roots,
-      _on) and score: the enumeration's bits.
+      _on) and score: the enumeration's bits.  The walk reads only score,
+      v2 and alpha, so the other eigenvector (reverse-flow but for
+      rounding) need only trail by the margin, >= 4*TIE_TOL, wherever it
+      lies.  A point failing an internal check (_Cable.violations) is declined.
     """
     n_rows, cons, rows = len(cables), cables.cons, np.arange(len(cables))
     lo, hi, w_lo, w_hi = cables.lo, cables.hi, cables.beta_floor, cables.beta_cap
@@ -824,18 +823,20 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
     rho = np.where(col < 2, np.sqrt(4.0 * TIE_TOL * k / (lo * lo) / (s * re_a)),
                    np.where(lens, 4.0 * radius * np.sqrt(0.5 * u), np.nan))
     margin = np.where(col < 2, 4.0 * TIE_TOL, 1e-7)
-    ok = (col >= 0) & np.all((np.arange(2) == col[:, None]) | (abs(xi[:, :2] - x[:, None]) > 2.0 * rho[:, None])
-                             & ~(score[:, :2] >= (s - margin)[:, None]), axis=1)
+    ok = (col >= 0) & np.all((np.arange(2) == col[:, None]) | ~(score[:, :2] >= (s - margin)[:, None]), axis=1)
     ok &= (cons.alpha_min < a - rho) & (a + rho < cons.alpha_max)
     ok &= (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
     # the bounds' circles but the certified one
     q2, w, q0 = q2[:, :4], w[:, :4], q0[:, :4]
     x, a, rho = x[:, None], a[:, None], rho[:, None]
-    meets = abs(q2 * a * a + (w * x).real + q0) <= (abs(2.0 * q2 * x + np.conj(w)) * rho + abs(q2) * rho * rho
-                                                   + 1e-9 * (abs(q2) * a * a + abs(w) * a + abs(q0)))
+    meets = abs(_value((q2, w, q0), a, x, 1.0)) <= (abs(2.0 * q2 * x + np.conj(w)) * rho + abs(q2) * rho * rho
+                                                    + 1e-9 * (abs(q2) * a * a + abs(w) * a + abs(q0)))
     ok &= ~(meets & (np.arange(4) + 2 != col[:, None])).any(axis=1)
     best = np.full((4, n_rows), np.nan)
     best[:, ok] = np.array([s, a[:, 0], b, v2[rows, col]])[:, ok]
+    for r in np.flatnonzero(ok).tolist() if cables.internal else ():
+        if cables.per_row[r].violations(*best[1:, r].tolist()):
+            best[:, r] = np.nan
     return best
 
 
@@ -845,10 +846,10 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
 
     A row without a winner is one that optimize_at_production reports
     Infeasible.  There is at least one row, and the rows may differ in
-    their cable and in their constraints' v2 box only.  Without internal
-    checks, a row whose winner is the pencil optimum xi* of eta, or the top
-    of eta along the v2 circle between xi* and the box, with no other
-    candidate within the tie margin, takes it from its closed form
+    their cable and in their constraints' v2 box only.  A row whose winner
+    is the pencil optimum xi* of eta, or the top of eta along the v2 circle
+    between xi* and the box, with no other candidate within the tie margin
+    and no internal check failed, takes it from its closed form
     (_certified); _solve checks candidates for the other rows, and they
     find what the full enumeration finds, bit for bit.
     """
@@ -871,9 +872,7 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
         fits &= ~(i * v2 > cables.i_rated[r])
         return np.where(fits, eta, np.nan), v2
 
-    cons = cables.cons
-    internal = cons.check_internal_current or cons.check_internal_voltage_max is not None
-    best = np.full((4, len(cables)), np.nan) if internal else _certified(cables, bounds, point, k)
+    best = _certified(cables, bounds, point, k)
     rest = np.flatnonzero(np.isnan(best[0]))
     if rest.size:
         window = (cables.beta_floor, cables.beta_cap)    # negative beta serves the lowest injections

@@ -551,16 +551,18 @@ def test_optimize_without_positive_efficiency_exits_3(tmp_path, capsys):
 
 
 def test_digest_commands_exit_0_or_3(tmp_path):
-    # the CSV half of output_digests.py's commands, in process: each gives a
-    # result or an infeasible verdict, never an uncaught exception (exit 1)
+    # all of output_digests.py's commands, in process: each gives a result or
+    # an infeasible verdict, never an uncaught exception (exit 1), and the
+    # tally of verdicts is pinned.  Five of its six check settings turn an
+    # internal check on, so the production rows certified in closed form
+    # (optimizer._certified) face the checks here too
     path, codes = tmp_path / "study.json", []
     for argv, study in output_digests.commands():
-        if "--json" not in argv:
-            path.write_text(json.dumps(study), encoding="utf-8")
-            code, output = output_digests.run(main, argv + ["--config", str(path)])
-            assert code in (0, 3), (argv, study, output)
-            codes.append(code)
-    assert len(codes) == 252 and 0 in codes and 3 in codes
+        path.write_text(json.dumps(study), encoding="utf-8")
+        code, output = output_digests.run(main, argv + ["--config", str(path)])
+        assert code in (0, 3), (argv, study, output)
+        codes.append(code)
+    assert (len(codes), codes.count(0), codes.count(3)) == (504, 420, 84)
 
 
 def test_sweep_policies_and_flags(capsys):

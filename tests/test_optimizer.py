@@ -1263,3 +1263,37 @@ def test_certified_production_winners_are_the_enumeration_winners(monkeypatch):
         # certified at xi*, certified on a v2 circle, and near-edge rows declined that have a winner
         tally += [(sure & ~bound).sum(), (sure & bound).sum(), (near & won.found & ~sure).sum()]
     assert (tally > 40).all(), tally
+
+
+def test_certificate_keeps_the_bits_of_the_candidate_solve(monkeypatch):
+    # _certified settles a production row in closed form, with or without
+    # internal checks, and declines a certified point that fails a check.
+    # Every row keeps the bits it finds with the certificate declining every
+    # row, where the candidate solve takes them all.  The rows are those of
+    # _certificate_rows, alone and under each check
+    rng = random.Random(28)
+    certify, tally = optimizer._certified, np.zeros(2, int)
+
+    def spy(cables, *args):
+        internal, cables.internal = cables.internal, False
+        unchecked = certify(cables, *args)
+        cables.internal = internal
+        best = certify(cables, *args)
+        sure = ~np.isnan(best[0])
+        # certified rows with checks, and certified points declined for failing one
+        tally[:] += [(sure & internal).sum(), (~np.isnan(unchecked[0]) & ~sure).sum()]
+        return best
+    trials = []
+    for _ in range(8):
+        rows, _ = _certificate_rows(rng)
+        for checks in ({}, {"check_internal_current": True}, {"check_internal_voltage_max": 0.9},
+                       {"check_internal_voltage_max": 1.0}):
+            trials.append([(spec, p, replace(box, **checks)) for spec, p, box in rows])
+    monkeypatch.setattr(optimizer, "_certified", spy)
+    got = [optimize_at_production_rows(rows) for rows in trials]
+    monkeypatch.setattr(optimizer, "_certified", lambda cables, *args: np.full((4, len(cables)), np.nan))
+    for rows, won in zip(trials, got):
+        want = optimize_at_production_rows(rows)
+        for name in _OPTIMA_ARRAYS:
+            assert np.asarray(getattr(won, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+    assert (tally > 0).all(), tally
