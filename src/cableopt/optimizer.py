@@ -17,7 +17,14 @@ rating.  The production solve first certifies in closed form the rows
 whose winner is the pencil optimum xi* or the top of eta along the v2
 circle between xi* and the box, where no other candidate can come within
 the tie margin and the point passes the checks (_certified), and checks
-candidates for the other rows only.  The opt-in internal checks evaluate
+candidates for the other rows only.  A delivery call of 24 rows or more
+does the same for its uncapped box kinds: grid power is linear and the
+squared end currents convex, so its score is quasi-concave outside the
+alpha_min disk; a row whose least end current over the box exceeds the
+rating finds nothing (_ruled_out), and a winner on the alpha_max, switch
+and v2_max rating circles is certified where the points within the tie
+margin lie in a small disk that meets no other circle (_delivered).  The
+opt-in internal checks evaluate
 the node forms, which each cable builds once from two segment profiles;
 one that fails adds the worst node's limit as one more circle per v2
 piece, and the solve repeats.  Ties go to lower v2, then lower alpha.
@@ -67,6 +74,9 @@ _EDGE = 1e-12
 # rows go through the candidate solve in blocks of about this many
 # (curve, form) pairs, which bounds its memory whatever the row count
 _CELLS = 1 << 13
+# the delivery certificate runs where at least this many rows may take it:
+# it costs about as much as the candidate solves it spares at 15-40 rows
+_CERTIFY_ROWS = 24
 
 
 class BindingConstraint(enum.Enum):
@@ -445,10 +455,12 @@ class _Rows:
     row does the same floating-point work whatever its batch.  The columns:
     the admittances a and b, vph, vph2, i_rated, i_rated2, edge_rated2 (the
     rating drawn _EDGE inside, squared), the beta branch ends beta_floor and
-    beta_cap, ray_i (the least larger end current per unit volt on their
-    window rays, _Cable), and the forms farm, grid, cur1, cur2 and one, the
-    constant form 1.  rays marks the rows whose rays may hold a winner, and
-    internal a table with internal checks.
+    beta_cap, ray_i (a lower bound on the larger end current per unit volt
+    on their window rays, _Cable), and the forms farm, grid, cur1, cur2 and
+    one, the constant form 1.  rays marks the rows whose rays may hold a
+    winner and internal a table with internal checks; which is each row's
+    distinct cable, and distinct holds the distinct cables' a, b,
+    beta_floor, beta_cap and ray_i (for _least_current).
     """
 
     def __init__(self, rows: list[tuple[CableSpec, Constraints]]):
@@ -466,9 +478,11 @@ class _Rows:
         index = {key: distinct.setdefault(spec, len(distinct)) for key, spec in by_id.items()}
         which = list(map(index.__getitem__, map(id, specs)))
         cables = [_Cable(spec, first) for spec in distinct]
-        self.per_row, self.cons = list(map(cables.__getitem__, which)), first
+        self.per_row, self.cons, self.which = list(map(cables.__getitem__, which)), first, np.array(which)
         self.internal = first.check_internal_current or first.check_internal_voltage_max is not None
-        table = np.array([cab.numbers for cab in cables]).T[:, which]
+        table = np.array([cab.numbers for cab in cables]).T
+        self.distinct = (table[0], table[1], *table[7:10].real)
+        table = table[:, which]
         self.a, self.b = table[:2]
         (self.vph, self.vph2, self.i_rated, self.i_rated2, self.edge_rated2,
          self.beta_floor, self.beta_cap, self.ray_i) = table[2:10].real
@@ -738,6 +752,17 @@ class Optima:
 # ---------------------------------------------------------------------------
 # constrained optimum at a required production level
 
+def _meets(forms, x, a, rho):
+    """Where the zero circle of each (rows, k) form may come within rho of xi = x, alpha = |x|, per row.
+
+    There |F| is at most |grad F|*rho + |F2|*rho^2, plus 1e-9 of F's size for its rounding.
+    """
+    q2, w, q0 = forms
+    x, a, rho = x[:, None], a[:, None], rho[:, None]
+    return abs(_value(forms, a, x, 1.0)) <= (abs(2.0 * q2 * x + np.conj(w)) * rho + abs(q2) * rho * rho
+                                             + 1e-9 * (abs(q2) * a * a + abs(w) * a + abs(q0)))
+
+
 def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
     """The production rows' winners that a closed form certifies, as _solve's best; NaN elsewhere.
 
@@ -827,13 +852,10 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
     ok &= (cons.alpha_min < a - rho) & (a + rho < cons.alpha_max)
     ok &= (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
     # the bounds' circles but the certified one
-    q2, w, q0 = q2[:, :4], w[:, :4], q0[:, :4]
-    x, a, rho = x[:, None], a[:, None], rho[:, None]
-    meets = abs(_value((q2, w, q0), a, x, 1.0)) <= (abs(2.0 * q2 * x + np.conj(w)) * rho + abs(q2) * rho * rho
-                                                    + 1e-9 * (abs(q2) * a * a + abs(w) * a + abs(q0)))
+    meets = _meets([part[:, :4] for part in (q2, w, q0)], x, a, rho)
     ok &= ~(meets & (np.arange(4) + 2 != col[:, None])).any(axis=1)
     best = np.full((4, n_rows), np.nan)
-    best[:, ok] = np.array([s, a[:, 0], b, v2[rows, col]])[:, ok]
+    best[:, ok] = np.array([s, a, b, v2[rows, col]])[:, ok]
     for r in np.flatnonzero(ok).tolist() if cables.internal else ():
         if cables.per_row[r].violations(*best[1:, r].tolist()):
             best[:, r] = np.nan
@@ -924,14 +946,250 @@ def _delivery_point(cables: _Rows, cap):
     return point
 
 
+def _least_current(cables: _Rows) -> np.ndarray:
+    """Per row, a lower bound on the larger end current per unit volt over its whole box.
+
+    F = max(|i1|, |i2|) = max(|a|*|xi - z1|, |b|*|xi - z2|), z1 = -b/a and
+    z2 = -a/b, is convex in xi and least over the plane on the segment z1 z2
+    where both are equal.  So over the alpha annulus and the beta window it
+    is least there, if that point lies inside, or on the box's edge.  Along
+    an alpha circle both |i_k|^2 are sinusoids in beta, so F is least where
+    one of them is, where they cross or at a window end; along a window ray
+    F is at least ray_i, the larger of the least |i_k| (_least_abs).  Each
+    distinct cable is solved once, and the least drawn 1e-9 relative and
+    16*eps*s^2, s >= |a|*alpha + |b|, lower for the rounding, as ray_i.
+    """
+    cons = cables.cons
+    a, b, w_lo, w_hi, ray_i = (x[:, None] for x in cables.distinct)
+    alpha = np.array([[cons.alpha_min], [cons.alpha_max]])
+    m = (a * np.conj(b))[..., None]
+    # per alpha circle: where |i1| and |i2| are least, where they cross, and the window's ends
+    cross = np.arcsin((abs(a) ** 2 - abs(b) ** 2)[..., None] * (alpha * alpha - 1.0) / (4.0 * alpha * m.imag))
+    beta = np.concatenate(np.broadcast_arrays(np.angle(-m.conj()), np.angle(-m), cross, w_lo[..., None],
+                                              w_hi[..., None]), axis=2)
+    xi = (alpha * np.exp(1j * np.where((w_lo[..., None] <= beta) & (beta <= w_hi[..., None]), beta, np.nan))
+          ).reshape(a.size, -1)
+    # the least over the plane, on the segment z1 z2, where it lies in the box
+    z1, z2 = -b / a, -a / b
+    z = z1 + (z2 - z1) * abs(b) / (abs(a) + abs(b))
+    z[~((cons.alpha_min <= abs(z)) & (abs(z) <= cons.alpha_max))] = np.nan
+    z[~((w_lo <= np.angle(z)) & (np.angle(z) <= w_hi))] = np.nan
+    xi = np.concatenate([xi, z], axis=1)
+    least = np.fmin(np.nanmin(np.maximum(abs(a * xi + b), abs(b * xi + a)), axis=1), ray_i[:, 0])
+    s = abs(a[:, 0]) * cons.alpha_max + abs(b[:, 0])
+    least = np.sqrt(np.maximum(0.0, least * least * (1.0 - 1e-9) - 16.0 * _EPS * s * s))
+    return np.where(np.isfinite(least), least, 0.0)[cables.which]
+
+
+def _ruled_out(cables: _Rows, rows) -> np.ndarray:
+    """Where a row of rows has no point that scores: its least larger end current at v2_min is over the rating.
+
+    The bound (_least_current) must exceed it by over 1e-6, and a point
+    scores up to 4*eps*kappa^2 over the rating (_delivery_point), so the row
+    also needs 4*eps*kappa^2 < 1e-7 there.
+    """
+    least = _least_current(cables)[rows]
+    kappa = (abs(cables.a[rows]) * cables.cons.alpha_max + abs(cables.b[rows])) / least
+    over = least * cables.vph[rows] * cables.lo[rows] > cables.i_rated[rows] * (1 + 1e-6)
+    return over & (kappa * kappa < 1e8)
+
+
+def _cap(c, r2, n, h):
+    """A bound on the diameter of the disk |x - c|^2 <= r2 cut to the half-plane Re(conj(n)*x) >= h."""
+    x0 = (h - (np.conj(n) * c).real) / abs(n)      # how far the centre lies outside it
+    return np.where((x0 > 0.0) & (r2 > x0 * x0), 2.0 * np.sqrt(r2 - x0 * x0), 2.0 * np.sqrt(r2))
+
+
+def _lens(c1, r1, c2, r2):
+    """A bound on the diameter of the meet of two disks |x - c|^2 <= r^2 (r1, r2 squared)."""
+    d = abs(c1 - c2)
+    x1 = (d * d + r1 - r2) / (2.0 * d)
+    h2 = r1 - x1 * x1
+    return np.where((x1 > 0.0) & (d > x1) & (h2 > 0.0), 2.0 * np.sqrt(h2), 2.0 * np.sqrt(np.minimum(r1, r2)))
+
+
+def _triangle(turn, d):
+    """How far from a point the corners lie of triangles of three lines, on the last axis.
+
+    turn holds e^{j*angle} from each line's outer unit normal to the next
+    one's, d how far each line lies beyond the point; the corner of lines i
+    and j lies sqrt(d_i^2 + d_j^2 - 2*d_i*d_j*cos)/|sin| from it.  NaN
+    where the lines bound no triangle: 0 lies outside the normals' hull.
+    """
+    c, s, e = turn.real, turn.imag, np.roll(d, -1, axis=-1)
+    far = np.max(np.sqrt(d * d + e * e - 2.0 * d * e * c) / abs(s), axis=-1)
+    return np.where((s > 0.0).all(axis=-1) | (s < 0.0).all(axis=-1), far, np.nan)
+
+
+def _disk(form):
+    """(centre, radius^2) of the zero circle of forms (q2 > 0, w, q0)."""
+    q2, w, q0 = form
+    c = -np.conj(w) / (2.0 * q2)
+    return c, (c * np.conj(c)).real - q0 / q2
+
+
+def _delivered(cables: _Rows, rows, point, circles) -> np.ndarray:
+    """The uncapped delivery rows' winners that a closed form certifies, as _solve's best; NaN elsewhere.
+
+    circles are the switch circle and the rating circles |i_k|^2 =
+    (I/(V_ph*v2))^2 at v2_max and then at v2_min of max_feasible_power_rows,
+    point its score.  Why a certified winner is the enumeration's:
+    - The score f is g*V^2 in a fixed box and g*min(v2_max^2, 3*I^2/|i_k|^2)
+      where g > 0 in a free one, and a point scores where both |i_k| are
+      within I/(V_ph*v2_min), drawn 1/within wider (_delivery_point).  Grid
+      power g is linear in xi and |i_k|^2 a convex quadratic, so each piece
+      has convex superlevel sets and f is quasi-concave on the part of the
+      box outside the alpha_min disk: the points scoring at least t lie in
+      each of the convex sets, the alpha_max disk, both rating disks at
+      v2_min drawn wider, the half-plane g >= t/(3*V_ph^2*v2_max^2), and
+      where t > 0 the disks 3*I^2*g >= t*within^2*|i_k|^2; in a free box t
+      must be > 0.
+    - Each row's candidates on the alpha_max, the switch and the v2_max
+      rating circles, and the pencil eigenvectors of its ratios, come from
+      the candidate solve's own helpers (_eig, _circle, _along, _stationary,
+      _sinusoid_roots, _on) on the same forms, so with its bits, and are
+      scored and walked as _solve does (_walk): s is the winner.  With
+      t = f(s) - m, m = 1e-7 of the score's size 3*V_ph^2*v2_max^2*(|a| +
+      |b|*alpha_max), rho is twice the least bound on the diameter of a meet
+      of those sets that holds s: a disk cut by the half-plane (the top of g
+      along a circle), two disks (the top of g/|i_k|^2 along alpha_max or the
+      switch circle, or of g along a rating circle at v2_max), the triangle
+      of three of their tangents at s (where two circles meet), or one disk
+      (a (grid, cur_k) pencil optimum).  Every point scoring over t lies
+      within rho of s.
+    - s is certified where that disk lies outside the alpha_min disk and
+      inside the beta window (beta +- 2*rho/alpha) and, in a free box,
+      meets neither rating circle at v2_min (_meets).  Then every candidate
+      of the enumeration that the walk above did not see lies on another
+      curve, outside the disk, and trails s by over m > TIE_TOL: the full
+      walk takes what this one took.  A row whose walk would cut a node that
+      fails an internal check is declined, as _solve would solve it again
+      with the cut.
+    """
+    cons, n = cables.cons, rows.size
+    a_lo, a_hi = cons.alpha_min, cons.alpha_max
+    lo, hi, free = cables.lo[rows], cables.hi[rows], (cables.lo < cables.hi)[rows]
+    w_lo, w_hi = cables.beta_floor[rows], cables.beta_cap[rows]
+    ca, cb, vph, i_rated = cables.a[rows], cables.b[rows], cables.vph[rows], cables.i_rated[rows]
+    fr = np.flatnonzero(free)
+    # the forms: the alpha_max, the switch and the v2_max rating circles, the v2_min rating
+    # circles, then g, 1, |i1|^2 and |i2|^2, of which the ratios take their parts
+    forms = [x[rows] for x in _stack([(1.0, 0j, -a_hi * a_hi), *circles, cables.grid, cables.one, cables.cur1,
+                                       cables.cur2], len(cables))]
+    circ = [x[:, :4] for x in forms]
+    # the ratios g/1, g/|i1|^2, |i1|^2/1, g/|i2|^2 and |i2|^2/1, by their forms' columns
+    ratios = np.array([(6, 7), (6, 8), (8, 7), (6, 9), (9, 7)])
+    # one eigen solve: each circle against 1, as _curves draws it, and the free boxes' ratios' pencils
+    ones = np.ones((n, 4))
+    lam, x1, x2 = _eig(*([np.concatenate([x.ravel(), y[fr][:, ratios[1:, k]].ravel()])
+                          for x, y in zip(f, forms)]
+                         for k, f in ((0, circ), (1, (ones, np.zeros((n, 4), complex), ones)))))
+    pencil = (x1[:, 4 * n:] / x2[:, 4 * n:]).reshape(2, fr.size, 4).transpose(1, 2, 0).reshape(fr.size, 8)
+    curve = np.array(_circle(lam[:, :4 * n], x1[:, :4 * n], x2[:, :4 * n])).reshape(4, n, 4)
+
+    # every candidate on those circles: along each, its meetings with the later ones, then the
+    # stationary points of the ratios g/1, and in a free box g/|i1|^2, |i1|^2/1, g/|i2|^2 and
+    # |i2|^2/1, the columns 4 to 8; ranked as in _points
+    want = np.zeros((n, 4, 10), bool)
+    want[:, :, :4] = np.triu(np.ones((4, 4), bool), 1)
+    want[:, :, 6:8] = True
+    want[fr, :, 8:] = True
+    row, cur, col = np.nonzero(want)
+    along = _along(curve[:, row, cur], [x[row, col] for x in forms])
+    grid = [np.full((n, 4, 10), np.nan) for _ in range(3)]
+    for x, y in zip(grid, along):
+        x[row, cur, col] = y
+    ratio = _stationary([x[..., ratios[:, 0]] for x in grid], [x[..., ratios[:, 1]] for x in grid])
+    meet = col < 4
+    k0, kc, ks = (np.concatenate([y[meet], z.ravel()]) for y, z in zip(along, ratio))
+    r_row, r_cur, r_col = np.indices((n, 4, 5)).reshape(3, -1)
+    row, cur = np.concatenate([row[meet], r_row]), np.concatenate([cur[meet], r_cur])
+    rank = (cur * 16 + np.concatenate([col[meet], 4 + r_col])) * 2
+    at = np.flatnonzero(np.hypot(kc, ks) > abs(k0))
+    phi = _sinusoid_roots(k0[at], kc[at], ks[at]).ravel()
+    at = at.repeat(2)
+    row, rank = row[at], rank[at] + np.tile([0, 1], at.size // 2)
+    xi = _on(curve[:, row, cur[at]], phi)
+    # the pencil eigenvectors of the free boxes' ratios, ranked first
+    at_row, at_pos = np.nonzero(np.isfinite(pencil))
+    xi = np.concatenate([xi, pencil[at_row, at_pos]])
+    row, rank = np.concatenate([row, fr[at_row]]), np.concatenate([rank, at_pos - 16])
+    alpha, beta = abs(xi), np.angle(xi)
+    keep = (w_lo[row] <= beta) & (beta <= w_hi[row])
+    keep &= (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
+    row, rank, beta = row[keep], rank[keep], beta[keep]
+    alpha = np.minimum(np.maximum(alpha[keep], a_lo), a_hi)
+    score, v2 = point(alpha, beta, rows[row])
+    # a walk takes a row's best first and, from each best, a next within TIE_TOL, so none of
+    # a row's 64 candidates or fewer that trails its best by 100*TIE_TOL is ever reached
+    top = np.full(n, -np.inf)
+    np.fmax.at(top, row, score)
+    pick = np.flatnonzero(score >= top[row] - 100.0 * TIE_TOL)
+    pick = pick[np.lexsort((rank[pick], -score[pick], row[pick]))]
+    cut = np.zeros(n, bool)
+
+    def check(live, cand, held, wins):      # the internal checks; a row that would be cut stops, unwon
+        for i, r in zip(np.flatnonzero(wins).tolist(), live[wins].tolist()):
+            if cables.per_row[rows[r]].violations(*cand[1:, i].tolist()):
+                wins[i], cut[r] = False, cut[r] or math.isnan(held[0, i])
+        return ~cut[live]
+    won = _walk(np.array([score, alpha, beta, v2])[:, pick], np.bincount(row[pick], minlength=n),
+                check if cables.internal else None)
+    s0, a0, b0 = won[:3]
+    x0 = a0 * np.exp(1j * b0)
+
+    # the sets that hold every point scoring over t, as forms: the alpha_max disk, the rating
+    # disks at v2_min drawn spread wider, and where t > 0 the disks E_k, 3*I^2*g >= t*(1 - spread)*|i_k|^2
+    size = 3.0 * cables.vph2[rows] * hi * hi
+    m = 1e-7 * size * (abs(ca) + abs(cb) * a_hi)
+    t = s0 - m
+    kappa = (abs(ca) * a_hi + abs(cb)) * vph * hi / i_rated
+    spread = 2e-12 + 8.0 * _EPS * kappa * kappa     # 1/within^2 - 1 and more, where a rating binds
+    level, i2 = (1.0 + spread) * (i_rated / (vph * lo)) ** 2, 3.0 * i_rated * i_rated
+    tw = np.where(t > 0.0, t * (1.0 - spread), np.nan)[:, None]
+    q2, w, q0 = (x[:, 8:] for x in forms)
+    c, r2 = _disk((np.concatenate([np.ones((n, 1)), q2, tw * q2], axis=1),
+                   np.concatenate([np.zeros((n, 1)), w, tw * w + (i2 * cb)[:, None]], axis=1),
+                   np.concatenate([np.full((n, 1), -a_hi * a_hi), q0 - level[:, None],
+                                   tw * q0 + (i2 * ca.real)[:, None]], axis=1)))
+    # the half-plane g >= t/size, g = -Re(b*xi + a), as Re(conj(n_g)*xi) >= h_g; with each disk's
+    # tangent at the point nearest s, the lines of the triangles, by their outer normals and how
+    # far they lie beyond s: the corners of two rating disks, alpha_max and a rating disk, both
+    # disks E_k, or alpha_max and one or both of them
+    i, j = np.array([(0, 1, 5), (0, 2, 5), (1, 2, 5), (3, 4, 5), (0, 3, 4), (0, 3, 5), (0, 4, 5)]), \
+        np.array([(1, 5, 0), (2, 5, 0), (2, 5, 1), (4, 5, 3), (3, 4, 0), (3, 5, 0), (4, 5, 0)])
+    n_g, h_g = -np.conj(cb)[:, None], (t / size + ca.real)[:, None]
+    toward = x0[:, None] - c
+    normal = np.concatenate([toward / abs(toward), -n_g / abs(n_g)], axis=1)
+    beyond = np.concatenate([np.sqrt(r2) - abs(toward), ((np.conj(n_g) * x0[:, None]).real - h_g) / abs(n_g)],
+                            axis=1)
+    lens = _lens(c[:, [0, 0, 3]], r2[:, [0, 0, 3]], c[:, [3, 4, 4]], r2[:, [3, 4, 4]])
+    rho = 2.0 * np.fmin(np.fmin.reduce(np.concatenate([_cap(c, r2, n_g, h_g), 2.0 * np.sqrt(r2[:, 3:]), lens],
+                                                      axis=1), axis=1),
+                        np.fmin.reduce(_triangle(np.conj(normal[:, i]) * normal[:, j], beyond[:, i]), axis=1))
+    ok = np.isfinite(s0) & (m > 4.0 * TIE_TOL) & (spread < 1e-6) & ((t > 0.0) | ~free)
+    ok &= (a_lo < a0 - rho) & (rho < 0.5 * a0)
+    ok &= (w_lo < b0 - 2.0 * rho / a0) & (b0 + 2.0 * rho / a0 < w_hi)
+    # a free box's rating circles at v2_min may not meet the disk
+    ok &= ~(_meets([x[:, 4:6] for x in forms], x0, a0, rho).any(axis=1) & free)
+    return np.where(ok, won, np.nan)
+
+
 @np.errstate(all="ignore")      # NaN marks what does not exist
 def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | None]]) -> Optima:
-    """max_feasible_power for every (spec, constraints, p_farm_cap) row, one array solve per box kind.
+    """max_feasible_power for every (spec, constraints, p_farm_cap) row, at most one array solve per box kind.
 
     A row without a winner is one that max_feasible_power reports
     Infeasible.  There is at least one row, and the rows may differ in
     their cable, in their constraints' v2 box and in their farm cap only;
-    a cap of None or inf caps nothing.
+    a cap of None or inf caps nothing.  Where the box kinds without a
+    capped row hold at least _CERTIFY_ROWS rows, one pass over them rules
+    out the rows whose least larger end current over the box at v2_min
+    exceeds the rating (_ruled_out) and certifies most others' winners in
+    closed form (_delivered); the candidate solve takes the rows it
+    declines, the capped rows and the box kinds that hold one, and a box
+    kind with no such row makes no candidate solve.  Every row finds what
+    the full enumeration finds, bit for bit.
     """
     for _, _, cap in rows:
         if cap is not None and not cap > 0.0:
@@ -945,22 +1203,36 @@ def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | Non
     farm = [np.where(np.isfinite(cap), x, np.nan) for x in cables.farm]     # the cap's forms', NaN uncapped
     point, best = _delivery_point(cables, cap), np.full((4, len(cables)), np.nan)
     window = (cables.beta_floor, cables.beta_cap)    # a low cap may be met at beta < 0 only
+    # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
+    # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
+    levels = {end: r * r for end, v2 in (("lo", lo), ("hi", hi))
+              for r in (cables.i_rated / (cables.vph * v2),)}
+    # the switch circle |i1| = |i2| stays in a fixed box: both ratings meet on it
+    switch = _sub(cables.cur1, cables.cur2)
+    rating = [{end: _sub(cur, one, q) for end, q in levels.items()} for cur in curs]
+    kinds = [np.flatnonzero((lo < hi) == free) for free in (False, True)]
+    sure = np.concatenate([part for part in kinds if not np.isfinite(cap[part]).any()] + [kinds[0][:0]])
+    settled = np.zeros(len(cables), bool)
+    if sure.size >= _CERTIFY_ROWS:
+        out = _ruled_out(cables, sure)
+        settled[sure[out]] = True
+        sure = sure[~out]
+        if sure.size:
+            best[:, sure] = _delivered(cables, sure, point,
+                                       [switch] + [x[end] for end in ("hi", "lo") for x in rating])
+            settled[sure] = ~np.isnan(best[0, sure])
     # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end current,
     # one cap circle and one piece, g*v2^2.  Its rows are solved apart from free boxes, where
     # v2 may also sit at a rating or at the cap.  A solve has cap forms when a row is capped
-    for free in (False, True):
-        part = np.flatnonzero((lo < hi) == free)
+    for free, part in zip((False, True), kinds):
+        part = part[~settled[part]]
         if not part.size:
             continue
-        ends = (lo, hi) if free else (hi,)
-        # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
-        # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
-        levels = [r * r for v2 in ends for r in (cables.i_rated / (cables.vph * v2),)]
-        # the switch circle |i1| = |i2| stays in a fixed box: both ratings meet on it
-        bounds = [_sub(cables.cur1, cables.cur2)] + [_sub(cur, one, q) for cur in curs for q in levels]
+        ends = ("lo", "hi") if free else ("hi",)
+        bounds = [switch] + [x[end] for x in rating for end in ends]
         if np.isfinite(cap[part]).any():
-            bounds += [_sub(farm, one, q / k) for q in levels]
-        ratios, pieces = [(cables.grid, one)], [(v2 * v2, one) for v2 in ends]
+            bounds += [_sub(farm, one, levels[end] / k) for end in ends]
+        ratios, pieces = [(cables.grid, one)], [(v2 * v2, one) for v2 in ((lo, hi) if free else (hi,))]
         if free:
             ratios += [(num, den) for cur in curs for num, den in ((cables.grid, cur), (cur, one))]
             pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
@@ -990,7 +1262,12 @@ def max_feasible_power(
     A fixed box has the one piece g*v2^2.  In every box, on a short cable,
     the end currents may exceed the rating by up to 4*eps*kappa^2 relative,
     kappa = (|a|*alpha + |b|)*V_ph/i: the rounding of the rating circles,
-    within which a rating counts as the v2 bound it is at.
+    within which a rating counts as the v2 bound it is at.  g is linear
+    and |i_k|^2 convex in xi, so each piece has convex superlevel sets
+    where g > 0 and the delivered power is quasi-concave on the box
+    outside the alpha_min disk; max_feasible_power_rows certifies its
+    winners in closed form on that part (_delivered) where a call holds
+    enough uncapped rows.  A one-row call goes to the candidate solve.
     """
     cons = constraints if constraints is not None else Constraints()
     point = max_feasible_power_rows([(spec, cons, p_farm_cap)]).point(0)

@@ -5,8 +5,10 @@
 imports cableopt from SRC_DIR and runs every command in this one process:
 7 cable lengths x 6 internal-check configurations x 6 commands (optimize
 free and at 150 and 280 MW, the golden sweep, the golden annual and a
-one-length envelope), each as CSV and as JSON, 504 in all.  The 0.5 km
-cable is there for the ill-conditioned rating corners of a short cable.  Each line is
+one-length envelope), then per check configuration an envelope over 80-420
+km, through the infeasible tail, at five voltages, each as CSV and as JSON,
+516 in all.  The 0.5 km cable is there for the ill-conditioned rating
+corners of a short cable.  Each line is
 `exit sha256 argv`, the digest being that of stdout and stderr together
 and argv ending in the study file's JSON, so two source trees, or two
 numpy dispatches of one tree (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
@@ -36,6 +38,7 @@ COMMANDS = (
      "--strategy", "fixed:1.0", "--strategy", "range:0.4:1.0"],
     ["envelope", "--lengths-km", "{length}", "--voltages", "1.0,0.6"],
 )
+ENVELOPE = ["envelope", "--lengths-km", "80:420:20", "--voltages", "1.0,0.85,0.7,0.55,0.4"]
 
 
 def commands():
@@ -46,6 +49,9 @@ def commands():
             for command in COMMANDS:
                 for fmt in ([], ["--json"]):
                     yield [x.format(length=f"{length:g}") for x in command] + fmt, study
+    for checks in CHECKS:
+        for fmt in ([], ["--json"]):
+            yield ENVELOPE + fmt, {"constraints": checks}
 
 
 def run(main, argv):

@@ -562,7 +562,7 @@ def test_digest_commands_exit_0_or_3(tmp_path):
         code, output = output_digests.run(main, argv + ["--config", str(path)])
         assert code in (0, 3), (argv, study, output)
         codes.append(code)
-    assert (len(codes), codes.count(0), codes.count(3)) == (504, 420, 84)
+    assert (len(codes), codes.count(0), codes.count(3)) == (516, 432, 84)
 
 
 def test_sweep_policies_and_flags(capsys):

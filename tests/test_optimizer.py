@@ -1113,10 +1113,13 @@ def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
 
 
 def test_envelope_and_sweep_are_one_solve_per_box_kind(solve_calls, capsys):
-    # the envelope's fixed-voltage rows are one delivery solve, its free rows another
+    # the envelope's fixed-voltage rows are at most one delivery solve, its free
+    # rows another, and a box kind whose rows are all certified or ruled out
+    # makes none: here only the 420 km free row, whose winner lies where
+    # alpha_max meets its rating at v2_min, goes to the candidate solve
     calls = solve_calls
     env = transfer_envelope(ref_cable(), [60.0, 150.0, 240.0, 330.0, 420.0], [1.0, 0.8, 0.6, 0.4])
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert len(env.points) == 20 and len(env.envelope) == 5
     assert [pt.length_km for pt in env.envelope] == [60.0, 150.0, 240.0, 330.0, 420.0]
     calls.clear()
@@ -1297,3 +1300,142 @@ def test_certificate_keeps_the_bits_of_the_candidate_solve(monkeypatch):
         for name in _OPTIMA_ARRAYS:
             assert np.asarray(getattr(won, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
     assert (tally > 0).all(), tally
+
+
+def _delivery_certificate_rows(rng):
+    """Uncapped delivery rows on 10 cables that share a default or a wide alpha box, rating and checks.
+
+    Per cable, 0.05-1000 km, 80-420 km or 700-1000 km, where winners on a
+    window ray lie, a fixed box, a free box and a fixed box at a
+    random v2; then, with each row's winner of the candidate solve, rows
+    that put it 1 +- e, e in (1e-12, 1e-9, 1e-7, 1e-5), from a second bound:
+    the cable rated at the winner's larger end current times 1 + e (without
+    a rating override) and a free box's v2_max at the winner's v2 times 1 + e.
+    """
+    wide = rng.random() < 0.5
+    a_lo = rng.uniform(0.2, 2.0) if wide else 1.0
+    cons = Constraints(alpha_min=a_lo, alpha_max=rng.choice([a_lo, rng.uniform(a_lo, 5.0)]) if wide else 1.1,
+                       i_rated=rng.choice([None, 10.0 ** rng.uniform(2.0, 6.0)]) if wide else None,
+                       n_profile_segments=8, **rng.choice([{}, {}, {"check_internal_current": True},
+                                                           {"check_internal_voltage_max": 0.9}]))
+    rows = []
+    for _ in range(10):
+        length = rng.choice([10.0 ** rng.uniform(math.log10(0.05), 3.0), rng.uniform(80.0, 420.0),
+                             rng.uniform(700.0, 1000.0)])
+        spec = rng.choice([random_cable(rng), ref_cable()]).with_length(length)
+        lo = rng.uniform(0.3, 1.0)
+        rows += [(spec, box, None) for box in (cons.fixed_v2(lo), cons.with_v2_range(lo, rng.uniform(lo, 1.2)),
+                                               cons.fixed_v2(rng.uniform(0.3, 1.2)))]
+    won = max_feasible_power_rows(rows)
+    for r in np.flatnonzero(won.found).tolist():
+        spec, box, _ = rows[r]
+        current = max(math.hypot(*(float(x[r]) for x in i)) for i in (won.i1, won.i2))
+        for e in rng.sample([1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5], 3):
+            if box.i_rated is None:
+                rows.append((replace(spec, rated_current=current * (1.0 + e)), box, None))
+            if box.v2_min < float(won.v2[r]) * (1.0 + e) and box.v2_min < box.v2_max:
+                rows.append((spec, box.with_v2_range(box.v2_min, float(won.v2[r]) * (1.0 + e)), None))
+    return rows
+
+
+def _delivery_kind(won, r):
+    """The kind of row r's winner: which of alpha_max, the v2_max level and the ratings it lies on."""
+    cables = won.cables
+
+    def on(x, y, tol=1e-9):
+        return abs(x / y - 1.0) < tol
+    fixed = cables.lo[r] == cables.hi[r]
+    alpha = on(won.alpha[r], cables.cons.alpha_max)
+    # a short cable's end currents round to about 1e-9 relative
+    rated = [on(math.hypot(*(float(x[r]) for x in i)), cables.i_rated[r], 1e-6) for i in (won.i1, won.i2)]
+    if fixed:
+        return ("fixed", "alpha_max" if alpha else "", "both ratings" if all(rated) else
+                "a rating" if any(rated) else "")
+    return ("free", "alpha_max" if alpha else "", "v2_max" if on(won.v2[r], cables.hi[r]) else "current")
+
+
+def test_certified_delivery_winners_are_the_enumeration_winners(monkeypatch):
+    # max_feasible_power_rows rules out rows whose least larger end current
+    # over the box exceeds the rating, certifies most winners in closed form
+    # (optimizer._delivered) and enumerates candidates only for the rows it
+    # declines.  Each row finds the bits of the enumeration with the
+    # certificate off, and a ruled-out row finds nothing there.  The rows
+    # whose winner lies 1 +- e from a second bound test the tie margins
+    rng = random.Random(29)
+    trials = [_delivery_certificate_rows(rng) for _ in range(40)]
+    delivered, ruled = optimizer._delivered, optimizer._ruled_out
+    seen = []
+
+    def spy_delivered(cables, rows, *args):
+        best = delivered(cables, rows, *args)
+        seen[-1][0][rows[~np.isnan(best[0])]] = True
+        return best
+
+    def spy_ruled(cables, rows):
+        out = ruled(cables, rows)
+        seen[-1][1][rows[out]] = True
+        return out
+    monkeypatch.setattr(optimizer, "_delivered", spy_delivered)
+    monkeypatch.setattr(optimizer, "_ruled_out", spy_ruled)
+    got = []
+    for rows in trials:
+        seen.append((np.zeros(len(rows), bool), np.zeros(len(rows), bool)))
+        got.append(max_feasible_power_rows(rows))
+    monkeypatch.setattr(optimizer, "_delivered", lambda cables, rows, *args: np.full((4, rows.size), np.nan))
+    monkeypatch.setattr(optimizer, "_ruled_out", lambda cables, rows: np.zeros(rows.size, bool))
+    kinds, n_ruled = {}, 0
+    for rows, won, (sure, out) in zip(trials, got, seen):
+        want = max_feasible_power_rows(rows)
+        for name in _OPTIMA_ARRAYS:
+            assert np.asarray(getattr(won, name)).tobytes() == np.asarray(getattr(want, name)).tobytes(), name
+        assert not want.found[out].any()
+        n_ruled += out.sum()
+        for r in np.flatnonzero(sure).tolist():
+            kind = _delivery_kind(won, r)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert n_ruled > 200, n_ruled
+    # the fixed boxes' tops of g along a rating circle, where alpha_max or the other rating meets
+    # it, and the top along alpha_max; the free boxes' winners at v2_max, on alpha_max below it
+    # and inside the box below it
+    for kind in [("fixed", "", "a rating"), ("fixed", "alpha_max", "a rating"), ("fixed", "", "both ratings"),
+                 ("fixed", "alpha_max", ""), ("free", "", "v2_max"), ("free", "alpha_max", "current"),
+                 ("free", "", "current")]:
+        assert kinds.get(kind, 0) > 10, (kind, kinds)
+
+
+def test_least_current_bounds_the_box_and_rules_out_the_infeasible_envelope_rows(monkeypatch):
+    # _least_current is at most the larger end current anywhere on a dense
+    # (alpha, beta) grid of the box, and close to its least there on cables
+    # long enough for the currents' rounding to be small
+    rng = random.Random(291)
+    for _ in range(40):
+        a_lo = rng.choice([1.0, rng.uniform(0.2, 2.0)])
+        a_hi = rng.choice([a_lo, 1.1 * a_lo, rng.uniform(a_lo, 5.0)])
+        spec = rng.choice([random_cable(rng), ref_cable()]).with_length(
+            rng.choice([10.0 ** rng.uniform(math.log10(0.05), 3.0), rng.uniform(700.0, 1000.0)]))
+        cables = _Rows([(spec, Constraints(alpha_min=a_lo, alpha_max=a_hi))])
+        a, b = cables.a[0], cables.b[0]
+        alpha, beta = np.linspace(a_lo, a_hi, 201), np.linspace(cables.beta_floor[0], cables.beta_cap[0], 2001)
+        for _ in range(2):      # the grid, then a finer one around its least, for a cone's sharp least
+            xi = alpha[:, None] * np.exp(1j * beta)
+            larger = np.maximum(abs(a * xi + b), abs(b * xi + a))
+            i, j = np.unravel_index(larger.argmin(), larger.shape)
+            least = larger[i, j]
+            alpha = np.linspace(alpha[max(i - 2, 0)], alpha[min(i + 2, alpha.size - 1)], 401)
+            beta = np.linspace(beta[max(j - 2, 0)], beta[min(j + 2, beta.size - 1)], 401)
+        with np.errstate(all="ignore"):     # NaN marks what does not exist
+            bound = optimizer._least_current(cables)[0]
+        assert bound <= least
+        # and no vacuous bound where the currents' rounding, 16*eps*(|a|*alpha + |b|)^2, is small
+        assert spec.length_km < 10.0 or bound >= 0.95 * least
+    # it rules out every fixed row of the README envelope that the candidate solve finds infeasible
+    spec, cons = ref_cable(), Constraints()
+    rows = [(spec.with_length(length), cons.fixed_v2(v2), None) for length in np.arange(100.0, 401.0, 10.0)
+            for v2 in (1.0, 0.8, 0.6, 0.4)]
+    with np.errstate(all="ignore"):
+        out = optimizer._ruled_out(_Rows([row[:2] for row in rows]), np.arange(len(rows)))
+    monkeypatch.setattr(optimizer, "_ruled_out", lambda cables, rows: np.zeros(rows.size, bool))
+    monkeypatch.setattr(optimizer, "_delivered", lambda cables, rows, *args: np.full((4, rows.size), np.nan))
+    found = max_feasible_power_rows(rows).found
+    assert out.sum() == (~found).sum() > 20
+    assert (out == ~found).all()
