@@ -38,7 +38,7 @@ from .optimizer import (
     transfer_envelope,
 )
 from .power_flow import OperatingPoint, VoltageScaling, solve_flow
-from .results import ResultTable, provenance_digest, write_tables
+from .results import Document, ResultTable, provenance_digest, write_tables
 
 
 def _binding_label(point) -> str:
@@ -101,10 +101,10 @@ def _resolve_curve(cfg: StudyConfig, args):
 
 def _emit(args, cfg: StudyConfig, tables: list[ResultTable],
           extra_provenance: dict | None = None) -> int:
-    for t in tables:
-        if t.has_nonfinite() and not args.allow_infeasible:
-            raise Infeasible(f"section {t.name} contains non-finite values; "
-                             f"rerun with --allow-infeasible to emit them")
+    document = Document(tables, args.json)
+    if (name := document.nonfinite()) is not None and not args.allow_infeasible:
+        raise Infeasible(f"section {name} contains non-finite values; "
+                         f"rerun with --allow-infeasible to emit them")
     provenance = {
         "config_sha256": provenance_digest(normalized_si(cfg)),
         "tool": f"cableopt/{__version__}",
@@ -120,7 +120,7 @@ def _emit(args, cfg: StudyConfig, tables: list[ResultTable],
                 raise ConfigError(f"cannot write output {args.out}: {exc}") from exc
         else:
             fh = sys.stdout
-        write_tables(fh, tables, provenance, json_mode=args.json, config_echo=echo)
+        write_tables(fh, document, provenance, config_echo=echo)
     return 0
 
 
@@ -160,20 +160,17 @@ def _cmd_analyze(args, cfg: StudyConfig) -> int:
         v_mag = list(map(abs, voltages))
         step = spec.length_km / args.profile
         nodes = range(len(voltages))
-        columns = (
-            nodes,
-            [k * step for k in nodes],
-            [m / 1e3 for m in v_mag],
-            [m / vph for m in v_mag],
-            map(math.degrees, map(cmath.phase, voltages)),
-            [*map(abs, prof.node_currents), abs(prof.grid_end_current)],
-            [p / 1e6 for p in prof.segment_losses] + [0.0],
-        )
         tables.append(ResultTable(
             "profile",
             ["node", "position", "v_mag", "v_pu", "v_angle", "i_mag", "segment_loss"],
             ["-", "km", "kV", "pu", "deg", "A", "MW"],
-            list(zip(*columns)),
+            [list(nodes),
+             [k * step for k in nodes],
+             [m / 1e3 for m in v_mag],
+             [m / vph for m in v_mag],
+             list(map(math.degrees, map(cmath.phase, voltages))),
+             [*map(abs, prof.node_currents), abs(prof.grid_end_current)],
+             [p / 1e6 for p in prof.segment_losses] + [0.0]],
         ))
     return _emit(args, cfg, tables)
 

@@ -805,34 +805,35 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
     lo, hi, w_lo, w_hi = cables.lo, cables.hi, cables.beta_floor, cables.beta_cap
     forms = _stack(list(bounds) + [cables.grid, cables.farm], n_rows)
     (q2, w, q0), re_a = forms, forms[0][:, 5]
-    # the candidates: both eigenvectors of the pencil (grid, farm), then the tops of
-    # eta along the v2_min and the v2_max circle, traced where a row needs them
+    # the candidates: both eigenvectors of the pencil (grid, farm), then the top of
+    # eta along the v2_min or the v2_max circle, traced on the rows whose col names it
     xi = np.full((n_rows, 4), np.nan, complex)
     alpha, beta, score, v2 = (np.full((n_rows, 4), np.nan) for _ in range(4))
 
-    def place(j, points):
-        """Score the (rows, 2) candidates points as columns j and j + 1."""
+    def place(r, j, points):
+        """Score the (len(r), width) candidates points as the columns j of the rows r."""
         a, b = abs(points), np.angle(points)
-        scored = point(a.ravel(), b.ravel(), rows.repeat(2))
+        scored = point(a.ravel(), b.ravel(), r.repeat(points.shape[1]))
         for part, x in zip((xi, alpha, beta, score, v2), (points, a, b, *scored)):
-            part[:, j:j + 2] = x.reshape(n_rows, 2)
+            part[r[:, None], j] = x.reshape(points.shape)
 
     _, x1, x2 = _eig([part[:, 4:5] for part in forms], [part[:, 5:] for part in forms])
-    place(0, (x1 / x2)[..., 0].T)
+    place(rows, np.arange(2), (x1 / x2)[..., 0].T)
     fwd = np.isfinite(v2[:, :2])        # farm > 0
     star = np.where(fwd[:, 0], 0, 1)
     v2s = np.where(fwd[:, 0] != fwd[:, 1], v2[rows, star], np.nan)
     circle = np.where(lo < hi, np.where(v2s < lo * (1 - 1e-6), 2, np.where(v2s > hi * (1 + 1e-6), 3, -1)),
                       np.where(abs(v2s * v2s / (hi * hi) - 1.0) >= 1e-5, 3, -1))
     col = np.where(np.isfinite(score[rows, star]), star, circle)
-    if (col >= 2).any():
-        curve, _ = _curves([part[:, :2] for part in forms], 2, w_lo, w_hi, False)
-        along = _along(curve, [part[:, None, 4:] for part in forms])
+    if (need := np.flatnonzero(col >= 2)).size:
+        on = col[need, None]
+        curve, _ = _curves([part[need[:, None], on - 2] for part in forms], 1, w_lo[need], w_hi[need], False)
+        along = _along(curve, [part[need, None, 4:] for part in forms])
         g, f = [x[..., 0] for x in along], [x[..., 1] for x in along]
         phi = _sinusoid_roots(*_stationary(g, f))   # the top of eta and its bottom
         eta = np.divide(*(x0[..., None] + xc[..., None] * np.cos(phi) + xs[..., None] * np.sin(phi)
                           for x0, xc, xs in (g, f)))
-        place(2, _on(curve[..., 0], np.where(eta[..., 1] > eta[..., 0], phi[..., 1], phi[..., 0])))
+        place(need, on, _on(curve[..., 0], np.where(eta[..., 1] > eta[..., 0], phi[..., 1], phi[..., 0])))
     x, a, b, s = (y[rows, col] for y in (xi, alpha, beta, score))
     # on the circle farm = level, centre z, eta is grid/level and grid peaks at s, falling
     # by level*u, u = 1e-7*level/(radius*|b|), at the ends of the tie arc, 2*radius*sqrt(u/2)

@@ -142,6 +142,29 @@ def test_nonfinite_rows_need_allow_infeasible(capsys, json_mode):
     assert row["degenerate"] == 1.0
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["csv", "json"])
+def test_nonfinite_rows_leave_out_path_uncreated(tmp_path, capsys, json_mode):
+    # the verdict comes before the output is opened: no file, not even an empty one
+    path = tmp_path / "result.txt"
+    argv = ["analyze", "--v2", "1e150", "--alpha", "1.03", "--beta-deg", "5",
+            "--profile", "2", "--out", str(path)] + (["--json"] if json_mode else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and not path.exists()
+    assert err.startswith("infeasible: section flow contains non-finite values")
+    code, out, err = run(capsys, *argv, "--allow-infeasible")
+    assert code == 0 and out == "" and err == ""
+    text = path.read_text(encoding="utf-8")
+    if json_mode:
+        assert "Infinity" in text and "NaN" in text
+        flow = json.loads(text)["sections"]["flow"]
+        row = dict(zip(flow["columns"], flow["rows"][0]))
+    else:
+        assert ",inf," in text and ",nan," in text
+        flow = parse(text)["flow"]
+        row = dict(zip(flow.columns, flow.rows[0]))
+    assert row["p_farm"] == math.inf and math.isnan(row["eta"])
+
+
 _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300])
 
 
