@@ -10,24 +10,27 @@ circle's angle.  Each objective is, piece by piece, a ratio of two forms:
 eta = g/c at a given production, delivered power g*v2^2 with v2 at its
 lowest limit in max_feasible_power.  Its maximum lies at a stationary
 point of one ratio (a 2x2 pencil eigenvector), at a stationary point along
-one circle or window ray, or where two meet; _solve checks every such
-candidate and keeps the best feasible one; a box solve traces a row's
-window rays only where their least end current at v2_min is within the
-rating.  The production solve first certifies in closed form the rows
-whose winner is the pencil optimum xi* or the top of eta along the v2
-circle between xi* and the box, where no other candidate can come within
-the tie margin and the point passes the checks (_certified), and checks
-candidates for the other rows only.  A delivery call of 24 rows or more
-does the same for its uncapped box kinds: grid power is linear and the
-squared end currents convex, so its score is quasi-concave outside the
-alpha_min disk; a row whose least end current over the box exceeds the
-rating finds nothing (_ruled_out), and a winner on the alpha_max, switch
-and v2_max rating circles is certified where the points within the tie
-margin lie in a small disk that meets no other circle (_delivered).  The
-opt-in internal checks evaluate
-the node forms, which each cable builds once from two segment profiles;
-one that fails adds the worst node's limit as one more circle per v2
-piece, and the solve repeats.  Ties go to lower v2, then lower alpha.
+one circle or window ray, or where two meet.  One enumeration lists every
+such candidate (_points), tracing each form the ratios use once; _solve
+keeps the best feasible one; a box solve traces a row's window rays only
+where their least end current at v2_min is within the rating.  The
+production solve first certifies in closed form the rows whose winner is
+the pencil optimum xi* or the top of eta along the v2 circle between xi*
+and the box, where no other candidate can come within the tie margin and
+the point passes the checks (_certified), and checks candidates for the
+other rows only.  A delivery call of 24 rows or more does the same for its
+uncapped box kinds: grid power is linear and the squared end currents
+convex, so its score is quasi-concave outside the alpha_min disk; a row
+whose least end current over the box exceeds the rating finds nothing
+(_ruled_out), and the winner among the enumeration's candidates on the
+alpha_max, switch and v2_max rating circles is certified where the points
+within the tie margin lie in a small disk that meets no other circle
+(_delivered).  Both certificates test that disk against alpha_min, the
+beta window and the circles it must not meet in one way (_clear).  The
+opt-in internal checks evaluate the node forms, which each cable builds
+once from two segment profiles; one that fails adds the worst node's
+limit as one more circle per v2 piece, and the solve repeats.  Ties go to
+lower v2, then lower alpha.
 
 The solve has a leading row axis: a row is one problem (a cable, a
 production level or a farm cap, and a v2 box).  It reads every cable
@@ -74,8 +77,10 @@ _EDGE = 1e-12
 # rows go through the candidate solve in blocks of about this many
 # (curve, form) pairs, which bounds its memory whatever the row count
 _CELLS = 1 << 13
-# the delivery certificate runs where at least this many rows may take it:
-# it costs about as much as the candidate solves it spares at 15-40 rows
+# the delivery certificate pass runs where at least this many rows may take it.
+# On bench envelope rows, one pinned x86-64 CPU, it costs 0.92, 1.51 and 3.66 ms
+# at 25, 115 and 460 rows (_delivered about 0.64 ms plus 6 us a row), and the
+# candidate solves of those rows 0.99, 1.83 and 6.10 ms
 _CERTIFY_ROWS = 24
 
 
@@ -294,23 +299,21 @@ def _on(curve, phi):
     return xi
 
 
-def _curves(forms, n: int, lo, hi, rays: bool):
+def _curves(forms, n: int, ratios, lo, hi, rays: bool):
     """The curves of a solve and the pencil eigenvectors of its ratios.
 
-    forms are (rows, n + 2k) arrays of form parts: n circles, then the k
-    numerators and the k denominators of the ratios; lo and hi are each
-    row's beta window.  Returns the (u1, u2, v1, v2) of both window rays,
-    where rays is set, and then of the circles, a (4, rows, curves, 1)
-    array, and the (rows, 2k) eigenvectors xi = x1/x2.
+    forms and ratios are as in _points; lo and hi are each row's beta
+    window.  Returns the (u1, u2, v1, v2) of both window rays, where rays is
+    set, and then of the circles, a (4, rows, curves, 1) array, and the
+    (rows, 2k) eigenvectors xi = x1/x2.
     """
-    rows, k, m = len(forms[0]), (forms[0].shape[1] - n) // 2, 2 if rays else 0
-    # the identity stands in for the denominator of each circle's own pencil
-    dens = []
-    for part, one in zip(forms, _ID):
-        den = np.empty((rows, n + k), part.dtype)
-        den[:, :n], den[:, n:] = one, part[:, n + k:]
-        dens.append(den)
-    lam, x1, x2 = _eig([part[:, :n + k] for part in forms], dens)
+    rows, m = len(forms[0]), 2 if rays else 0
+    # each circle's own pencil, then the ratios': the columns of their numerators and denominators
+    cols = [np.concatenate([np.arange(n), n + x]) for x in ratios.T]
+    num, den = ([part.take(x, 1) for part in forms] for x in cols)
+    for part, one in zip(den, _ID):
+        part[:, :n] = one       # the identity stands in for the denominator of a circle's own pencil
+    lam, x1, x2 = _eig(num, den)
     curve = np.empty((4, rows, n + m, 1), complex)
     if rays:
         ray = np.exp(1j * np.stack([lo, hi], axis=-1))
@@ -326,40 +329,43 @@ def _stationary(g, f):
     return gs * fc - gc * fs, gs * f0 - g0 * fs, g0 * fc - gc * f0
 
 
-def _sinusoids(curve, forms, n: int):
+def _sinusoids(curve, forms, n: int, ratios):
     """Sinusoids (k0, kc, ks) along each curve, one per circle and then one per ratio.
 
     Their zeros are the curve's meetings with the circles, NaN for the
     circles up to its own, and the stationary points of each ratio, where
     num'*den - num*den' is zero.
     """
-    k = (forms[0].shape[1] - n) // 2
+    k, cols = len(ratios), n + ratios.T.ravel()     # the numerators' columns, then the denominators'
     along = _along(curve, [part[:, None, :] for part in forms])
-    ratios = _stationary([x[..., n:n + k] for x in along], [x[..., n + k:] for x in along])
-    out = [np.concatenate([x[..., :n], y], axis=-1) for x, y in zip(along, ratios)]
+    pairs = [x[..., cols] for x in along]
+    stat = _stationary([x[..., :k] for x in pairs], [x[..., k:] for x in pairs])
+    out = [np.concatenate([x[..., :n], y], axis=-1) for x, y in zip(along, stat)]
     for i in range(n):          # each pair of circles once; the circles are the last n curves
         out[0][:, i - n, :i + 1] = np.nan
     return out
 
 
-def _points(forms, n: int, lo, hi, rays):
+def _points(forms, n: int, ratios, lo, hi, rays):
     """Every candidate maximum of a ratio in the beta window [lo, hi] of each row.
 
-    forms are (rows, n + 2k) arrays of form parts: n circles, then the k
-    numerators and the k denominators of the ratios.  The candidates are
-    the pencil eigenvectors of each ratio; along each circle its meetings
-    with the later circles and each ratio's stationary points; the same
-    along each window ray, traced as xi = e^{j*beta}*tan(phi/2), which
-    meets every circle.  The rays are candidates only on the rows where
-    the mask rays is set, and traced only when one of them is.  They come
-    as (row, rank, alpha, beta) arrays, one entry per candidate that
-    exists; rank orders the candidates of a row: the rays, the
-    eigenvectors, then the circles, whether or not the rays are traced.
+    forms are (rows, n + f) arrays of form parts: n circles, then each of
+    the f forms the ratios use, once; ratios is a (k, 2) int array that
+    names each ratio's numerator and denominator among those f forms.  The
+    candidates are the pencil eigenvectors of each ratio; along each
+    circle its meetings with the later circles and each ratio's stationary
+    points; the same along each window ray, traced as
+    xi = e^{j*beta}*tan(phi/2), which meets every circle.  The rays are
+    candidates only on the rows where the mask rays is set, and traced only
+    when one of them is.  They come as (row, rank, alpha, beta) arrays, one
+    entry per candidate that exists; rank orders the candidates of a row:
+    the rays, the eigenvectors, then the circles, whether or not the rays
+    are traced.
     """
-    rows, k = len(forms[0]), (forms[0].shape[1] - n) // 2
+    rows, k = len(forms[0]), len(ratios)
     m = 0 if rays.any() else 2  # the curves not traced: none, or both rays
-    curve, pencil = _curves(forms, n, lo, hi, not m)
-    phi = _sinusoid_roots(*_sinusoids(curve, forms, n)).reshape(rows, n + 2 - m, -1)
+    curve, pencil = _curves(forms, n, ratios, lo, hi, not m)
+    phi = _sinusoid_roots(*_sinusoids(curve, forms, n, ratios)).reshape(rows, n + 2 - m, -1)
     width = phi.shape[2]
     # the angles that exist, each on a curve, then the eigenvectors, and where they lie
     row, cur, rank = np.nonzero(np.isfinite(phi))
@@ -367,15 +373,15 @@ def _points(forms, n: int, lo, hi, rays):
     at_row, at_pos = np.nonzero(np.isfinite(pencil))
     xi = np.concatenate([_on(curve[:, row, cur, 0], phi), pencil[at_row, at_pos]])
     cur += m
-    rank += cur * width
-    rank[cur >= 2] += 2 * k     # after the rays and the eigenvectors
+    rank += cur * width + 2 * k * (cur >= 2)   # the circles' after the rays and the eigenvectors
     row, rank = np.concatenate([row, at_row]), np.concatenate([rank, 2 * width + at_pos])
     alpha, beta = abs(xi), np.angle(xi)
     ok = np.isfinite(alpha) & (lo[row] <= beta) & (beta <= hi[row])
-    ray = np.flatnonzero(cur < 2)
-    alpha[ray] = np.tan(0.5 * phi[ray])
-    beta[ray] = np.where(cur[ray] == 0, lo[row[ray]], hi[row[ray]])
-    ok[ray] = (alpha[ray] > 0.0) & rays[row[ray]]
+    if not m:       # the rays' candidates: their alpha is tan(phi/2), at each end of the window
+        ray = np.flatnonzero(cur < 2)
+        alpha[ray] = np.tan(0.5 * phi[ray])
+        beta[ray] = np.where(cur[ray] == 0, lo[row[ray]], hi[row[ray]])
+        ok[ray] = (alpha[ray] > 0.0) & rays[row[ray]]
     return row[ok], rank[ok], alpha[ok], beta[ok]
 
 
@@ -576,10 +582,11 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None, r
     """
     n_rows, cons = len(cables), cables.cons
     a_lo, a_hi = cons.alpha_min, cons.alpha_max
-    # the alpha circles and the bounds, then the ratios' numerators and denominators
+    # the alpha circles and the bounds, then each form of the ratios once, by identity
     n_base = 2 + len(bounds)
-    base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi)] + list(bounds)
-                  + [num for num, _ in ratios] + [den for _, den in ratios], n_rows)
+    used = {id(form): form for pair in ratios for form in pair}
+    pairs = np.array([[list(used).index(id(form)) for form in pair] for pair in ratios])
+    base = _stack([(1.0, 0j, -a_lo * a_lo), (1.0, 0j, -a_hi * a_hi), *bounds, *used.values()], n_rows)
     best = np.full((4, n_rows), np.nan)
     cuts = [[] for _ in range(n_rows)]
     todo = np.arange(n_rows) if rows is None else rows
@@ -587,7 +594,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None, r
     while todo.size:
         width = len(pieces) * max([len(cuts[r]) for r in todo.tolist()])
         n = n_base + width
-        step = max(1, _CELLS // ((n + 2) * (n + 2 * len(ratios))))
+        step = max(1, _CELLS // ((n + 2) * (n + len(used))))
         again = []
         for block in (todo[i:i + step] for i in range(0, todo.size, step)):
             forms = [part[block] for part in base]
@@ -602,7 +609,7 @@ def _solve(cables: _Rows, window, bounds, ratios, point, pieces=(), rows=None, r
                         part[j, :x.shape[1]] = x[0]
                 forms = [np.concatenate([part[:, :n_base], x, part[:, n_base:]], axis=1)
                          for part, x in zip(forms, ext)]
-            row, rank, alpha, beta = _points(forms, n, *(end[block] for end in window), keep[block])
+            row, rank, alpha, beta = _points(forms, n, pairs, *(end[block] for end in window), keep[block])
             # the candidates in the annulus, by row, descending score and rank
             inside = (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
             row, rank, beta = row[inside], rank[inside], beta[inside]
@@ -763,6 +770,21 @@ def _meets(forms, x, a, rho):
                                              + 1e-9 * (abs(q2) * a * a + abs(w) * a + abs(q0)))
 
 
+def _clear(avoid, counted, x, a, b, rho, a_lo, w_lo, w_hi):
+    """Where the disk of radius rho about x = a*e^{j*b} lies outside alpha_min, in the window, clear, per row.
+
+    The disk must lie outside the alpha_min disk, with rho < a/2, and
+    inside the beta window [w_lo, w_hi] by beta +- 2*rho/a, more than the
+    beta +- arcsin(rho/a) it spans.  It may meet no zero circle of the
+    (rows, k) forms avoid where the mask counted is set (_meets).  _meets
+    does not tell which side of a circle the disk lies on, so a bound whose
+    side matters is tested apart.
+    """
+    ok = (a_lo < a - rho) & (rho < 0.5 * a)
+    ok &= (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
+    return ok & ~(_meets(avoid, x, a, rho) & counted).any(axis=1)
+
+
 def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
     """The production rows' winners that a closed form certifies, as _solve's best; NaN elsewhere.
 
@@ -790,16 +812,17 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
       of s, twice the farther tie-arc end's distance.
     - The point is certified where it scores; every other pencil eigenvector
       scores below it by more than its margin; its disk of radius rho lies
-      inside the alpha box and the beta window (beta +- 2*rho/alpha); and
-      the disk meets no other bound's circle: there |F| exceeds
-      |grad F|*rho + |F2|*rho^2, plus 1e-9 of F's size.  Then every other
-      candidate of _solve's enumeration scores over TIE_TOL below it, so
-      _walk takes it first and stops, and its (score, alpha, beta, v2) come
-      from the same helpers (_curves, _along, _stationary, _sinusoid_roots,
-      _on) and score: the enumeration's bits.  The walk reads only score,
-      v2 and alpha, so the other eigenvector (reverse-flow but for
-      rounding) need only trail by the margin, >= 4*TIE_TOL, wherever it
-      lies.  A point failing an internal check (_Cable.violations) is declined.
+      inside alpha_max, tested apart, as _meets cannot tell on which side of
+      a circle the disk lies; and the disk lies outside alpha_min and inside
+      the beta window and meets no other bound's circle (_clear).  Then
+      every other candidate of _solve's enumeration scores over TIE_TOL
+      below it, so _walk takes it first and stops, and its (score, alpha,
+      beta, v2) come from the same helpers (_curves, _along, _stationary,
+      _sinusoid_roots, _on) and score: the enumeration's bits.  The walk
+      reads only score, v2 and alpha, so the other eigenvector (reverse-flow
+      but for rounding) need only trail by the margin, >= 4*TIE_TOL,
+      wherever it lies.  A point failing an internal check
+      (_Cable.violations) is declined.
     """
     n_rows, cons, rows = len(cables), cables.cons, np.arange(len(cables))
     lo, hi, w_lo, w_hi = cables.lo, cables.hi, cables.beta_floor, cables.beta_cap
@@ -827,7 +850,8 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
     col = np.where(np.isfinite(score[rows, star]), star, circle)
     if (need := np.flatnonzero(col >= 2)).size:
         on = col[need, None]
-        curve, _ = _curves([part[need[:, None], on - 2] for part in forms], 1, w_lo[need], w_hi[need], False)
+        curve, _ = _curves([part[need[:, None], on - 2] for part in forms], 1, np.zeros((0, 2), int),
+                           w_lo[need], w_hi[need], False)
         along = _along(curve, [part[need, None, 4:] for part in forms])
         g, f = [x[..., 0] for x in along], [x[..., 1] for x in along]
         phi = _sinusoid_roots(*_stationary(g, f))   # the top of eta and its bottom
@@ -850,11 +874,10 @@ def _certified(cables: _Rows, bounds, point, k) -> np.ndarray:
                    np.where(lens, 4.0 * radius * np.sqrt(0.5 * u), np.nan))
     margin = np.where(col < 2, 4.0 * TIE_TOL, 1e-7)
     ok = (col >= 0) & np.all((np.arange(2) == col[:, None]) | ~(score[:, :2] >= (s - margin)[:, None]), axis=1)
-    ok &= (cons.alpha_min < a - rho) & (a + rho < cons.alpha_max)
-    ok &= (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
-    # the bounds' circles but the certified one
-    meets = _meets([part[:, :4] for part in (q2, w, q0)], x, a, rho)
-    ok &= ~(meets & (np.arange(4) + 2 != col[:, None])).any(axis=1)
+    # inside alpha_max, and clear of the bounds' circles but the certified one
+    ok &= a + rho < cons.alpha_max
+    ok &= _clear([part[:, :4] for part in forms], np.arange(4) + 2 != col[:, None], x, a, b, rho,
+                 cons.alpha_min, w_lo, w_hi)
     best = np.full((4, n_rows), np.nan)
     best[:, ok] = np.array([s, a, b, v2[rows, col]])[:, ok]
     for r in np.flatnonzero(ok).tolist() if cables.internal else ():
@@ -1047,77 +1070,40 @@ def _delivered(cables: _Rows, rows, point, circles) -> np.ndarray:
       must be > 0.
     - Each row's candidates on the alpha_max, the switch and the v2_max
       rating circles, and the pencil eigenvectors of its ratios, come from
-      the candidate solve's own helpers (_eig, _circle, _along, _stationary,
-      _sinusoid_roots, _on) on the same forms, so with its bits, and are
-      scored and walked as _solve does (_walk): s is the winner.  With
-      t = f(s) - m, m = 1e-7 of the score's size 3*V_ph^2*v2_max^2*(|a| +
-      |b|*alpha_max), rho is twice the least bound on the diameter of a meet
-      of those sets that holds s: a disk cut by the half-plane (the top of g
-      along a circle), two disks (the top of g/|i_k|^2 along alpha_max or the
-      switch circle, or of g along a rating circle at v2_max), the triangle
-      of three of their tangents at s (where two circles meet), or one disk
-      (a (grid, cur_k) pencil optimum).  Every point scoring over t lies
-      within rho of s.
+      the candidate solve's enumeration (_points) on the same forms, so
+      with its bits and ranks, and are scored and walked as _solve does
+      (_walk): s is the winner.  With t = f(s) - m, m = 1e-7 of the
+      score's size 3*V_ph^2*v2_max^2*(|a| + |b|*alpha_max), rho is twice
+      the least bound on the diameter of a meet of those sets that holds
+      s: a disk cut by the half-plane (the top of g along a circle), two
+      disks (the top of g/|i_k|^2 along alpha_max or the switch circle, or
+      of g along a rating circle at v2_max), the triangle of three of their
+      tangents at s (where two circles meet), or one disk (a (grid, cur_k)
+      pencil optimum).  Every point scoring over t lies within rho of s.
     - s is certified where that disk lies outside the alpha_min disk and
-      inside the beta window (beta +- 2*rho/alpha) and, in a free box,
-      meets neither rating circle at v2_min (_meets).  Then every candidate
-      of the enumeration that the walk above did not see lies on another
-      curve, outside the disk, and trails s by over m > TIE_TOL: the full
-      walk takes what this one took.  A row whose walk would cut a node that
-      fails an internal check is declined, as _solve would solve it again
-      with the cut.
+      inside the beta window and, in a free box, meets neither rating
+      circle at v2_min (_clear).  Then every candidate of the enumeration
+      that the walk above did not see lies on another curve, outside the
+      disk, and trails s by over m > TIE_TOL: the full walk takes what this
+      one took.  A row whose walk would cut a node that fails an internal
+      check is declined, as _solve would solve it again with the cut.
     """
     cons, n = cables.cons, rows.size
     a_lo, a_hi = cons.alpha_min, cons.alpha_max
     lo, hi, free = cables.lo[rows], cables.hi[rows], (cables.lo < cables.hi)[rows]
     w_lo, w_hi = cables.beta_floor[rows], cables.beta_cap[rows]
     ca, cb, vph, i_rated = cables.a[rows], cables.b[rows], cables.vph[rows], cables.i_rated[rows]
-    fr = np.flatnonzero(free)
-    # the forms: the alpha_max, the switch and the v2_max rating circles, the v2_min rating
-    # circles, then g, 1, |i1|^2 and |i2|^2, of which the ratios take their parts
-    forms = [x[rows] for x in _stack([(1.0, 0j, -a_hi * a_hi), *circles, cables.grid, cables.one, cables.cur1,
-                                       cables.cur2], len(cables))]
-    circ = [x[:, :4] for x in forms]
-    # the ratios g/1, g/|i1|^2, |i1|^2/1, g/|i2|^2 and |i2|^2/1, by their forms' columns
-    ratios = np.array([(6, 7), (6, 8), (8, 7), (6, 9), (9, 7)])
-    # one eigen solve: each circle against 1, as _curves draws it, and the free boxes' ratios' pencils
-    ones = np.ones((n, 4))
-    lam, x1, x2 = _eig(*([np.concatenate([x.ravel(), y[fr][:, ratios[1:, k]].ravel()])
-                          for x, y in zip(f, forms)]
-                         for k, f in ((0, circ), (1, (ones, np.zeros((n, 4), complex), ones)))))
-    pencil = (x1[:, 4 * n:] / x2[:, 4 * n:]).reshape(2, fr.size, 4).transpose(1, 2, 0).reshape(fr.size, 8)
-    curve = np.array(_circle(lam[:, :4 * n], x1[:, :4 * n], x2[:, :4 * n])).reshape(4, n, 4)
-
-    # every candidate on those circles: along each, its meetings with the later ones, then the
-    # stationary points of the ratios g/1, and in a free box g/|i1|^2, |i1|^2/1, g/|i2|^2 and
-    # |i2|^2/1, the columns 4 to 8; ranked as in _points
-    want = np.zeros((n, 4, 10), bool)
-    want[:, :, :4] = np.triu(np.ones((4, 4), bool), 1)
-    want[:, :, 6:8] = True
-    want[fr, :, 8:] = True
-    row, cur, col = np.nonzero(want)
-    along = _along(curve[:, row, cur], [x[row, col] for x in forms])
-    grid = [np.full((n, 4, 10), np.nan) for _ in range(3)]
-    for x, y in zip(grid, along):
-        x[row, cur, col] = y
-    ratio = _stationary([x[..., ratios[:, 0]] for x in grid], [x[..., ratios[:, 1]] for x in grid])
-    meet = col < 4
-    k0, kc, ks = (np.concatenate([y[meet], z.ravel()]) for y, z in zip(along, ratio))
-    r_row, r_cur, r_col = np.indices((n, 4, 5)).reshape(3, -1)
-    row, cur = np.concatenate([row[meet], r_row]), np.concatenate([cur[meet], r_cur])
-    rank = (cur * 16 + np.concatenate([col[meet], 4 + r_col])) * 2
-    at = np.flatnonzero(np.hypot(kc, ks) > abs(k0))
-    phi = _sinusoid_roots(k0[at], kc[at], ks[at]).ravel()
-    at = at.repeat(2)
-    row, rank = row[at], rank[at] + np.tile([0, 1], at.size // 2)
-    xi = _on(curve[:, row, cur[at]], phi)
-    # the pencil eigenvectors of the free boxes' ratios, ranked first
-    at_row, at_pos = np.nonzero(np.isfinite(pencil))
-    xi = np.concatenate([xi, pencil[at_row, at_pos]])
-    row, rank = np.concatenate([row, fr[at_row]]), np.concatenate([rank, at_pos - 16])
-    alpha, beta = abs(xi), np.angle(xi)
-    keep = (w_lo[row] <= beta) & (beta <= w_hi[row])
-    keep &= (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
+    # the forms: the alpha_max, the switch and the v2_max rating circles, g, 1, |i1|^2 and
+    # |i2|^2, then the v2_min rating circles
+    forms = [x[rows] for x in _stack([(1.0, 0j, -a_hi * a_hi), *circles[:3], cables.grid, cables.one,
+                                       cables.cur1, cables.cur2, *circles[3:]], len(cables))]
+    # every candidate on the four circles, of the ratios g/1, and in a free box g/|i1|^2,
+    # |i1|^2/1, g/|i2|^2 and |i2|^2/1: a fixed box's |i_k|^2 are NaN here
+    shown = free[:, None] | (np.arange(8) < 6)
+    row, rank, alpha, beta = _points([np.where(shown, x[:, :8], np.nan) for x in forms], 4,
+                                     np.array([(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)]), w_lo, w_hi,
+                                     np.zeros(n, bool))
+    keep = (a_lo * (1 - _EDGE) <= alpha) & (alpha <= a_hi * (1 + _EDGE))
     row, rank, beta = row[keep], rank[keep], beta[keep]
     alpha = np.minimum(np.maximum(alpha[keep], a_lo), a_hi)
     score, v2 = point(alpha, beta, rows[row])
@@ -1148,7 +1134,7 @@ def _delivered(cables: _Rows, rows, point, circles) -> np.ndarray:
     spread = 2e-12 + 8.0 * _EPS * kappa * kappa     # 1/within^2 - 1 and more, where a rating binds
     level, i2 = (1.0 + spread) * (i_rated / (vph * lo)) ** 2, 3.0 * i_rated * i_rated
     tw = np.where(t > 0.0, t * (1.0 - spread), np.nan)[:, None]
-    q2, w, q0 = (x[:, 8:] for x in forms)
+    q2, w, q0 = (x[:, 6:8] for x in forms)
     c, r2 = _disk((np.concatenate([np.ones((n, 1)), q2, tw * q2], axis=1),
                    np.concatenate([np.zeros((n, 1)), w, tw * w + (i2 * cb)[:, None]], axis=1),
                    np.concatenate([np.full((n, 1), -a_hi * a_hi), q0 - level[:, None],
@@ -1169,10 +1155,8 @@ def _delivered(cables: _Rows, rows, point, circles) -> np.ndarray:
                                                       axis=1), axis=1),
                         np.fmin.reduce(_triangle(np.conj(normal[:, i]) * normal[:, j], beyond[:, i]), axis=1))
     ok = np.isfinite(s0) & (m > 4.0 * TIE_TOL) & (spread < 1e-6) & ((t > 0.0) | ~free)
-    ok &= (a_lo < a0 - rho) & (rho < 0.5 * a0)
-    ok &= (w_lo < b0 - 2.0 * rho / a0) & (b0 + 2.0 * rho / a0 < w_hi)
     # a free box's rating circles at v2_min may not meet the disk
-    ok &= ~(_meets([x[:, 4:6] for x in forms], x0, a0, rho).any(axis=1) & free)
+    ok &= _clear([x[:, 8:] for x in forms], free[:, None], x0, a0, b0, rho, a_lo, w_lo, w_hi)
     return np.where(ok, won, np.nan)
 
 

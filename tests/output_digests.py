@@ -6,9 +6,10 @@ imports cableopt from SRC_DIR and runs every command in this one process:
 7 cable lengths x 6 internal-check configurations x 6 commands (optimize
 free and at 150 and 280 MW, the golden sweep, the golden annual and a
 one-length envelope), then per check configuration an envelope over 80-420
-km, through the infeasible tail, at five voltages, each as CSV and as JSON,
-516 in all.  The 0.5 km cable is there for the ill-conditioned rating
-corners of a short cable.  Each line is
+km, through the infeasible tail, at five voltages, then per cable length
+two analyze commands (the flow row alone, and with a 200-segment
+profile), each as CSV and as JSON, 544 in all.  The 0.5 km cable is there
+for the ill-conditioned rating corners of a short cable.  Each line is
 `exit sha256 argv`, the digest being that of stdout and stderr together
 and argv ending in the study file's JSON, so two source trees, or two
 numpy dispatches of one tree (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
@@ -39,6 +40,8 @@ COMMANDS = (
     ["envelope", "--lengths-km", "{length}", "--voltages", "1.0,0.6"],
 )
 ENVELOPE = ["envelope", "--lengths-km", "80:420:20", "--voltages", "1.0,0.85,0.7,0.55,0.4"]
+ANALYZE = (["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5"],
+           ["analyze", "--v2", "0.9", "--alpha", "1.03", "--beta-deg", "5", "--profile", "200"])
 
 
 def commands():
@@ -52,6 +55,10 @@ def commands():
     for checks in CHECKS:
         for fmt in ([], ["--json"]):
             yield ENVELOPE + fmt, {"constraints": checks}
+    for length in LENGTHS_KM:
+        for command in ANALYZE:
+            for fmt in ([], ["--json"]):
+                yield command + fmt, {"cable": {"length_km": length}}
 
 
 def run(main, argv):

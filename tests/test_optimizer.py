@@ -1439,3 +1439,169 @@ def test_least_current_bounds_the_box_and_rules_out_the_infeasible_envelope_rows
     found = max_feasible_power_rows(rows).found
     assert out.sum() == (~found).sum() > 20
     assert (out == ~found).all()
+
+
+# ---------------------------------------------------------------------------
+# the certificates' geometry and the enumeration's ratio columns
+
+def _disk_points(gen, c, r2, m=400):
+    """m points of the disk |x - c|^2 <= r2, half of them on its circle."""
+    r = math.sqrt(r2) * np.concatenate([np.ones(m // 2), np.sqrt(gen.uniform(size=m - m // 2))])
+    return c + r * np.exp(2j * np.pi * gen.uniform(size=m))
+
+
+def _farthest(points):
+    """The largest distance between two of the complex points, 0 for fewer than two."""
+    return abs(points[:, None] - points[None, :]).max() if points.size > 1 else 0.0
+
+
+@np.errstate(invalid="ignore")      # the bounds take the square root of a chord's square < 0, and drop it
+def test_certificate_sets_lie_within_their_diameter_bounds():
+    # the delivery certificate bounds the meets of its convex sets by _cap (a disk
+    # cut by a half-plane), _lens (two disks) and _triangle (three lines, from the
+    # point they hold), with the disks of their forms from _disk: no two sampled
+    # points of a set lie farther apart than its bound, nor, in a triangle, farther
+    # from the point than its corners
+    gen = np.random.default_rng(31)
+    tally = np.zeros(4, int)
+    for _ in range(200):
+        q2, c0, r0 = gen.uniform(0.1, 10.0), complex(*gen.normal(size=2)), gen.uniform(0.01, 2.0)
+        c, r2 = optimizer._disk((q2, -2.0 * q2 * np.conj(c0), q2 * (abs(c0) ** 2 - r0 * r0)))
+        assert abs(c - c0) <= 1e-12 * (1.0 + abs(c0)) and abs(r2 - r0 * r0) <= 1e-12 * (1.0 + abs(c0) ** 2)
+        disk = _disk_points(gen, c, r2)
+        # a half-plane Re(conj(n)*x) >= h through the disk, or past it
+        n = complex(*gen.normal(size=2))
+        h = (np.conj(n) * c).real + abs(n) * math.sqrt(r2) * gen.uniform(-1.2, 1.2)
+        cap = disk[(np.conj(n) * disk).real >= h]
+        assert _farthest(cap) <= optimizer._cap(c, r2, n, h) * (1 + 1e-12)
+        # a second disk that meets the first, or holds it, or lies inside it
+        c2 = c + complex(*gen.normal(size=2)) * math.sqrt(r2)
+        r22 = (gen.uniform(0.1, 2.0) * math.sqrt(r2)) ** 2
+        lens = np.concatenate([disk[abs(disk - c2) ** 2 <= r22], (x := _disk_points(gen, c2, r22))[
+            abs(x - c) ** 2 <= r2]])
+        assert _farthest(lens) <= optimizer._lens(c, r2, c2, r22) * (1 + 1e-12)
+        tally[:2] += cap.size > 1, lens.size > 1
+        # three lines Re(conj(n_k)*x) <= d_k, d_k >= 0, around the point 0
+        normal = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, 3))
+        d = gen.uniform(0.0, 1.0, 3)
+        far = optimizer._triangle(np.conj(normal) * np.roll(normal, -1), d)
+        if np.isnan(far):   # no triangle: a direction leaves every half-plane
+            u = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 3601))
+            assert ((np.conj(normal[:, None]) * u).real <= 1e-3).all(axis=0).any()
+            tally[3] += 1
+            continue
+        x = far * (gen.uniform(-3.0, 3.0, 20000) + 1j * gen.uniform(-3.0, 3.0, 20000))
+        inside = x[((np.conj(normal[:, None]) * x).real <= d[:, None]).all(axis=0)]
+        assert abs(inside).max(initial=0.0) <= far * (1 + 1e-12)
+        tally[2] += 1
+    assert (tally > 30).all(), tally
+
+
+def test_disk_test_declines_every_disk_that_crosses_a_bound():
+    # _clear passes a disk only where no sampled point of it lies inside the
+    # alpha_min disk, outside the beta window or across a counted circle of
+    # avoid, and _meets marks every circle a sampled point crosses
+    gen = np.random.default_rng(32)
+    rows, a_lo = 3000, 0.8
+    a, b = gen.uniform(0.5, 2.0, rows), gen.uniform(-1.5, 1.5, rows)
+    x = a * np.exp(1j * b)
+    rho = a * 10.0 ** gen.uniform(-4.0, 0.0, rows)
+    w_lo, w_hi = b - gen.uniform(0.0, 0.5, rows), b + gen.uniform(0.0, 0.5, rows)
+    # circles, of either sign, and lines, each passing within a few rho of x
+    q2 = gen.choice([-1.0, 0.0, 1.0, 5.0], (rows, 3))
+    z = x[:, None] + rho[:, None] * 3.0 * np.exp(2j * np.pi * gen.uniform(size=(rows, 3)))
+    radius = abs(x[:, None] - z) + rho[:, None] * gen.uniform(-3.0, 3.0, (rows, 3))
+    line = np.exp(2j * np.pi * gen.uniform(size=(rows, 3)))
+    w = np.where(q2 != 0.0, -2.0 * q2 * np.conj(z), line)
+    q0 = np.where(q2 != 0.0, q2 * (abs(z) ** 2 - radius * radius),
+                  -(line * x[:, None]).real + rho[:, None] * gen.uniform(-3.0, 3.0, (rows, 3)))
+    counted = gen.uniform(size=(rows, 3)) < 0.8
+    with np.errstate(all="ignore"):
+        ok = optimizer._clear((q2, w, q0), counted, x, a, b, rho, a_lo, w_lo, w_hi)
+        meets = optimizer._meets((q2, w, q0), x, a, rho)
+    y = x[:, None] + rho[:, None] * np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64),
+                                                   _disk_points(gen, 0.0, 1.0, 64)])[None, :]
+    values = q2[..., None] * abs(y[:, None]) ** 2 + (w[..., None] * y[:, None]).real + q0[..., None]
+    centre = q2 * abs(x[:, None]) ** 2 + (w * x[:, None]).real + q0
+    crosses = (np.sign(values) != np.sign(centre)[..., None]).any(axis=2)
+    assert meets[crosses].all()
+    inside = (abs(y) > a_lo) & (w_lo[:, None] <= np.angle(y)) & (np.angle(y) <= w_hi[:, None])
+    assert inside[ok].all()
+    assert not (crosses & counted)[ok].any()
+    assert ok.sum() > 300 and (~ok & (crosses & counted).any(axis=1)).sum() > 300, (ok.sum(), crosses.sum())
+    assert (~ok & ~inside.all(axis=1)).sum() > 300
+
+
+def test_production_certificate_declines_an_optimum_beyond_alpha_max(monkeypatch):
+    # the 200 km cable's pencil optimum xi* lies at alpha 1.0313, beyond an alpha box
+    # [0.95, 1.0] by far more than its disk's radius; the disk meets no circle there,
+    # so only the certificate's own alpha_max test declines it (_meets cannot tell
+    # on which side of a circle the disk lies).  The winner then lies on alpha_max;
+    # in a box that holds xi*, the certificate takes xi*
+    certify, seen = optimizer._certified, []
+    monkeypatch.setattr(optimizer, "_certified", lambda *args: seen.append(certify(*args)) or seen[-1].copy())
+    spec = ref_cable()
+    for a_hi in (1.0, 1.1):
+        rows = [(spec, p, Constraints(alpha_min=0.95, alpha_max=a_hi)) for p in (100e6, 150e6, 200e6)]
+        won = optimize_at_production_rows(rows)
+        assert won.found.all()
+        if a_hi == 1.0:
+            assert np.isnan(seen[-1][0]).all()
+            assert (abs(won.alpha - 1.0) < 1e-12).all()
+        else:
+            assert not np.isnan(seen[-1][0]).any()
+            assert won.alpha == pytest.approx(OPT_ALPHA, abs=1e-9)
+
+
+def test_ratio_columns_keep_the_bits_of_their_own_columns():
+    # _points takes each form the ratios use once, and a ratio names its numerator
+    # and denominator by column: a form shared by several ratios, here as a numerator
+    # and as a denominator, gives the bits that the same form repeated as each
+    # ratio's own column gives, with the window rays traced or not
+    rng = random.Random(33)
+    specs = [rng.choice([random_cable(rng), ref_cable()]).with_length(10.0 ** rng.uniform(-1.0, 3.0))
+             for _ in range(40)]
+    cables = _Rows([(spec, Constraints(alpha_min=0.9, alpha_max=1.3)) for spec in specs])
+    g, one, c1, c2 = cables.grid, cables.one, cables.cur1, cables.cur2
+    level = (cables.i_rated / (cables.vph * 0.8)) ** 2
+    circles = [(1.0, 0j, -0.81), (1.0, 0j, -1.69), optimizer._sub(c1, c2)]
+    circles += [optimizer._sub(cur, one, level) for cur in (c1, c2)]
+    ratios = [(g, one), (g, c1), (c1, one), (g, c2), (c2, one)]
+    shared = optimizer._stack(circles + [g, one, c1, c2], len(specs))
+    own = optimizer._stack(circles + [num for num, _ in ratios] + [den for _, den in ratios], len(specs))
+    window = (cables.beta_floor, cables.beta_cap)
+    by_form = np.array([(0, 1), (0, 2), (2, 1), (0, 3), (3, 1)])
+    by_ratio = np.array([(j, 5 + j) for j in range(5)])
+    for rays in (np.zeros(len(specs), bool), np.array([rng.random() < 0.5 for _ in specs])):
+        with np.errstate(all="ignore"):
+            got = _points(shared, len(circles), by_form, *window, rays)
+            want = _points(own, len(circles), by_ratio, *window, rays)
+        assert got[0].size > 1000
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_solve_finds_the_same_bits_for_shared_and_copied_ratio_forms():
+    # _solve stacks each ratio form once, told apart by identity: a free delivery
+    # box whose ratios share their form objects finds the bits it finds where
+    # every ratio holds its own equal copies
+    rng = random.Random(34)
+    rows = []
+    for _ in range(30):
+        spec = rng.choice([random_cable(rng), ref_cable()]).with_length(10.0 ** rng.uniform(-1.0, 3.0))
+        lo = rng.uniform(0.3, 1.0)
+        rows.append((spec, Constraints().with_v2_range(lo, rng.uniform(lo, 1.2))))
+    cables = _Rows(rows)
+    g, one, curs = cables.grid, cables.one, (cables.cur1, cables.cur2)
+    bounds = [optimizer._sub(*curs)] + [optimizer._sub(cur, one, (cables.i_rated / (cables.vph * v2)) ** 2)
+                                        for cur in curs for v2 in (cables.lo, cables.hi)]
+    ratios = [(g, one)] + [(num, den) for cur in curs for num, den in ((g, cur), (cur, one))]
+    pieces = [(v2 * v2, one) for v2 in (cables.lo, cables.hi)] + [(cables.i_rated2 / cables.vph2, cur)
+                                                                   for cur in curs]
+    copied = [tuple(tuple(np.copy(x) for x in form) for form in pair) for pair in ratios]
+    point = optimizer._delivery_point(cables, np.full(len(rows), np.inf))
+    window = (cables.beta_floor, cables.beta_cap)
+    with np.errstate(all="ignore"):
+        got, want = (optimizer._solve(cables, window, bounds, r, point, pieces) for r in (ratios, copied))
+    assert np.isfinite(got[0]).sum() > 20
+    assert got.tobytes() == want.tobytes()
