@@ -18,13 +18,13 @@ production solve first certifies in closed form the rows whose winner is
 the pencil optimum xi* or the top of eta along the v2 circle between xi*
 and the box, where no other candidate can come within the tie margin and
 the point passes the checks (_certified), and checks candidates for the
-other rows only.  A delivery call of 24 rows or more does the same for its
-uncapped box kinds: grid power is linear and the squared end currents
-convex, so its score is quasi-concave outside the alpha_min disk; a row
-whose least end current over the box exceeds the rating finds nothing
-(_ruled_out), and the winner among the enumeration's candidates on the
-alpha_max, switch and v2_max rating circles is certified where the points
-within the tie margin lie in a small disk that meets no other circle
+other rows only.  A delivery call of 24 rows or more, none capped, does
+the same: grid power is linear and the squared end currents convex, so
+its score is quasi-concave outside the alpha_min disk; a row whose least
+end current over the box exceeds the rating finds nothing (_ruled_out),
+and the winner among the enumeration's candidates on the alpha_max,
+switch and v2_max rating circles is certified where the points within
+the tie margin lie in a small disk that meets no other circle
 (_delivered).  Both certificates test that disk against alpha_min, the
 beta window and the circles it must not meet in one way (_clear).  The
 opt-in internal checks evaluate the node forms, which each cable builds
@@ -39,17 +39,20 @@ cable fills with Python numbers once, so a row does the same
 floating-point work as its one-row call; its circles, their sinusoids,
 roots, eigenvectors and candidates are arrays over rows, NaN where one
 does not exist, and one array walk over all rows' ranked candidates picks
-the winners (_walk).  The row API, optimize_at_production_rows and
-max_feasible_power_rows, returns them as arrays (Optima), each winner's
-flow one array pass of power_flow.flow_parts, the real arithmetic
-solve_flow runs on one point.  Optima.point(r) is row r's OptimumPoint:
-solve_flow at its winner and the limits that bind there; the one-row
+the winners (_walk).  A fixed box (v2_min = v2_max) has one v2 level,
+so every form drawn at v2_min, or that only a free box has, is NaN on its
+rows (_Rows.levels), and fixed and free boxes share one solve.  The row
+API, optimize_at_production_rows and max_feasible_power_rows, returns
+the winners as arrays (Optima), each winner's flow one array pass of
+power_flow.flow_parts, the real arithmetic solve_flow runs on one point.
+Optima.point(r) is row r's OptimumPoint: that flow, solve_flow's bits at
+its winner, and the limits that bind there; the one-row
 optimize_at_production and max_feasible_power are that point of a one-row
 solve, and optimize_scaling_unconstrained is a one-row solve too.  A
-command makes one solve per kind of problem, and a delivery problem one
-per kind of v2 box, fixed (v2_min = v2_max) or free: transfer_envelope
-over every (length, policy), compare_strategies over every strategy's
-bins and the sweep command over every (policy, level).
+call makes at most one candidate solve, and a command one call per kind
+of problem: transfer_envelope over every (length, policy),
+compare_strategies over every strategy's bins and the sweep command over
+every (policy, level).
 """
 
 from __future__ import annotations
@@ -463,7 +466,10 @@ class _Rows:
     rating drawn _EDGE inside, squared), the beta branch ends beta_floor and
     beta_cap, ray_i (a lower bound on the larger end current per unit volt
     on their window rays, _Cable), and the forms farm, grid, cur1, cur2 and
-    one, the constant form 1.  rays marks the rows whose rays may hold a
+    one, the constant form 1.  levels are each row's v2 levels (v2_min,
+    v2_max), v2_min NaN in a fixed box (v2_min = v2_max), which has one
+    level: a form drawn at v2_min is NaN there, so one solve holds fixed
+    and free boxes alike.  rays marks the rows whose rays may hold a
     winner and internal a table with internal checks; which is each row's
     distinct cable, and distinct holds the distinct cables' a, b,
     beta_floor, beta_cap and ray_i (for _least_current).
@@ -478,6 +484,7 @@ class _Rows:
             if box is not first and box.with_v2_range(first.v2_min, first.v2_max) != first:
                 raise ValueError("the rows of one solve may differ in their cable and v2 box only")
         self.lo, self.hi = np.array([(box.v2_min, box.v2_max) for box in boxes]).T
+        self.levels = (np.where(self.lo < self.hi, self.lo, np.nan), self.hi)
         # rows mostly share spec objects: hash each object once, not each row
         by_id = dict(zip(map(id, specs), specs))
         distinct = {}
@@ -739,7 +746,8 @@ class Optima:
         alpha, beta, v2, lo, hi, i_rated = (x[r].item() for x in (
             self.alpha, self.beta, self.v2, cables.lo, cables.hi, cables.i_rated))
         op = OperatingPoint(v2, VoltageScaling(alpha, beta))
-        flow = solve_flow(cables.per_row[r].spec, op)
+        flow = FlowSolution.from_parts(*([x[r].item() for x in part] for part in (self.i1, self.i2)), *(
+            x[r].item() for x in (self.p_farm, self.q_farm, self.p_grid, self.q_grid)))
         current = max(abs(flow.i1), abs(flow.i2))
         a_span = max(cons.alpha_max - cons.alpha_min, 1e-9)
         meets = {
@@ -773,15 +781,15 @@ def _meets(forms, x, a, rho):
 def _clear(avoid, counted, x, a, b, rho, a_lo, w_lo, w_hi):
     """Where the disk of radius rho about x = a*e^{j*b} lies outside alpha_min, in the window, clear, per row.
 
-    The disk must lie outside the alpha_min disk, with rho < a/2, and
-    inside the beta window [w_lo, w_hi] by beta +- 2*rho/a, more than the
-    beta +- arcsin(rho/a) it spans.  It may meet no zero circle of the
-    (rows, k) forms avoid where the mask counted is set (_meets).  _meets
-    does not tell which side of a circle the disk lies on, so a bound whose
-    side matters is tested apart.
+    The disk must lie outside the alpha_min disk, so rho < a as alpha_min
+    > 0, and inside the beta window [w_lo, w_hi] by beta +- 2*rho/a: as
+    arcsin(u) <= pi*u/2 < 2*u on (0, 1], more than the beta +-
+    arcsin(rho/a) it spans.  It may meet no zero circle of the (rows, k)
+    forms avoid where the mask counted is set (_meets).  _meets does not
+    tell which side of a circle the disk lies on, so a bound whose side
+    matters is tested apart.
     """
-    ok = (a_lo < a - rho) & (rho < 0.5 * a)
-    ok &= (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
+    ok = (a_lo < a - rho) & (w_lo < b - 2.0 * rho / a) & (b + 2.0 * rho / a < w_hi)
     return ok & ~(_meets(avoid, x, a, rho) & counted).any(axis=1)
 
 
@@ -908,7 +916,7 @@ def optimize_at_production_rows(rows: list[tuple[CableSpec, float, Constraints]]
 
     k = p / (3.0 * cables.vph2)      # v2^2 = k/farm
     shrunk = 3.0 * cables.edge_rated2 / p
-    bounds = [_sub(cables.farm, cables.one, k / (v2 * v2)) for v2 in (np.where(lo < hi, lo, np.nan), hi)]
+    bounds = [_sub(cables.farm, cables.one, k / (v2 * v2)) for v2 in cables.levels]
     bounds += [_sub(cur, cables.farm, shrunk) for cur in (cables.cur1, cables.cur2)]
 
     def point(alpha, beta, r):
@@ -1155,77 +1163,65 @@ def _delivered(cables: _Rows, rows, point, circles) -> np.ndarray:
                                                       axis=1), axis=1),
                         np.fmin.reduce(_triangle(np.conj(normal[:, i]) * normal[:, j], beyond[:, i]), axis=1))
     ok = np.isfinite(s0) & (m > 4.0 * TIE_TOL) & (spread < 1e-6) & ((t > 0.0) | ~free)
-    # a free box's rating circles at v2_min may not meet the disk
-    ok &= _clear([x[:, 8:] for x in forms], free[:, None], x0, a0, b0, rho, a_lo, w_lo, w_hi)
+    # a free box's rating circles at v2_min may not meet the disk; a fixed box's are NaN
+    ok &= _clear([x[:, 8:] for x in forms], True, x0, a0, b0, rho, a_lo, w_lo, w_hi)
     return np.where(ok, won, np.nan)
 
 
 @np.errstate(all="ignore")      # NaN marks what does not exist
 def max_feasible_power_rows(rows: list[tuple[CableSpec, Constraints, float | None]]) -> Optima:
-    """max_feasible_power for every (spec, constraints, p_farm_cap) row, at most one array solve per box kind.
+    """max_feasible_power for every (spec, constraints, p_farm_cap) row, in at most one array solve.
 
     A row without a winner is one that max_feasible_power reports
     Infeasible.  There is at least one row, and the rows may differ in
     their cable, in their constraints' v2 box and in their farm cap only;
-    a cap of None or inf caps nothing.  Where the box kinds without a
-    capped row hold at least _CERTIFY_ROWS rows, one pass over them rules
-    out the rows whose least larger end current over the box at v2_min
-    exceeds the rating (_ruled_out) and certifies most others' winners in
-    closed form (_delivered); the candidate solve takes the rows it
-    declines, the capped rows and the box kinds that hold one, and a box
-    kind with no such row makes no candidate solve.  Every row finds what
-    the full enumeration finds, bit for bit.
+    a cap of None or inf caps nothing.  Where a call holds no capped row
+    and at least _CERTIFY_ROWS rows, one pass rules out the rows whose
+    least larger end current over the box at v2_min exceeds the rating
+    (_ruled_out) and certifies most others' winners in closed form
+    (_delivered); the candidate solve takes the rows it declines, or every
+    row, and a call where it declines none makes no candidate solve.
+    Every row finds what the full enumeration finds, bit for bit.
     """
     for _, _, cap in rows:
         if cap is not None and not cap > 0.0:
             raise ValueError(f"p_farm_cap must be > 0 W, got {cap}")
     cables = _Rows([(spec, cons) for spec, cons, _ in rows])
-    lo, hi = cables.lo, cables.hi
     cap = np.array([math.inf if cap is None else cap for _, _, cap in rows])
+    capped = np.isfinite(cap)
 
-    curs, one, i_rated2 = (cables.cur1, cables.cur2), cables.one, cables.i_rated2
-    k = 3.0 * i_rated2 / cap   # c*v2^2 = cap where farm = q/k
-    farm = [np.where(np.isfinite(cap), x, np.nan) for x in cables.farm]     # the cap's forms', NaN uncapped
+    curs, one = (cables.cur1, cables.cur2), cables.one
+    k = 3.0 * cables.i_rated2 / cap   # c*v2^2 = cap where farm = q/k
+    farm = [np.where(capped, x, np.nan) for x in cables.farm]     # the cap's forms', NaN uncapped
     point, best = _delivery_point(cables, cap), np.full((4, len(cables)), np.nan)
     window = (cables.beta_floor, cables.beta_cap)    # a low cap may be met at beta < 0 only
-    # |i_k|^2 per unit volt where the rating binds at each v2 bound, squared
+    # |i_k|^2 per unit volt where the rating binds at each v2 level, squared
     # as r*r: r**2 would raise, not give inf, when a tiny v2 overflows it
-    levels = {end: r * r for end, v2 in (("lo", lo), ("hi", hi))
-              for r in (cables.i_rated / (cables.vph * v2),)}
+    rated = [r * r for v2 in cables.levels for r in (cables.i_rated / (cables.vph * v2),)]
     # the switch circle |i1| = |i2| stays in a fixed box: both ratings meet on it
     switch = _sub(cables.cur1, cables.cur2)
-    rating = [{end: _sub(cur, one, q) for end, q in levels.items()} for cur in curs]
-    kinds = [np.flatnonzero((lo < hi) == free) for free in (False, True)]
-    sure = np.concatenate([part for part in kinds if not np.isfinite(cap[part]).any()] + [kinds[0][:0]])
-    settled = np.zeros(len(cables), bool)
-    if sure.size >= _CERTIFY_ROWS:
-        out = _ruled_out(cables, sure)
-        settled[sure[out]] = True
-        sure = sure[~out]
-        if sure.size:
-            best[:, sure] = _delivered(cables, sure, point,
-                                       [switch] + [x[end] for end in ("hi", "lo") for x in rating])
-            settled[sure] = ~np.isnan(best[0, sure])
-    # a fixed box (v2_min = v2_max) has one v2 level: one rating circle per end current,
-    # one cap circle and one piece, g*v2^2.  Its rows are solved apart from free boxes, where
-    # v2 may also sit at a rating or at the cap.  A solve has cap forms when a row is capped
-    for free, part in zip((False, True), kinds):
-        part = part[~settled[part]]
-        if not part.size:
-            continue
-        ends = ("lo", "hi") if free else ("hi",)
-        bounds = [switch] + [x[end] for x in rating for end in ends]
-        if np.isfinite(cap[part]).any():
-            bounds += [_sub(farm, one, levels[end] / k) for end in ends]
-        ratios, pieces = [(cables.grid, one)], [(v2 * v2, one) for v2 in ((lo, hi) if free else (hi,))]
-        if free:
-            ratios += [(num, den) for cur in curs for num, den in ((cables.grid, cur), (cur, one))]
-            pieces += [(i_rated2 / cables.vph2, cur) for cur in curs]
-            if np.isfinite(cap[part]).any():
-                bounds += [_sub(cur, farm, k) for cur in curs]
-                ratios.append((cables.grid, farm))
-                pieces.append((cap / (3.0 * cables.vph2), farm))
-        best[:, part] = _solve(cables, window, bounds, ratios, point, pieces, part, cables.rays)[:, part]
+    rating = [[_sub(cur, one, q) for q in rated] for cur in curs]
+    todo = np.arange(len(cables))
+    if todo.size >= _CERTIFY_ROWS and not capped.any():
+        todo = todo[~_ruled_out(cables, todo)]
+        if todo.size:
+            best[:, todo] = _delivered(cables, todo, point, [switch] + [x[j] for j in (1, 0) for x in rating])
+            todo = todo[np.isnan(best[0, todo])]
+    if todo.size:
+        # a fixed box has one v2 level: its rating and cap circles and its piece at v2_min
+        # are NaN, and so are the forms of a free box's v2 at a rating or at the cap
+        fixed = np.isnan(cables.levels[0])
+        *curs_free, farm_free = ([np.where(fixed, np.nan, x) for x in form] for form in (*curs, farm))
+        bounds = [switch, *rating[0], *rating[1]]
+        ratios = [(cables.grid, one)]
+        ratios += [(num, den) for cur in curs_free for num, den in ((cables.grid, cur), (cur, one))]
+        pieces = [(v2 * v2, one) for v2 in cables.levels]
+        pieces += [(cables.i_rated2 / cables.vph2, cur) for cur in curs_free]
+        if capped.any():
+            bounds += [_sub(farm, one, q / k) for q in rated] + [_sub(cur, farm_free, k) for cur in curs]
+            ratios.append((cables.grid, farm_free))
+            pieces.append((cap / (3.0 * cables.vph2), farm_free))
+        best[:, todo] = _solve(cables, window, bounds, ratios, point, pieces, todo, cables.rays)[:, todo]
     return Optima(cables, best)
 
 
@@ -1297,7 +1293,7 @@ def transfer_envelope(
 
     Per (length, v2) the deliverable maximum at that fixed voltage; per
     length also the maximum with v2 free inside the constraint box, every
-    row of every length in one solve per box kind.  That optimal row is
+    row of every length in one call.  That optimal row is
     the best of the free box's row and the fixed rows whose v2 lies in the
     box, so it never reads below one of them whatever the rounding.
     Infeasible combinations are recorded as zero capability, not errors.

@@ -83,15 +83,19 @@ class FlowSolution:
     p_loss: float
     eta: float | None
 
+    @classmethod
+    def from_parts(cls, i1, i2, p_farm, q_farm, p_grid, q_grid) -> "FlowSolution":
+        """The solution of flow_parts' float parts at one point."""
+        return cls(complex(*i1), complex(*i2), p_farm, q_farm, p_grid, q_grid,
+                   p_loss=p_farm - p_grid, eta=p_grid / p_farm if p_farm > 0.0 else None)
+
 
 def solve_flow(spec: CableSpec, op: OperatingPoint) -> FlowSolution:
     """Currents, powers and losses at a terminal operating point."""
     tp, beta = exact_pi_two_port(spec), op.scaling.beta
-    i1, i2, p_farm, q_farm, p_grid, q_grid = flow_parts(
+    return FlowSolution.from_parts(*flow_parts(
         tp.a.real, tp.a.imag, tp.b.real, tp.b.imag, spec.phase_voltage,
-        op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2)
-    return FlowSolution(complex(*i1), complex(*i2), p_farm, q_farm, p_grid, q_grid,
-                        p_loss=p_farm - p_grid, eta=p_grid / p_farm if p_farm > 0.0 else None)
+        op.scaling.alpha, math.cos(beta), math.sin(beta), op.v2))
 
 
 def flow_parts(ar, ai, br, bi, phase_voltage, alpha, cos_beta, sin_beta, v2):

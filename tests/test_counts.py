@@ -17,22 +17,23 @@ optimize at 150 MW, sweep, annual and envelope runs, then five runs with
 an internal check on; and the README annual at 350 MW on a 250 km cable,
 where most bins the production solve cannot serve are over the cable's
 capability.
-A delivery command solves its fixed-voltage boxes and its free ones apart,
-so it makes one solve per box kind.  A solve row states only the forms its
-box has: a fixed box's production row one v2 circle, and a delivery row the
-farm cap's forms only where it is capped.  A box solve scores a row's
+A delivery call makes at most one solve, over its fixed-voltage and its free
+boxes alike.  A solve row states only the forms its box has: a fixed box
+has one v2 level, so every form drawn at v2_min, or that only a free box
+has, is NaN on its rows (optimizer._Rows.levels), and a delivery row has
+the farm cap's forms only where it is capped.  A box solve scores a row's
 window-ray candidates only where the row keeps its rays (optimizer._Rows.rays),
 which no row of these commands does.  A production solve counts only the
 rows whose winner it cannot certify in closed form (optimizer._certified),
 with or without internal checks, and the certified rows whose winner fails
-a check: one-row optimize at 150 MW solves none.  A delivery call with at
-least 24 rows in box kinds without a capped row first rules out those
-rows whose least end current exceeds the rating (optimizer._ruled_out)
-and certifies most others (optimizer._delivered), whose walks count as
-walked; it solves only the rows it declines, and a box kind where it
-declines none not at all: the README envelope makes no candidate solve.
-The golden envelope's 9 rows and the annual studies' delivery rows are
-too few and are solved as before.
+a check: one-row optimize at 150 MW solves none.  A delivery call of at
+least 24 rows, none of them capped, first rules out those rows whose
+least end current exceeds the rating (optimizer._ruled_out) and
+certifies most others (optimizer._delivered), whose walks count as
+walked; it solves only the rows it declines, and none at all where it
+declines none: the README envelope makes no candidate solve.  The golden
+envelope's 9 rows and the annual studies' delivery rows are too few, or
+capped, and are solved as before.
 """
 
 import numpy as np
@@ -114,26 +115,26 @@ def counts(monkeypatch) -> dict:
 #  ruled out); a trailing dict is the study configuration
 @pytest.mark.parametrize("argv,want", [
     (_GOLDEN_SWEEP, (1, 3, 48, 0, 0, 1, 0, 0, 0, 0)),
-    (_GOLDEN_ENVELOPE, (2, 9, 161, 0, 0, 3, 0, 0, 0, 0)),
-    (_GOLDEN_ANNUAL, (3, 4, 89, 2, 0, 2, 0, 57, 0, 0)),
+    (_GOLDEN_ENVELOPE, (1, 9, 161, 0, 0, 3, 0, 0, 0, 0)),
+    (_GOLDEN_ANNUAL, (2, 4, 89, 2, 0, 2, 0, 57, 0, 0)),
     (_ANALYZE + ["50"], (0, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
     (_ANALYZE + ["50", "--json"], (0, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
     (_ANALYZE + ["2000"], (0, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
     (["optimize", "--echo-config", "--json"], (1, 1, 8, 0, 0, 1, 0, 0, 0, 0)),
     (["optimize", "--p-farm-mw", "150"], (0, 0, 0, 0, 0, 1, 1, 0, 0, 0)),
     (_SWEEP, (1, 31, 516, 0, 0, 1, 0, 0, 0, 0)),
-    (_ANNUAL, (3, 29, 617, 3, 0, 2, 0, 1, 0, 0)),
+    (_ANNUAL, (2, 29, 617, 3, 0, 2, 0, 1, 0, 0)),
     (_ENVELOPE, (0, 0, 0, 29, 0, 31, 0, 0, 131, 24)),
     (["optimize", "--p-farm-mw", "150", {"cable": {"length_km": 250.0},
                                          "constraints": {"check_internal_voltage_max": 0.75}}],
      (1, 1, 79, 0, 2, 1, 1, 0, 0, 0)),
     (_GOLDEN_SWEEP + [{"cable": {"length_km": 150.0}, **_CURRENT}], (1, 1, 16, 0, 2, 1, 0, 0, 0, 0)),
-    (_GOLDEN_ANNUAL + [_CURRENT], (3, 4, 89, 2, 4, 2, 0, 57, 0, 0)),
-    (_GOLDEN_ENVELOPE + [_CURRENT], (2, 9, 161, 0, 6, 3, 0, 0, 0, 0)),
+    (_GOLDEN_ANNUAL + [_CURRENT], (2, 4, 89, 2, 4, 2, 0, 57, 0, 0)),
+    (_GOLDEN_ENVELOPE + [_CURRENT], (1, 9, 161, 0, 6, 3, 0, 0, 0, 0)),
     (_GOLDEN_ENVELOPE + [{"constraints": {"check_internal_voltage_max": 0.9}}],
-     (2, 9, 333, 1, 6, 3, 0, 0, 0, 0)),
+     (1, 9, 333, 1, 6, 3, 0, 0, 0, 0)),
     (_ANNUAL[:2] + ["350"] + _ANNUAL[3:] + [{"cable": {"length_km": 250.0}}],
-     (3, 191, 3514, 1, 0, 2, 0, 1, 0, 0)),
+     (2, 191, 3514, 1, 0, 2, 0, 1, 0, 0)),
 ], ids=["golden-sweep", "golden-envelope", "golden-annual", "analyze-50", "analyze-50-json",
         "analyze-2000", "optimize-echo", "readme-optimize-p", "readme-sweep", "readme-annual",
         "readme-envelope", "optimize-voltage-check", "sweep-current-check",

@@ -8,7 +8,7 @@ import platform
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -841,8 +841,8 @@ def _bits(*values):
 
 @pytest.mark.parametrize("kind", ["production", "uncapped", "capped"])
 def test_row_flow_arrays_are_the_points_solve_flow(kind):
-    # Optima.point(r) takes its flow from solve_flow at the winner; the flow
-    # arrays of the row API must hold the same bits on every found row
+    # the flow arrays of the row API, and so Optima.point(r)'s flow, hold the
+    # bits of solve_flow at the winner on every found row
     rng = random.Random({"production": 61, "uncapped": 62, "capped": 63}[kind])
     cons, rows = Constraints(), []
     for _ in range(12):
@@ -859,7 +859,9 @@ def test_row_flow_arrays_are_the_points_solve_flow(kind):
     found = np.flatnonzero(won.found).tolist()
     assert len(found) > 10
     for r in found:
-        flow = won.point(r).flow
+        point = won.point(r)
+        flow = solve_flow(rows[r][0], point.operating_point)
+        assert _bits(*astuple(point.flow)) == _bits(*astuple(flow)), r
         got = _bits(complex(won.i1[0][r], won.i1[1][r]), complex(won.i2[0][r], won.i2[1][r]),
                     *(x[r] for x in (won.p_farm, won.q_farm, won.p_grid, won.q_grid, won.eta)))
         assert got == _bits(flow.i1, flow.i2, flow.p_farm, flow.q_farm, flow.p_grid, flow.q_grid,
@@ -1029,10 +1031,10 @@ def _same_bits(won, r, want, s=0):
 
 @pytest.mark.parametrize("checks", [{}, {"check_internal_current": True, "check_internal_voltage_max": 1.0}],
                          ids=["no-check", "checks"])
-def test_rows_with_mixed_caps_match_one_row_calls(checks):
+def test_rows_with_mixed_caps_match_one_row_calls(checks, solve_calls):
     # each delivery row's cap is its own: a row of None or inf has no cap
-    # forms, so capped and uncapped rows mix in one call, and each row finds
-    # the bits it finds alone
+    # forms, so capped and uncapped rows, in fixed and free boxes, mix in one
+    # call, which is one candidate solve, and each row finds the bits it finds alone
     rng = random.Random(83)
     cons = Constraints(n_profile_segments=8, **checks)
     rows = []
@@ -1042,6 +1044,7 @@ def test_rows_with_mixed_caps_match_one_row_calls(checks):
         for box in (cons.fixed_v2(lo), cons.with_v2_range(lo, 1.0)):
             rows.append((spec, box, rng.choice([None, math.inf, 10.0 ** rng.uniform(6.0, 9.0)])))
     won = max_feasible_power_rows(rows)
+    assert len(solve_calls) == 1
     for r, row in enumerate(rows):
         _same_bits(won, r, max_feasible_power_rows([row]))
     caps = [cap for _, _, cap in rows]
@@ -1112,11 +1115,11 @@ def test_rows_may_differ_in_their_cable_and_v2_box_only(cable200):
                                  (cable200, Constraints(check_internal_current=True), None)])
 
 
-def test_envelope_and_sweep_are_one_solve_per_box_kind(solve_calls, capsys):
-    # the envelope's fixed-voltage rows are at most one delivery solve, its free
-    # rows another, and a box kind whose rows are all certified or ruled out
-    # makes none: here only the 420 km free row, whose winner lies where
-    # alpha_max meets its rating at v2_min, goes to the candidate solve
+def test_envelope_and_sweep_are_one_solve_each(solve_calls, capsys):
+    # the envelope's fixed-voltage and free rows are at most one delivery solve,
+    # and none where every row is certified or ruled out: here only the 420 km
+    # free row, whose winner lies where alpha_max meets its rating at v2_min,
+    # goes to the candidate solve
     calls = solve_calls
     env = transfer_envelope(ref_cable(), [60.0, 150.0, 240.0, 330.0, 420.0], [1.0, 0.8, 0.6, 0.4])
     assert len(calls) == 1
@@ -1500,13 +1503,16 @@ def test_certificate_sets_lie_within_their_diameter_bounds():
 def test_disk_test_declines_every_disk_that_crosses_a_bound():
     # _clear passes a disk only where no sampled point of it lies inside the
     # alpha_min disk, outside the beta window or across a counted circle of
-    # avoid, and _meets marks every circle a sampled point crosses
+    # avoid, and _meets marks every circle a sampled point crosses.  Disks
+    # of radius up to alpha and windows over 1 rad each side: a disk with
+    # rho >= alpha/2 passes where the window test holds
     gen = np.random.default_rng(32)
     rows, a_lo = 3000, 0.8
-    a, b = gen.uniform(0.5, 2.0, rows), gen.uniform(-1.5, 1.5, rows)
+    a, b = gen.uniform(0.5, 4.0, rows), gen.uniform(-1.5, 1.5, rows)
     x = a * np.exp(1j * b)
-    rho = a * 10.0 ** gen.uniform(-4.0, 0.0, rows)
-    w_lo, w_hi = b - gen.uniform(0.0, 0.5, rows), b + gen.uniform(0.0, 0.5, rows)
+    rho = a * np.where(gen.uniform(size=rows) < 0.25, gen.uniform(0.5, 0.9, rows),
+                       10.0 ** gen.uniform(-4.0, 0.0, rows))
+    w_lo, w_hi = b - gen.uniform(0.0, 2.0, rows), b + gen.uniform(0.0, 2.0, rows)
     # circles, of either sign, and lines, each passing within a few rho of x
     q2 = gen.choice([-1.0, 0.0, 1.0, 5.0], (rows, 3))
     z = x[:, None] + rho[:, None] * 3.0 * np.exp(2j * np.pi * gen.uniform(size=(rows, 3)))
@@ -1530,6 +1536,8 @@ def test_disk_test_declines_every_disk_that_crosses_a_bound():
     assert not (crosses & counted)[ok].any()
     assert ok.sum() > 300 and (~ok & (crosses & counted).any(axis=1)).sum() > 300, (ok.sum(), crosses.sum())
     assert (~ok & ~inside.all(axis=1)).sum() > 300
+    big = ok & (rho >= 0.5 * a)
+    assert big.sum() > 10 and inside[big].all(), big.sum()
 
 
 def test_production_certificate_declines_an_optimum_beyond_alpha_max(monkeypatch):
